@@ -20,21 +20,15 @@ from .pathgraph import (
     path_prepath,
 )
 from .pyramid import PrePathError, build_pyramid, verify_pyramid
-from .recover import (
-    RecoverConfig,
-    recover_instance,
-    score_recovery,
-)
+from .recover import RecoverConfig, recover_instance, score_record
 from .synth import (
-    InfeasibleParamsError,
     Params,
-    ParamsError,
     audit_instance,
     gen_instance,
     instance_from_json,
     instance_to_json,
 )
-from .torus import frac_to_str, str_to_frac
+from .torus import fields_to_json, frac_to_str, str_to_frac
 
 
 def _report_header(params: Params) -> dict:
@@ -60,13 +54,6 @@ def _write_csv(path: FsPath, rows: list[dict]) -> None:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-
-
-def _write_error(out: FsPath, name: str, exc: Exception) -> None:
-    _write_json(
-        out / f"{name}_error.json",
-        {"error": {"type": type(exc).__name__, "message": str(exc)}},
-    )
 
 
 def _params_from_args(args) -> Params:
@@ -101,18 +88,10 @@ def _load_instance(path: str):
 
 def cmd_synth(args) -> int:
     out = FsPath(args.out)
-    try:
-        params = _params_from_args(args)
-        inst = gen_instance(
-            params,
-            mode=args.mode,
-            t_star=str_to_frac(args.t_star),
-            q_star=args.q_star,
-        )
-    except (ParamsError, InfeasibleParamsError) as exc:
-        out.mkdir(parents=True, exist_ok=True)
-        _write_error(out, "synth", exc)
-        return 2
+    params = _params_from_args(args)
+    inst = gen_instance(
+        params, mode=args.mode, t_star=str_to_frac(args.t_star), q_star=args.q_star
+    )
     out.mkdir(parents=True, exist_ok=True)
     (out / "instance.json").write_text(instance_to_json(inst))
     if args.blind:
@@ -139,6 +118,15 @@ def cmd_verify_bounds(args) -> int:
     inst = _load_instance(args.instance)
     eps = inst.params.eps_edge
     rows: list[dict] = []
+
+    def row(path_id, kind, passed, j="", m="", actual=None, bound=None) -> bool:
+        rows.append(
+            {"path": path_id, "kind": kind, "j": j, "m": m,
+             "actual": "" if actual is None else frac_to_str(actual),
+             "bound": "" if bound is None else frac_to_str(bound), "pass": passed}
+        )
+        return passed
+
     pyramids: list[dict] = []
     ok = True
     n_paths = 0
@@ -151,42 +139,25 @@ def cmd_verify_bounds(args) -> int:
                 if n_paths >= args.limit:
                     break
                 n_paths += 1
+                path_id = f"{start}:{k}:{pid}"
                 try:
                     pp = path_prepath(path, eps)
                 except PrePathError:
-                    ok = False
-                    rows.append(
-                        {"path": f"{start}:{k}:{pid}", "kind": "prepath",
-                         "j": "", "m": "", "actual": "", "bound": "", "pass": False}
-                    )
+                    ok &= row(path_id, "prepath", False)
                     continue
                 py = build_pyramid(pp)
                 if len(pyramids) < 10:
-                    pyramids.append(
-                        {"path": f"{start}:{k}:{pid}", **py.to_json()}
-                    )
-                for row in verify_pyramid(pp, py).rows:
-                    ok &= row.passed
-                    rows.append(
-                        {"path": f"{start}:{k}:{pid}", "kind": "layer_gap",
-                         "j": row.j, "m": "", "actual": frac_to_str(row.actual),
-                         "bound": frac_to_str(row.predicted), "pass": row.passed}
-                    )
+                    pyramids.append({"path": path_id, **py.to_json()})
+                for r in verify_pyramid(pp, py).rows:
+                    ok &= row(path_id, "layer_gap", r.passed, j=r.j,
+                              actual=r.actual, bound=r.predicted)
                 drift = ratio_drift_certificate(path, path.k)
-                ok &= drift.passed
-                rows.append(
-                    {"path": f"{start}:{k}:{pid}", "kind": "ratio_drift",
-                     "j": "", "m": drift.m, "actual": frac_to_str(drift.drift),
-                     "bound": frac_to_str(drift.bound), "pass": drift.passed}
-                )
+                ok &= row(path_id, "ratio_drift", drift.passed, m=drift.m,
+                          actual=drift.drift, bound=drift.bound)
                 for j in (1, path.k + 1):
                     cert = top_anchor_certificate(path, py, j)
-                    ok &= cert.passed
-                    rows.append(
-                        {"path": f"{start}:{k}:{pid}", "kind": "apex_anchor",
-                         "j": cert.j, "m": "", "actual": frac_to_str(cert.actual),
-                         "bound": frac_to_str(cert.bound), "pass": cert.passed}
-                    )
+                    ok &= row(path_id, "apex_anchor", cert.passed, j=cert.j,
+                              actual=cert.actual, bound=cert.bound)
     out = FsPath(args.out)
     if args.format == "csv":
         _write_csv(out / "bound_certificates.csv", rows)
@@ -239,10 +210,8 @@ def cmd_recover(args) -> int:
     )
     result = recover_instance(inst, rcfg)
     out = FsPath(args.out)
-    _write_json(
-        out / "recovery.json",
-        {**_report_header(inst.params), **result.to_json()},
-    )
+    header = {**_report_header(inst.params), "config": fields_to_json(rcfg)}
+    _write_json(out / "recovery.json", {**header, **result.to_json()})
     accepted = {e.target_index for e in result.global_freq.accepted} if result.global_freq else set()
     _write_csv(
         out / "targets.csv",
@@ -253,23 +222,14 @@ def cmd_recover(args) -> int:
 
 def cmd_score(args) -> int:
     inst = _load_instance(args.instance)
-    doc = json.loads(FsPath(args.recovery).read_text()) if args.recovery else None
-    rcfg = RecoverConfig(
-        k=args.k,
-        min_common_witness=args.min_common_witness,
-        tol_t=str_to_frac(args.tol_T) if args.tol_T else None,
-        path_limit=args.limit,
-        d_min=args.d_min,
-    )
-    # re-run recovery blind against the instance, then score with its truth
-    result = recover_instance(inst.strip_truth(), rcfg)
-    score = score_recovery(result.global_freq, inst.truth, result.hub_index)
+    doc = json.loads(FsPath(args.recovery).read_text())
+    score = score_record(doc, inst, args.k)
     _write_json(
         FsPath(args.out) / "score.json",
         {
             **_report_header(inst.params),
-            "recovery_file": args.recovery if args.recovery else None,
-            "recorded_hub": doc.get("hub") if doc else None,
+            "recovery_file": args.recovery,
+            "recorded_hub": doc["hub"],
             **score.to_json(),
         },
     )
@@ -287,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common_out(p):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("synth", help="generate a verified instance")
     common_out(p)
@@ -321,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-bounds", help="pyramid and path certificates")
     common_out(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--instance", required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--limit", type=int, default=200)
@@ -333,24 +293,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=1000)
     p.set_defaults(func=cmd_census)
 
-    def recover_args(p):
-        p.add_argument("--instance", required=True)
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--min-common-witness", type=int, default=1)
-        p.add_argument("--tol-T", default=None)
-        p.add_argument("--d-min", type=int, default=None)
-        p.add_argument("--limit", type=int, default=20000)
-
     p = sub.add_parser("recover", help="hub, route pairs, local and global estimates")
     common_out(p)
-    recover_args(p)
+    p.add_argument("--instance", required=True)
+    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--min-common-witness", type=int, default=1)
+    p.add_argument("--tol-T", default=None)
+    p.add_argument("--d-min", type=int, default=None)
+    p.add_argument("--limit", type=int, default=20000)
     p.add_argument("--blind", action="store_true")
     p.set_defaults(func=cmd_recover)
 
-    p = sub.add_parser("score", help="score a recovery against the planted truth")
+    p = sub.add_parser("score", help="grade a recorded recovery against the truth")
     common_out(p)
-    recover_args(p)
-    p.add_argument("--recovery", default=None, help="recovery.json for provenance")
+    p.add_argument("--instance", required=True, help="instance.json with its truth")
+    p.add_argument("--recovery", required=True, help="the recovery.json to grade")
+    p.add_argument("--k", type=int, required=True,
+                   help="the k the recovery must have been made with")
     p.set_defaults(func=cmd_score)
     return ap
 
@@ -360,9 +319,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary, report and exit
-        out = FsPath(getattr(args, "out", "."))
-        out.mkdir(parents=True, exist_ok=True)
-        _write_error(out, args.command, exc)
+        _write_json(
+            FsPath(args.out) / f"{args.command}_error.json",
+            {"error": {"type": type(exc).__name__, "message": str(exc)}},
+        )
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -121,22 +121,17 @@ class Edge:
             raise PathError("edge witness set must be nonempty")
 
 
-def edge_slack(cfg: Configuration, i: int, j: int, p: int, q: int) -> Fraction:
-    return abs(cfg.sites[i].x / p - cfg.sites[j].x / q)
+def edge_slack(a: Site, b: Site, p: int, q: int) -> Fraction:
+    """The physical deviation |x_a/p - x_b/q| of a step from a to b."""
+    return abs(a.x / p - b.x / q)
 
 
 def edge_witness(
-    cfg: Configuration,
-    i: int,
-    j: int,
-    p: int,
-    q: int,
-    witness_pool: tuple[int, ...],
-    eps_edge: Fraction,
+    a: Site, b: Site, p: int, q: int, witness_pool: tuple[int, ...], eps_edge: Fraction
 ) -> frozenset[int]:
     """Exact witness computation: primes w in the pool for which
-    ||p*alpha_i - q*alpha_j||_w <= eps_edge."""
-    rel = p * cfg.sites[i].alpha - q * cfg.sites[j].alpha
+    ||p*alpha_a - q*alpha_b||_w <= eps_edge."""
+    rel = p * a.alpha - q * b.alpha
     return frozenset(w for w in witness_pool if norm_mod(rel, w) <= eps_edge)
 
 
@@ -175,12 +170,8 @@ class Path:
         allp = self.p_primes + self.q_primes
         if len(set(allp)) != 2 * k:
             raise PrimeCollision(f"path primes must all be distinct: {allp}")
-        for t in range(k):
-            expect = abs(
-                self.sites[t].x / self.p_primes[t]
-                - self.sites[t + 1].x / self.q_primes[t]
-            )
-            if expect != self.step_edge_slack[t]:
+        for t, step in enumerate(self.steps()):
+            if edge_slack(*step) != self.step_edge_slack[t]:
                 raise PathError(f"stored slack at step {t + 1} is not exact")
 
     @property
@@ -194,6 +185,10 @@ class Path:
     @property
     def end(self) -> Site:
         return self.sites[-1]
+
+    def steps(self):
+        """(site, next site, p, q) for each step, in order."""
+        return zip(self.sites, self.sites[1:], self.p_primes, self.q_primes)
 
     @property
     def common_witness(self) -> frozenset[int]:
@@ -254,11 +249,8 @@ def validate_path_modulus(path: Path, modulus: Modulus, eps_edge: Fraction) -> N
     factors = modulus.factors
     if factors is None:
         raise PathError("modulus validation needs the prime factor list")
-    for t in range(path.k):
-        rel = (
-            path.p_primes[t] * path.sites[t].alpha
-            - path.q_primes[t] * path.sites[t + 1].alpha
-        )
+    for t, (a, b, p, q) in enumerate(path.steps()):
+        rel = p * a.alpha - q * b.alpha
         if not factors:
             continue
         acc = factors[0]

@@ -1,5 +1,5 @@
-"""Small number-theory helpers: trial-division primality, interval sieves,
-extended gcd and integer roots.
+"""Small number-theory helpers: trial-division primality, interval sieves
+and integer roots.
 
 Everything here is exact integer arithmetic; the scales involved (prime
 pools of a few dozen entries, products of tens of primes) never justify a
@@ -46,29 +46,19 @@ def prod(xs) -> int:
     return out
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (a, 1, 0)
-    g, x, y = egcd(b, a % b)
-    return (g, y, x - (a // b) * y)
-
-
-def inv_mod(a: int, m: int) -> int:
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse mod {m}")
-    return x % m
-
-
 def floor_nth_root(n: int, k: int) -> int:
-    """Largest integer r with r**k <= n (n >= 0, k >= 1)."""
+    """Largest integer r with r**k <= n (n >= 0, k >= 1), in integers only."""
     if n < 0 or k < 1:
         raise ValueError("floor_nth_root needs n >= 0, k >= 1")
     if n in (0, 1) or k == 1:
         return n
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    if k == 2:
+        return isqrt(n)
+    # Newton from above: 2**ceil(bits/k) > n**(1/k), and the iterates
+    # decrease strictly until they reach the floor of the root
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * r + n // r ** (k - 1)) // k
+        if nxt >= r:
+            return r
+        r = nxt

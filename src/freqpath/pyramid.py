@@ -196,18 +196,16 @@ class Pyramid:
     """The triangular array built by iterating layer_step.
 
     layers[0] is the pre-path's top anchor tuple; layer s has k+1-s
-    entries.  step_p[s]/step_q[s] record which primes each merge at step
-    s+1 paired, and step_eps/step_eps_prime the hypothesis tolerances in
-    force at that step, so every bound downstream is auditable without
-    re-deriving the recursion.
+    entries.  step_eps/step_eps_prime record the hypothesis tolerances in
+    force at each step, so every bound downstream is auditable without
+    re-deriving the recursion; the merge at step s+1 pairs p_primes[:m]
+    with q_primes[s:s+m], m = k - s.
     """
 
     modulus: Modulus
     p_primes: tuple[int, ...]
     q_primes: tuple[int, ...]
     layers: tuple[tuple[TorusPoint, ...], ...]
-    step_p: tuple[tuple[int, ...], ...]
-    step_q: tuple[tuple[int, ...], ...]
     step_eps: tuple[tuple[Fraction, ...], ...]
     step_eps_prime: tuple[tuple[Fraction, ...], ...]
 
@@ -264,17 +262,15 @@ def build_pyramid(pp: PrePath) -> Pyramid:
     cur_eps = list(pp.eps)
     cur_eps_prime = list(pp.eps_prime)
     mids = pp.mid_anchors
-    step_p, step_q, step_eps, step_eps_prime = [], [], [], []
+    step_eps, step_eps_prime = [], []
     for s in range(1, k + 1):
         m = k + 1 - s
         ps = pp.p_primes[:m]
         qs = pp.q_primes[s - 1 : s - 1 + m]
-        step_p.append(ps)
-        step_q.append(qs)
         step_eps.append(tuple(cur_eps[:m]))
         step_eps_prime.append(tuple(cur_eps_prime[:m]))
         new_layer = layer_step(
-            layers[-1], mids, ps, qs, tuple(cur_eps[:m]), tuple(cur_eps_prime[:m])
+            layers[-1], mids, ps, qs, step_eps[-1], step_eps_prime[-1]
         )
         mids = layers[-1][1:-1]
         next_eps = [cur_eps_prime[i + 1] / pp.p_primes[i + 1] for i in range(m - 1)]
@@ -286,8 +282,6 @@ def build_pyramid(pp: PrePath) -> Pyramid:
         p_primes=pp.p_primes,
         q_primes=pp.q_primes,
         layers=tuple(layers),
-        step_p=tuple(step_p),
-        step_q=tuple(step_q),
         step_eps=tuple(step_eps),
         step_eps_prime=tuple(step_eps_prime),
     )

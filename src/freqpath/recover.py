@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .pathgraph import (
     Path,
@@ -32,7 +32,7 @@ from .pathgraph import (
 from .primes import floor_nth_root, prod
 from .pyramid import PrePathError, build_pyramid
 from .synth import GroundTruth, Instance
-from .torus import Modulus, as_fraction, frac_to_str, norm_mod
+from .torus import Modulus, as_fraction, frac_to_str, norm_mod, str_to_frac
 
 
 class EmptyGraphError(RuntimeError):
@@ -45,6 +45,10 @@ class NoConsensusError(RuntimeError):
 
 class InvariantViolation(AssertionError):
     pass
+
+
+class RecordError(ValueError):
+    """A recovery record that is malformed or was made by another run."""
 
 
 @dataclass(frozen=True)
@@ -449,49 +453,106 @@ class RecoveryScore:
         }
 
 
+# what reading a malformed record can raise; each becomes a RecordError
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError)
+
+
+def _malformed(exc: Exception) -> RecordError:
+    return RecordError(f"malformed recovery record: {type(exc).__name__}: {exc}")
+
+
+def _int(v, lo: float = -inf, hi: float = inf) -> int:
+    """v itself when it is an integer in [lo, hi); ValueError otherwise."""
+    if type(v) is not int or not lo <= v < hi:
+        raise ValueError(f"{v!r} is not an integer in [{lo}, {hi})")
+    return v
+
+
+def _decimal(s) -> int:
+    """A positive integer recorded as a decimal string."""
+    if type(s) is not str or not s.isdigit():
+        raise ValueError(f"{s!r} is not a decimal string")
+    return _int(int(s), 1)
+
+
+def score_global(
+    glob: dict | None,
+    truth: GroundTruth | None,
+    hub_index: int | None = None,
+    sites: int | None = None,
+) -> RecoveryScore:
+    """Grade the `global` block of a recovery record against the planted truth.
+
+    Reads T, q, coverage and each accepted row's target, Q_y, d_y, a_y and
+    b_y exactly from their recorded forms; a malformed block, or a target
+    outside range(sites), raises RecordError.  Refuses gracefully when the
+    truth is held out; reports the relative archimedean error, whether the
+    recovered modulus equals the planted one, the accepted fraction of
+    reachable targets, and (rational mode) whether every accepted residue
+    matches the planted residue map.
+    """
+    if glob is not None:
+        top = inf if sites is None else sites
+        try:
+            t, q = str_to_frac(glob["T"]), _int(glob["q"])
+            coverage = str_to_frac(glob["coverage"])
+            rows = [
+                (_int(r["target"], 0, top), _decimal(r["Q_y"]),
+                 *(_int(r[key]) for key in ("d_y", "a_y", "b_y")))
+                for r in glob["accepted"]
+            ]
+        except _MALFORMED as exc:
+            raise _malformed(exc) from exc
+    if truth is None:
+        return RecoveryScore(status="truth unavailable")
+    if glob is None:
+        return RecoveryScore(status="recovery failed")
+
+    def consistent(target: int, q_y: int, d_y: int, a_y: int, b_y: int) -> bool:
+        q_star, a_map = truth.q_star, truth.a_map
+        if d_y != q_star or truth.carrier % q_y:
+            return False
+        w = truth.carrier // q_y
+        hub_ok = hub_index is None or (a_map.get(hub_index, 0) * w - a_y) % q_star == 0
+        return hub_ok and (a_map.get(target, 0) * w - b_y) % q_star == 0
+
+    return RecoveryScore(
+        status="ok",
+        rel_t_error=abs(t - truth.t_star) / max(1, abs(truth.t_star)),
+        q_match=q == truth.q_star,
+        coverage=coverage,
+        residues_consistent=all(consistent(*row) for row in rows),
+    )
+
+
 def score_recovery(
     gf: GlobalFrequency | None,
     truth: GroundTruth | None,
     hub_index: int | None = None,
 ) -> RecoveryScore:
-    """Compare a recovery against the planted truth.
+    """Compare a recovery against the planted truth (see score_global)."""
+    return score_global(gf.to_json() if gf is not None else None, truth, hub_index)
 
-    Refuses gracefully when the truth is held out; reports the relative
-    archimedean error, whether the recovered modulus equals the planted
-    one, the accepted fraction of reachable targets, and (rational mode)
-    whether every accepted residue matches the planted residue map.
+
+def score_record(doc: dict, inst: Instance, k: int) -> RecoveryScore:
+    """Grade a recorded recovery, the document recover writes, against the
+    instance's planted truth.
+
+    Refuses with RecordError a malformed record, one from another instance
+    (its params or seed differ), one made with a k other than `k`, and one
+    naming a hub or target the instance does not have.
     """
-    if truth is None:
-        return RecoveryScore(status="truth unavailable")
-    if gf is None:
-        return RecoveryScore(status="recovery failed")
-    rel = abs(gf.t - truth.t_star) / max(1, abs(truth.t_star))
-    q_match = gf.q == truth.q_star
-    consistent = True
-    for est in gf.accepted:
-        if est.d != truth.q_star:
-            consistent = False
-            break
-        if truth.carrier % est.q_mod.q != 0:
-            consistent = False
-            break
-        w = truth.carrier // est.q_mod.q
-        want_b = (truth.a_map.get(est.target_index, 0) * w) % truth.q_star
-        if est.b_y % truth.q_star != want_b:
-            consistent = False
-            break
-        if hub_index is not None:
-            want_a = (truth.a_map.get(hub_index, 0) * w) % truth.q_star
-            if est.a_y % truth.q_star != want_a:
-                consistent = False
-                break
-    return RecoveryScore(
-        status="ok",
-        rel_t_error=rel,
-        q_match=q_match,
-        coverage=gf.coverage,
-        residues_consistent=consistent,
-    )
+    try:
+        made = (doc["params"], doc["seed"])
+        made_k, glob = _int(doc["config"]["k"]), doc["global"]
+        hub = _int(doc["hub"], 0, len(inst.cfg.sites))
+    except _MALFORMED as exc:
+        raise _malformed(exc) from exc
+    if made != (inst.params.to_json(), inst.params.seed):
+        raise RecordError("recovery record: params or seed differ from the instance's")
+    if made_k != k:
+        raise RecordError(f"recovery record was made with k={made_k}, not k={k}")
+    return score_global(glob, inst.truth, hub, sites=len(inst.cfg.sites))
 
 
 @dataclass(frozen=True)

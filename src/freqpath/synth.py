@@ -18,9 +18,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import exp, gcd, log, sqrt
 
-from .pathgraph import Configuration, Edge, Site, route_count_gate_max_k
-from .primes import inv_mod, primes_in_range, prod
-from .torus import Rational, as_fraction, frac_to_str, norm_mod, str_to_frac
+from .pathgraph import (
+    Configuration,
+    Edge,
+    Site,
+    edge_slack,
+    edge_witness,
+    route_count_gate_max_k,
+)
+from .primes import primes_in_range, prod
+from .torus import Rational, as_fraction, fields_to_json, frac_to_str, str_to_frac
 
 SCHEMA_VERSION = 1
 
@@ -160,11 +167,7 @@ class Params:
         }
 
     def to_json(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            v = getattr(self, name)
-            out[name] = frac_to_str(v) if isinstance(v, Fraction) else v
-        return out
+        return fields_to_json(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "Params":
@@ -419,7 +422,7 @@ def _propagate_residues(
                 if v in a:
                     continue
                 # edge u -> v labelled (pu, qv): a_v = qv^{-1} * pu * a_u
-                a[v] = (inv_mod(qv, q_star) * pu * a[u]) % q_star if q_star > 1 else 0
+                a[v] = (pow(qv, -1, q_star) * pu * a[u]) % q_star if q_star > 1 else 0
                 queue.append(v)
     return a
 
@@ -480,16 +483,13 @@ def gen_instance(
     order = list(range(len(candidates)))
     if params.edge_count is not None:
         rng.shuffle(order)
-    min_w = params.min_witness()
+    min_w, eps = params.min_witness(), params.eps_edge
     edges: list[Edge] = []
     for idx in order:
         if params.edge_count is not None and len(edges) >= params.edge_count:
             break
         i, j, p, q, slack = candidates[idx]
-        rel = p * alphas[i] - q * alphas[j]
-        witness = frozenset(
-            w for w in pool_w if norm_mod(rel, w) <= params.eps_edge
-        )
+        witness = edge_witness(cfg.sites[i], cfg.sites[j], p, q, pool_w, eps)
         if len(witness) < min_w:
             continue
         edges.append(Edge(i, j, p, q, witness, slack))
@@ -559,14 +559,12 @@ def audit_instance(inst: Instance) -> AuditReport:
         if e.p not in cfg.split_p1 or e.q not in cfg.split_p2:
             bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) not split-oriented"
             break
-        slack = abs(cfg.sites[e.i].x / e.p - cfg.sites[e.j].x / e.q)
+        step = (cfg.sites[e.i], cfg.sites[e.j], e.p, e.q)
+        slack = edge_slack(*step)
         if slack != e.slack or slack > params.s_edge:
             bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) physical slack {slack}"
             break
-        rel = e.p * cfg.sites[e.i].alpha - e.q * cfg.sites[e.j].alpha
-        witness = frozenset(
-            w for w in pool_w if norm_mod(rel, w) <= params.eps_edge
-        )
+        witness = edge_witness(*step, pool_w, params.eps_edge)
         if witness != e.witness:
             bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) witness mismatch"
             break

@@ -38,6 +38,12 @@ def frac_to_str(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def fields_to_json(obj) -> dict:
+    """A dataclass's fields by name, Fractions written as "num/den"."""
+    return {name: frac_to_str(v) if isinstance(v, Fraction) else v
+            for name, v in vars(obj).items()}
+
+
 def str_to_frac(s: str) -> Fraction:
     if "/" in s:
         num, den = s.split("/")
@@ -76,9 +82,6 @@ class Modulus:
 
     def __str__(self) -> str:
         return str(self.q)
-
-
-ONE = Modulus(1, ())
 
 
 def _as_modulus(m: Modulus | int) -> Modulus:
@@ -211,10 +214,6 @@ def closest_lift_pair(
             raise TorusError(f"prime {p} divides the modulus {a1.modulus.q}")
     candidates = _lift_pair_bruteless(a1, a2, p1, p2)
     return min(candidates, key=lambda bb: (bb[0].value, bb[1].value))
-
-
-def pair_gap(b1: TorusPoint, b2: TorusPoint) -> Fraction:
-    return torus_norm(b1 - b2)
 
 
 def aligned_reals(b1: TorusPoint, b2: TorusPoint) -> tuple[Fraction, Fraction]:

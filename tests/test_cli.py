@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -159,3 +160,83 @@ class TestPipelineCommands:
         sc = json.loads((tmp_path / "score" / "score.json").read_text())
         assert sc["status"] == "ok"
         assert sc["q_match"] is True
+
+
+# The README walkthrough instance: its k=3 recovery reaches one target.
+README_PARAMS = dict(
+    WEB_PARAMS, site_count=300, web_pair_targets=6, web_diamonds=0, web_chain_len=4
+)
+
+
+@pytest.fixture(scope="module")
+def recorded_k3(tmp_path_factory) -> tuple[Path, Path]:
+    """(instance.json, recovery.json of a blind recover --k 3 on it)."""
+    root = tmp_path_factory.mktemp("recorded")
+    params = root / "params.json"
+    params.write_text(json.dumps(README_PARAMS))
+    inst = synth_dir(root, params, "inst") / "instance.json"
+    rc = main(["recover", "--out", str(root / "rec"), "--instance", str(inst),
+               "--k", "3", "--blind"])
+    assert rc == 0
+    return inst, root / "rec" / "recovery.json"
+
+
+def score(out: Path, inst: Path, recovery: Path, k: int) -> int:
+    return main(["score", "--out", str(out), "--instance", str(inst),
+                 "--recovery", str(recovery), "--k", str(k)])
+
+
+class TestScoreGradesTheRecord:
+    def test_other_k_is_refused(self, tmp_path, recorded_k3):
+        inst, recovery = recorded_k3
+        assert score(tmp_path, inst, recovery, 2) == 2
+        err = json.loads((tmp_path / "score_error.json").read_text())["error"]
+        assert err["type"] == "RecordError"
+        assert "k=3" in err["message"] and "k=2" in err["message"]
+        assert not (tmp_path / "score.json").exists()
+
+    def test_recorded_error_reproduced_exactly(self, tmp_path, recorded_k3):
+        inst, recovery = recorded_k3
+        assert score(tmp_path, inst, recovery, 3) == 0
+        rec = json.loads(recovery.read_text())
+        sc = json.loads((tmp_path / "score.json").read_text())
+        t_star = Fraction(100000)
+        want = abs(Fraction(rec["global"]["T"]) - t_star) / t_star
+        assert Fraction(sc["rel_T_error"]) == want
+        assert sc["coverage"] == rec["global"]["coverage"]
+        assert sc["recorded_hub"] == rec["hub"]
+        assert rec["config"]["k"] == 3
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d.pop("hub"),
+            lambda d: d.pop("config"),
+            lambda d: d["global"].pop("T"),
+            lambda d: d["global"]["accepted"][0].pop("b_y"),
+            lambda d: d["global"]["accepted"][0].update(Q_y="0"),
+            lambda d: d.update(hub=10**6),
+            lambda d: d["global"]["accepted"][0].update(target=-1),
+            lambda d: d.update(seed=12, params={**d["params"], "seed": 12}),
+            lambda d: d["params"].update(site_count=301),
+        ],
+        ids=["no_hub", "no_config", "no_T", "no_b_y", "zero_Q_y", "hub_out_of_range",
+             "target_out_of_range", "other_seed", "other_params"],
+    )
+    def test_bad_record_is_refused(self, tmp_path, recorded_k3, corrupt):
+        inst, recovery = recorded_k3
+        doc = json.loads(recovery.read_text())
+        corrupt(doc)
+        bad = tmp_path / "recovery.json"
+        bad.write_text(json.dumps(doc))
+        assert score(tmp_path / "out", inst, bad, 3) == 2
+        err = json.loads((tmp_path / "out" / "score_error.json").read_text())
+        assert err["error"]["type"] == "RecordError"
+        assert not (tmp_path / "out" / "score.json").exists()
+
+
+def test_format_only_on_verify_bounds(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "--out", str(tmp_path), "--instance", "x.json",
+              "--format", "csv"])
+    assert exc.value.code == 2

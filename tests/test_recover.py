@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from freqpath.pathgraph import Configuration, Edge, Site
+from freqpath.primes import floor_nth_root
 from freqpath.recover import (
     EmptyGraphError,
     LocalEstimate,
@@ -88,6 +89,26 @@ def hand_instance(t_star=F(0), q_star=1, drop_edges=()):
     ]
     edges = [e for i, e in enumerate(edges) if i not in drop_edges]
     return Instance(cfg, tuple(edges), truth, params)
+
+
+class TestIntegerRoots:
+    """Roots far beyond float range are decided in integers."""
+
+    @pytest.mark.parametrize(
+        "n,k",
+        [(10**400, 4), (10**400 - 1, 4), (3**1001, 7), (2**2048 + 1, 2)],
+        ids=["10^400,4", "10^400-1,4", "3^1001,7", "2^2048+1,2"],
+    )
+    def test_floor_nth_root_brackets(self, n, k):
+        r = floor_nth_root(n, k)
+        assert r**k <= n < (r + 1) ** k
+
+    def test_default_tol_t_at_huge_scale(self):
+        h = 10**110
+        tol = RecoverConfig().default_tol_t(F(10**6), h)
+        root = F(10**6) / tol
+        assert root.denominator == 1
+        assert root**4 <= h**3 < (root + 1) ** 4
 
 
 class TestFixtureGeometry:
