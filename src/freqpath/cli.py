@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path as FsPath
@@ -130,34 +131,34 @@ def cmd_verify_bounds(args) -> int:
     pyramids: list[dict] = []
     ok = True
     n_paths = 0
-    for start in range(len(inst.cfg.sites)):
-        for k in range(1, args.k + 1):
-            enum = enumerate_split_paths(
-                inst.cfg, inst.edges, start, k, limit=args.limit
-            )
-            for pid, path in enumerate(enum.paths):
-                if n_paths >= args.limit:
-                    break
-                n_paths += 1
-                path_id = f"{start}:{k}:{pid}"
-                try:
-                    pp = path_prepath(path, eps)
-                except PrePathError:
-                    ok &= row(path_id, "prepath", False)
-                    continue
-                py = build_pyramid(pp)
-                if len(pyramids) < 10:
-                    pyramids.append({"path": path_id, **py.to_json()})
-                for r in verify_pyramid(pp, py).rows:
-                    ok &= row(path_id, "layer_gap", r.passed, j=r.j,
-                              actual=r.actual, bound=r.predicted)
-                drift = ratio_drift_certificate(path, path.k)
-                ok &= row(path_id, "ratio_drift", drift.passed, m=drift.m,
-                          actual=drift.drift, bound=drift.bound)
-                for j in (1, path.k + 1):
-                    cert = top_anchor_certificate(path, py, j)
-                    ok &= row(path_id, "apex_anchor", cert.passed, j=cert.j,
-                              actual=cert.actual, bound=cert.bound)
+    starts = range(len(inst.cfg.sites))
+    for start, k in itertools.product(starts, range(1, args.k + 1)):
+        if n_paths >= args.limit:
+            break
+        enum = enumerate_split_paths(
+            inst.cfg, inst.edges, start, k, limit=args.limit - n_paths
+        )
+        for pid, path in enumerate(enum.paths):
+            n_paths += 1
+            path_id = f"{start}:{k}:{pid}"
+            try:
+                pp = path_prepath(path, eps)
+            except PrePathError:
+                ok &= row(path_id, "prepath", False)
+                continue
+            py = build_pyramid(pp)
+            if len(pyramids) < 10:
+                pyramids.append({"path": path_id, **py.to_json()})
+            for r in verify_pyramid(pp, py).rows:
+                ok &= row(path_id, "layer_gap", r.passed, j=r.j,
+                          actual=r.actual, bound=r.predicted)
+            drift = ratio_drift_certificate(path, path.k)
+            ok &= row(path_id, "ratio_drift", drift.passed, m=drift.m,
+                      actual=drift.drift, bound=drift.bound)
+            for j in (1, path.k + 1):
+                cert = top_anchor_certificate(path, py, j)
+                ok &= row(path_id, "apex_anchor", cert.passed, j=cert.j,
+                          actual=cert.actual, bound=cert.bound)
     out = FsPath(args.out)
     if args.format == "csv":
         _write_csv(out / "bound_certificates.csv", rows)

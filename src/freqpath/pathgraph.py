@@ -13,6 +13,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, log
 
 from .primes import primes_in_range, prod
@@ -139,23 +140,18 @@ def edge_witness(
 class Path:
     """A walk through the configuration with globally distinct primes.
 
-    Step t relates sites[t] to sites[t+1] through (p_t, q_t); the stored
-    step_edge_slack are the symmetric per-edge deviations
-    |x_t/p_t - x_{t+1}/q_t|, and step_witness the per-edge witness sets.
-    The path modulus is the product of the common witness primes (possibly
-    the trivial modulus).
+    Step t relates sites[t] to sites[t+1] through (p_t, q_t) with witness
+    set step_witness[t]; site_indices, when known, are the sites' positions
+    in the configuration.  The per-step deviations and the path modulus (the
+    product of the common witness primes, possibly trivial) are derived from
+    these fields.
     """
 
     sites: tuple[Site, ...]
     p_primes: tuple[int, ...]
     q_primes: tuple[int, ...]
     step_witness: tuple[frozenset[int], ...]
-    step_edge_slack: tuple[Fraction, ...]
-    split: bool
     site_indices: tuple[int, ...] | None = None
-    # whether the endpoint-reversed path is split; carried so that
-    # inversion is an exact involution without a partition lookup
-    inverse_split: bool = False
 
     def __post_init__(self) -> None:
         k = self.k
@@ -164,15 +160,11 @@ class Path:
         if not (
             len(self.sites) == k + 1
             and len(self.q_primes) == len(self.step_witness) == k
-            and len(self.step_edge_slack) == k
         ):
             raise PathError("inconsistent path tuple lengths")
         allp = self.p_primes + self.q_primes
         if len(set(allp)) != 2 * k:
             raise PrimeCollision(f"path primes must all be distinct: {allp}")
-        for t, step in enumerate(self.steps()):
-            if edge_slack(*step) != self.step_edge_slack[t]:
-                raise PathError(f"stored slack at step {t + 1} is not exact")
 
     @property
     def k(self) -> int:
@@ -190,6 +182,11 @@ class Path:
         """(site, next site, p, q) for each step, in order."""
         return zip(self.sites, self.sites[1:], self.p_primes, self.q_primes)
 
+    @cached_property
+    def step_edge_slack(self) -> tuple[Fraction, ...]:
+        """The symmetric per-step deviations |x_t/p_t - x_{t+1}/q_t|."""
+        return tuple(edge_slack(*step) for step in self.steps())
+
     @property
     def common_witness(self) -> frozenset[int]:
         out = self.step_witness[0]
@@ -202,45 +199,29 @@ class Path:
         common = tuple(sorted(self.common_witness))
         return Modulus(prod(common), common)
 
-    def drift_slack(self, t: int) -> Fraction:
-        """|x_t * q_t/p_t - x_{t+1}| at step t (1-based): q_t times the
-        stored edge slack."""
-        return self.q_primes[t - 1] * self.step_edge_slack[t - 1]
 
-
-def build_path(
-    cfg: Configuration,
-    edges: list[Edge] | tuple[Edge, ...],
-    eps_edge: Fraction | None = None,
-) -> Path:
+def build_path(cfg: Configuration, edges: list[Edge] | tuple[Edge, ...]) -> Path:
     """Assemble a Path from consecutive forward-oriented edges.
 
-    When eps_edge is given, the path modulus is validated by folding the
-    checked coprime combination over the common witness primes of every
-    step relation instead of being assumed.
+    Each edge's recorded slack must equal edge_slack of its two sites, so
+    tampered instance data fails here with a PathError.
     """
     if not edges:
         raise PathError("empty edge sequence")
     idxs = [edges[0].i]
-    for e in edges:
+    for t, e in enumerate(edges):
         if e.i != idxs[-1]:
             raise EndpointMismatch("edges do not chain")
+        if e.slack != edge_slack(cfg.sites[e.i], cfg.sites[e.j], e.p, e.q):
+            raise PathError(f"stored slack at step {t + 1} is not exact")
         idxs.append(e.j)
-    path = Path(
+    return Path(
         sites=tuple(cfg.sites[i] for i in idxs),
         p_primes=tuple(e.p for e in edges),
         q_primes=tuple(e.q for e in edges),
         step_witness=tuple(e.witness for e in edges),
-        step_edge_slack=tuple(e.slack for e in edges),
-        split=all(e.p in cfg.split_p1 and e.q in cfg.split_p2 for e in edges),
         site_indices=tuple(idxs),
-        inverse_split=all(
-            e.q in cfg.split_p1 and e.p in cfg.split_p2 for e in edges
-        ),
     )
-    if eps_edge is not None:
-        validate_path_modulus(path, path.modulus, eps_edge)
-    return path
 
 
 def validate_path_modulus(path: Path, modulus: Modulus, eps_edge: Fraction) -> None:
@@ -269,12 +250,9 @@ def invert_path(path: Path) -> Path:
         p_primes=tuple(reversed(path.q_primes)),
         q_primes=tuple(reversed(path.p_primes)),
         step_witness=tuple(reversed(path.step_witness)),
-        step_edge_slack=tuple(reversed(path.step_edge_slack)),
-        split=path.inverse_split,
         site_indices=(
             tuple(reversed(path.site_indices)) if path.site_indices else None
         ),
-        inverse_split=path.split,
     )
 
 
@@ -292,14 +270,11 @@ def concat_paths(a: Path, b: Path) -> Path:
         p_primes=a.p_primes + b.p_primes,
         q_primes=a.q_primes + b.q_primes,
         step_witness=a.step_witness + b.step_witness,
-        step_edge_slack=a.step_edge_slack + b.step_edge_slack,
-        split=a.split and b.split,
         site_indices=(
             a.site_indices + b.site_indices[1:]
             if a.site_indices and b.site_indices
             else None
         ),
-        inverse_split=a.inverse_split and b.inverse_split,
     )
 
 
@@ -361,18 +336,19 @@ def ratio_drift_certificate(path: Path, m: int) -> RatioDriftCert:
     """Telescoped physical-drift certificate after m steps.
 
     drift = |x_1 * prod_{i<=m} q_i/p_i  -  x_{m+1}| and the bound is the
-    exact telescoping sum  sum_t s_t * prod_{i=t+1..m} q_i/p_i  with s_t
-    the stored per-step deviation, so drift <= bound holds with no hidden
-    constants.
+    exact telescoping sum  sum_t s_t * prod_{i=t+1..m} q_i/p_i  with s_t =
+    q_t times the t-th edge slack, |x_t * q_t/p_t - x_{t+1}|, so drift <=
+    bound holds with no hidden constants.
     """
     if not 1 <= m <= path.k:
         raise IndexError(f"m = {m} out of range 1..{path.k}")
     ratio = ratio_product(path.p_primes, path.q_primes, m)
     drift = abs(path.sites[0].x * ratio - path.sites[m].x)
+    slack = path.step_edge_slack
     bound = Fraction(0)
     for t in range(1, m + 1):
         tail = Fraction(prod(path.q_primes[t:m]), prod(path.p_primes[t:m]))
-        bound += path.drift_slack(t) * tail
+        bound += path.q_primes[t - 1] * slack[t - 1] * tail
     return RatioDriftCert(m, ratio, drift, bound)
 
 
@@ -469,11 +445,11 @@ class PathEnumeration:
 def enumerate_split_paths(
     cfg: Configuration,
     edges: list[Edge] | tuple[Edge, ...],
-    start: Site | int,
+    start: int,
     k: int,
     limit: int = 10000,
 ) -> PathEnumeration:
-    """Depth-first enumeration of split walks of length k from a site.
+    """Depth-first enumeration of split walks of length k from site `start`.
 
     Edges are traversed in their stored orientation only (p-label from the
     first split set, q-label from the second); the 2k primes along a walk
@@ -483,10 +459,6 @@ def enumerate_split_paths(
     """
     if k < 1:
         raise PathError("path length must be at least 1")
-    if isinstance(start, Site):
-        start_idx = cfg.sites.index(start)
-    else:
-        start_idx = start
     out_edges: dict[int, list[Edge]] = {}
     for e in edges:
         if e.p in cfg.split_p1 and e.q in cfg.split_p2:
@@ -515,7 +487,7 @@ def enumerate_split_paths(
         return True
 
     if limit > 0:
-        walk(start_idx, set(), [])
+        walk(start, set(), [])
     return PathEnumeration(tuple(results), truncated)
 
 

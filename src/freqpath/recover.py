@@ -195,7 +195,7 @@ class LocalEstimate:
             "target": self.target_index,
             "target_x": frac_to_str(self.target_x),
             "Q_y": str(self.q_mod.q),
-            "Q_y_factors": sorted(self.q_mod.factors or ()),
+            "Q_y_factors": sorted(self.q_mod.factors),
             "D": str(self.d_big),
             "T_y": frac_to_str(self.t_y),
             "d_y": self.d,
@@ -350,16 +350,7 @@ class GlobalFrequency:
 
 
 def _shared_witness_count(a: Modulus, b: Modulus) -> int:
-    if a.factors is not None and b.factors is not None:
-        return len(set(a.factors) & set(b.factors))
-    n = gcd(a.q, b.q)
-    count = 0
-    for p in range(2, n + 1):
-        if n % p == 0:
-            count += 1
-            while n % p == 0:
-                n //= p
-    return count
+    return len(set(a.factors) & set(b.factors))
 
 
 def _rationally_consistent(anchor: LocalEstimate, est: LocalEstimate) -> bool:

@@ -259,6 +259,8 @@ def _route_pair_candidates(
     multipliers around the closing loop multiply to 1 mod q_star), so the
     planted residues verify on the closing edge as well.
     """
+    if max_out == 0:
+        return []
     p1s, p2s = (sorted(s) for s in params.split_partition())
     routes = []
     for pa in p1s:
@@ -396,7 +398,6 @@ def _propagate_residues(
     n_sites: int,
     candidates: list[tuple[int, int, int, int, Fraction]],
     q_star: int,
-    a_root: int,
 ) -> dict[int, int]:
     """Assign residues along a spanning forest of the candidate adjacency so
     that every tree edge satisfies p * a_i = q * a_j (mod q_star)."""
@@ -408,13 +409,11 @@ def _propagate_residues(
         seen_pairs.add((i, j))
         adj[i].append((j, p, q))
         adj[j].append((i, q, p))  # traversing backwards swaps the roles
-    if gcd(a_root, q_star) != 1:
-        a_root = 1
     a: dict[int, int] = {}
     for root in range(n_sites):
         if root in a:
             continue
-        a[root] = a_root % q_star if q_star > 1 else 0
+        a[root] = 1 if q_star > 1 else 0
         queue = [root]
         while queue:
             u = queue.pop(0)
@@ -432,7 +431,6 @@ def gen_instance(
     mode: str = "archimedean",
     t_star: Rational = 0,
     q_star: int = 1,
-    a_root: int = 1,
 ) -> Instance:
     """Generate a verified instance: separated sites, planted frequencies,
     and edges that pass both thresholds exactly.
@@ -454,7 +452,7 @@ def gen_instance(
     xs = _place_sites(params, rng, q_star)
     candidates = _physical_candidates(params, xs)
     if mode == "rational":
-        a_map = _propagate_residues(len(xs), candidates, q_star, a_root)
+        a_map = _propagate_residues(len(xs), candidates, q_star)
         a_map = {i: v for i, v in a_map.items() if v}
     else:
         a_map = {}

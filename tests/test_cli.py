@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from freqpath.cli import main
+from freqpath.pathgraph import enumerate_split_paths
 
 
 WEB_PARAMS = dict(
@@ -160,6 +161,26 @@ class TestPipelineCommands:
         sc = json.loads((tmp_path / "score" / "score.json").read_text())
         assert sc["status"] == "ok"
         assert sc["q_match"] is True
+
+
+def test_verify_bounds_stops_at_its_limit(tmp_path, params_file, monkeypatch):
+    built: list[int] = []
+
+    def counting(*args, **kwargs):
+        enum = enumerate_split_paths(*args, **kwargs)
+        built.append(len(enum.paths))
+        return enum
+
+    monkeypatch.setattr("freqpath.cli.enumerate_split_paths", counting)
+    instance = synth_dir(tmp_path, params_file, "inst") / "instance.json"
+    rc = main(["verify-bounds", "--out", str(tmp_path / "vb"), "--instance",
+               str(instance), "--k", "2", "--limit", "60"])
+    assert rc == 0
+    vb = json.loads((tmp_path / "vb" / "verify_report.json").read_text())
+    assert vb["paths"] == 60
+    # every path built is certified, and no enumeration follows the one
+    # that reached the cap
+    assert sum(built) == 60 and sum(built[:-1]) < 60
 
 
 # The README walkthrough instance: its k=3 recovery reaches one target.

@@ -75,10 +75,6 @@ def simple_path(xs, ps, qs, witness=frozenset({5, 7})) -> Path:
         p_primes=tuple(ps),
         q_primes=tuple(qs),
         step_witness=(witness,) * len(ps),
-        step_edge_slack=tuple(
-            abs(sites[t].x / ps[t] - sites[t + 1].x / qs[t]) for t in range(len(ps))
-        ),
-        split=True,
     )
 
 
@@ -182,11 +178,6 @@ class TestAnchorCertificates:
             p_primes=(101, 103),
             q_primes=(157, 163),
             step_witness=(frozenset({5}), frozenset({7})),
-            step_edge_slack=tuple(
-                abs(s[t].x / p - s[t + 1].x / q)
-                for t, (p, q) in enumerate([(101, 157), (103, 163)])
-            ),
-            split=True,
         )
         assert ell.modulus.q == 1 and ell.modulus.factors == ()
         pp = path_prepath(ell, F(1, 8))
@@ -249,8 +240,6 @@ class TestAnchorCertificates:
                 p_primes=ell.p_primes[:head_edges],
                 q_primes=ell.q_primes[:head_edges],
                 step_witness=ell.step_witness[:head_edges],
-                step_edge_slack=ell.step_edge_slack[:head_edges],
-                split=ell.split,
             )
             modulus = path_prepath(ell, F(1, 8)).modulus
             full_col = build_pyramid(path_prepath(ell, F(1, 8))).anchor_column
@@ -329,6 +318,15 @@ class TestEnumeration:
         cfg = line_config()
         edges = [make_edge(cfg, 0, 1, 13, 11)]  # p-label from the wrong set
         assert enumerate_split_paths(cfg, edges, 0, 1).paths == ()
+
+    def test_inexact_stored_slack_rejected(self):
+        cfg = line_config()
+        good = make_edge(cfg, 0, 1, 11, 13)
+        bad = Edge(1, 2, 23, 29, good.witness,
+                   abs(cfg.sites[1].x / 23 - cfg.sites[2].x / 29) + 1)
+        assert enumerate_split_paths(cfg, [good], 0, 1).paths
+        with pytest.raises(PathError, match="slack at step 2"):
+            enumerate_split_paths(cfg, [good, bad], 0, 2)
 
 
 class TestPeeling:
@@ -444,10 +442,6 @@ class TestCollisionCensus:
                 p_primes=tuple(s[2] for s in steps),
                 q_primes=tuple(s[3] for s in steps),
                 step_witness=(frozenset({5}),) * len(steps),
-                step_edge_slack=tuple(
-                    abs(s[0].x / s[2] - s[1].x / s[3]) for s in steps
-                ),
-                split=True,
             )
 
         r1 = path_of(mk("b", "z1", 11, 17), mk("z1", "y", 13, 19))
@@ -475,8 +469,6 @@ class TestCollisionCensus:
             p_primes=(p,),
             q_primes=(q,),
             step_witness=(frozenset({5}),),
-            step_edge_slack=(abs(s0.x / p - s1.x / q),),
-            split=True,
         )
         r1, r2 = mk_path(11, 13), mk_path(23, 29)
         num = prod(r1.q_primes) * prod(r2.p_primes)
