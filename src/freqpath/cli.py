@@ -57,30 +57,17 @@ def _write_csv(path: FsPath, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+# the required Params fields, for a synth run given no --params file
+SYNTH_DEFAULTS = dict(X=10**8, H=10**4, K=100, P=20, P_prime=5, eps_edge="1/5",
+                      s_edge="5/1", site_count=2000)
+
+
 def _params_from_args(args) -> Params:
-    if args.params:
-        doc = json.loads(FsPath(args.params).read_text())
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        return Params.from_json(doc)
-    return Params(
-        X=args.X,
-        H=args.H,
-        K=args.K,
-        P=args.P,
-        P_prime=args.P_prime,
-        eps_edge=str_to_frac(args.eps_edge),
-        s_edge=str_to_frac(args.s_edge),
-        site_count=args.sites,
-        edge_count=args.edges,
-        seed=args.seed if args.seed is not None else 0,
-        placement=args.placement,
-        web_pair_targets=args.web_pair_targets,
-        web_diamonds=args.web_diamonds,
-        web_chains=args.web_chains,
-        web_chain_len=args.web_chain_len,
-        d_min=args.d_min,
-    )
+    """The --params file (or SYNTH_DEFAULTS), then every generator flag given:
+    the generator flags default to absent, and each is named by its field."""
+    doc = json.loads(FsPath(args.params).read_text()) if args.params else SYNTH_DEFAULTS
+    given = {k: v for k, v in vars(args).items() if k in Params.__dataclass_fields__}
+    return Params.from_json({**doc, **given})
 
 
 def _load_instance(path: str):
@@ -249,29 +236,32 @@ def build_parser() -> argparse.ArgumentParser:
     def common_out(p):
         p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("synth", help="generate a verified instance")
+    p = sub.add_parser("synth", help="generate a verified instance",
+                       argument_default=argparse.SUPPRESS)
     common_out(p)
-    p.add_argument("--params", help="JSON params file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--params", default=None,
+                   help="JSON params file; generator flags given override it")
     p.add_argument("--mode", choices=("archimedean", "rational"), default="archimedean")
     p.add_argument("--t-star", default="0/1")
     p.add_argument("--q-star", type=int, default=1)
-    p.add_argument("--blind", action="store_true")
-    p.add_argument("--X", type=int, default=10**8)
-    p.add_argument("--H", type=int, default=10**4)
-    p.add_argument("--K", type=int, default=100)
-    p.add_argument("--P", type=int, default=20)
-    p.add_argument("--P-prime", dest="P_prime", type=int, default=5)
-    p.add_argument("--eps-edge", default="1/5")
-    p.add_argument("--s-edge", default="5/1")
-    p.add_argument("--sites", type=int, default=2000)
-    p.add_argument("--edges", type=int, default=None)
-    p.add_argument("--d-min", type=int, default=1)
-    p.add_argument("--placement", choices=("uniform", "web"), default="uniform")
-    p.add_argument("--web-pair-targets", type=int, default=0)
-    p.add_argument("--web-diamonds", type=int, default=0)
-    p.add_argument("--web-chains", type=int, default=0)
-    p.add_argument("--web-chain-len", type=int, default=0)
+    p.add_argument("--blind", action="store_true", default=False)
+    # generator flags, absent unless given; each dest is a Params field
+    p.add_argument("--seed", type=int)
+    p.add_argument("--X", type=int)
+    p.add_argument("--H", type=int)
+    p.add_argument("--K", type=int)
+    p.add_argument("--P", type=int)
+    p.add_argument("--P-prime", dest="P_prime", type=int)
+    p.add_argument("--eps-edge")
+    p.add_argument("--s-edge")
+    p.add_argument("--sites", dest="site_count", type=int)
+    p.add_argument("--edges", dest="edge_count", type=int)
+    p.add_argument("--d-min", type=int)
+    p.add_argument("--placement", choices=("uniform", "web"))
+    p.add_argument("--web-pair-targets", type=int)
+    p.add_argument("--web-diamonds", type=int)
+    p.add_argument("--web-chains", type=int)
+    p.add_argument("--web-chain-len", type=int)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("audit", help="re-verify an instance's invariants")

@@ -66,15 +66,13 @@ class Configuration:
     """Separated sites plus a split partition of the edge-prime pool.
 
     Sites must be pairwise at distance >= separation; the two prime sets
-    must be disjoint.  `params` is an opaque reference to whatever
-    generator settings produced the configuration.
+    must be disjoint.
     """
 
     sites: tuple[Site, ...]
     separation: Fraction
     split_p1: frozenset[int]
     split_p2: frozenset[int]
-    params: object | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(self.sites))
@@ -90,9 +88,6 @@ class Configuration:
                     f"sites {a} and {b} are closer than the separation "
                     f"{self.separation}"
                 )
-
-    def __len__(self) -> int:
-        return len(self.sites)
 
 
 @dataclass(frozen=True)

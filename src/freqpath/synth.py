@@ -16,6 +16,8 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import nsmallest
+from itertools import permutations
 from math import exp, gcd, log, sqrt
 
 from .pathgraph import (
@@ -38,6 +40,10 @@ class ParamsError(ValueError):
 
 class InfeasibleParamsError(RuntimeError):
     """The candidate space cannot supply the requested instance."""
+
+
+class InstanceError(ValueError):
+    """An instance file holds what no generated instance can."""
 
 
 @dataclass(frozen=True)
@@ -142,10 +148,11 @@ class Params:
     def witness_carrier(self) -> int:
         return prod(self.witness_primes())
 
-    def split_partition(self) -> tuple[frozenset[int], frozenset[int]]:
+    def split_partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The lower and upper halves of the edge-prime pool, ascending."""
         ps = self.edge_primes()
         half = (len(ps) + 1) // 2
-        return frozenset(ps[:half]), frozenset(ps[half:])
+        return ps[:half], ps[half:]
 
     def min_witness(self) -> int:
         pool = len(self.witness_primes())
@@ -251,44 +258,35 @@ def _try_place(placed: list[Fraction], x: Fraction, lo, hi, sep) -> bool:
 
 def _route_pair_candidates(
     params: Params, q_star: int, max_out: int
-) -> list[tuple[tuple[int, int, int, int], tuple[int, int, int, int], Fraction]]:
-    """Pairs of two-step split routes with disjoint primes and nearly equal
-    ratio products, ascending by ratio gap.
+) -> list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]:
+    """The max_out pairs of two-step split routes with disjoint primes and
+    nearly equal ratio products, ascending by ratio gap.
 
-    In rational mode only cycle-consistent pairs are kept (the congruence
-    multipliers around the closing loop multiply to 1 mod q_star), so the
-    planted residues verify on the closing edge as well.
+    A route (pa, qa, pb, qb) is keyed by its ratio qa*qb/(pa*pb) scaled by
+    the product of the p-side primes, an exact integer that sorts like the
+    ratio.  Only cycle-consistent pairs are kept (the congruence multipliers
+    around the closing loop multiply to 1 mod q_star), so in rational mode
+    the planted residues verify on the closing edge as well.
     """
     if max_out == 0:
         return []
-    p1s, p2s = (sorted(s) for s in params.split_partition())
-    routes = []
-    for pa in p1s:
-        for pb in p1s:
-            if pb == pa:
-                continue
-            for qa in p2s:
-                for qb in p2s:
-                    if qb == qa:
-                        continue
-                    routes.append(
-                        (Fraction(qa * qb, pa * pb), (pa, qa, pb, qb))
-                    )
-    routes.sort()
-    out = []
-    for i, (r1, t1) in enumerate(routes):
-        for j in range(i + 1, min(i + 40, len(routes))):
-            r2, t2 = routes[j]
-            if set(t1) & set(t2):
-                continue
-            if q_star > 1:
-                pa, qa, pb, qb = t1
-                pc, qc, pd, qd = t2
-                if (qa * qb * pc * pd - qc * qd * pa * pb) % q_star != 0:
-                    continue
-            out.append((t1, t2, r2 - r1))
-    out.sort(key=lambda t: (t[2], t[0], t[1]))
-    return out[:max_out]
+    p1s, p2s = params.split_partition()
+    scale = prod(p1s)
+    routes = sorted(
+        (qa * qb * (scale // (pa * pb)), (pa, qa, pb, qb))
+        for pa, pb in permutations(p1s, 2)
+        for qa, qb in permutations(p2s, 2)
+    )
+    # for disjoint routes the key gap is the loop's multiplier difference
+    # qa*qb*pc*pd - qc*qd*pa*pb times scale/(pa*pb*pc*pd), a cofactor prime
+    # to q_star (gen_instance checks), so the gap decides cycle consistency
+    pairs = (
+        (r2 - r1, t1, t2)
+        for i, (r1, t1) in enumerate(routes)
+        for r2, t2 in routes[i + 1 : i + 40]
+        if set(t1).isdisjoint(t2) and (r2 - r1) % q_star == 0
+    )
+    return [(t1, t2) for _gap, t1, t2 in nsmallest(max_out, pairs)]
 
 
 def _place_sites(params: Params, rng: random.Random, q_star: int) -> list[Fraction]:
@@ -296,12 +294,11 @@ def _place_sites(params: Params, rng: random.Random, q_star: int) -> list[Fracti
     placed: list[Fraction] = []
     if params.placement == "web":
         hub = lo
-        while not _try_place(placed, hub, lo, hi, sep):
-            hub += sep
-        p1s, p2s = (sorted(s) for s in params.split_partition())
+        placed.append(hub)
+        p1s, p2s = params.split_partition()
         pairs = _route_pair_candidates(params, q_star, 4 * params.web_pair_targets)
         planted_pairs = 0
-        for t1, t2, _gap in pairs:
+        for t1, t2 in pairs:
             if planted_pairs >= params.web_pair_targets:
                 break
             pa, qa, pb, qb = t1
@@ -373,7 +370,7 @@ def _physical_candidates(
 ) -> list[tuple[int, int, int, int, Fraction]]:
     """All (i, j, p, q, slack) with j the site nearest x_i * q/p passing the
     physical threshold; ties toward the smaller site."""
-    p1s, p2s = (sorted(s) for s in params.split_partition())
+    p1s, p2s = params.split_partition()
     out = []
     for i, x in enumerate(xs):
         for p in p1s:
@@ -476,7 +473,6 @@ def gen_instance(
         separation=params.separation,
         split_p1=p1,
         split_p2=p2,
-        params=params,
     )
     order = list(range(len(candidates)))
     if params.edge_count is not None:
@@ -617,19 +613,24 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
+    """Read an instance; raise InstanceError for a partition other than the
+    params' split, or an edge with a site index out of range, primes not
+    split-oriented, or a witness outside the witness pool."""
     doc = json.loads(text)
     if doc.get("schema") != SCHEMA_VERSION:
         raise ParamsError(f"unsupported schema {doc.get('schema')!r}")
     params = Params.from_json(doc["params"])
     truth = GroundTruth.from_json(doc["truth"]) if doc["truth"] else None
+    split = params.split_partition()
+    if [set(half) for half in doc["partition"]] != [set(half) for half in split]:
+        raise InstanceError(f"partition is not the params' split {list(split)}")
     cfg = Configuration(
         sites=tuple(
             Site(str_to_frac(s["x"]), str_to_frac(s["alpha"])) for s in doc["sites"]
         ),
         separation=params.separation,
-        split_p1=frozenset(doc["partition"][0]),
-        split_p2=frozenset(doc["partition"][1]),
-        params=params,
+        split_p1=split[0],
+        split_p2=split[1],
     )
     edges = tuple(
         Edge(
@@ -642,4 +643,13 @@ def instance_from_json(text: str) -> Instance:
         )
         for e in doc["edges"]
     )
+    sites, pool_w = range(len(cfg.sites)), set(params.witness_primes())
+    for e in edges:
+        where = f"edge ({e.i},{e.j},{e.p},{e.q})"
+        if e.i not in sites or e.j not in sites:
+            raise InstanceError(f"{where}: site index out of range")
+        if e.p not in cfg.split_p1 or e.q not in cfg.split_p2:
+            raise InstanceError(f"{where}: not split-oriented")
+        if not e.witness <= pool_w:
+            raise InstanceError(f"{where}: witness outside the pool {sorted(pool_w)}")
     return Instance(cfg=cfg, edges=edges, truth=truth, params=params)

@@ -76,6 +76,41 @@ def brute_min_degree_subset(n: int, adjacency: dict[int, set[int]], d_min: int) 
     return frozenset(u for u in range(n) if best >> u & 1)
 
 
+def brute_route_pair_candidates(
+    params, q_star: int, max_out: int
+) -> list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]:
+    """Route pairs for web placement by direct Fraction arithmetic: every
+    two-step split route's ratio product qa*qb/(pa*pb) as a Fraction, every
+    prime-disjoint, cycle-consistent pair within 40 places in ratio order,
+    all of them sorted by (gap, first route, second route)."""
+    p1s, p2s = (sorted(s) for s in params.split_partition())
+    routes = []
+    for pa in p1s:
+        for pb in p1s:
+            if pb == pa:
+                continue
+            for qa in p2s:
+                for qb in p2s:
+                    if qb == qa:
+                        continue
+                    routes.append((Fraction(qa * qb, pa * pb), (pa, qa, pb, qb)))
+    routes.sort()
+    out = []
+    for i, (r1, t1) in enumerate(routes):
+        for j in range(i + 1, min(i + 40, len(routes))):
+            r2, t2 = routes[j]
+            if set(t1) & set(t2):
+                continue
+            if q_star > 1:
+                pa, qa, pb, qb = t1
+                pc, qc, pd, qd = t2
+                if (qa * qb * pc * pd - qc * qd * pa * pb) % q_star != 0:
+                    continue
+            out.append((t1, t2, r2 - r1))
+    out.sort(key=lambda t: (t[2], t[0], t[1]))
+    return [(t1, t2) for t1, t2, _gap in out[:max_out]]
+
+
 def planted_prepath(
     rng: random.Random,
     k: int,

@@ -9,6 +9,7 @@ import pytest
 
 from freqpath.cli import main
 from freqpath.pathgraph import enumerate_split_paths
+from freqpath.synth import Params
 
 
 WEB_PARAMS = dict(
@@ -72,6 +73,14 @@ class TestSynth:
         assert truth["q_star"] == 6
         report = json.loads((out / "synth_report.json").read_text())
         assert report["seed"] == 11 and "gates" in report
+
+    def test_flags_override_params_file(self, tmp_path, params_file):
+        out = synth_dir(tmp_path, params_file, "over", "--sites", "150", "--seed", "3",
+                        "--web-chains", "1")
+        report = json.loads((out / "synth_report.json").read_text())
+        want = {**WEB_PARAMS, "site_count": 150, "seed": 3, "web_chains": 1}
+        assert report["params"] == Params.from_json(want).to_json()
+        assert report["sites"] == 150
 
     def test_bad_params_exit_code(self, tmp_path):
         out = tmp_path / "bad"
@@ -261,3 +270,33 @@ def test_format_only_on_verify_bounds(tmp_path):
         main(["recover", "--out", str(tmp_path), "--instance", "x.json",
               "--format", "csv"])
     assert exc.value.code == 2
+
+
+def _swap_primes(edge: dict) -> None:
+    edge.update(p=edge["q"], q=edge["p"])
+
+
+@pytest.mark.parametrize("command", ["audit", "verify-bounds", "census", "recover", "score"])
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda d: d["edges"][0].update(j=10**6),
+        lambda d: d.update(partition=[[2] + d["partition"][0][1:], d["partition"][1]]),
+        lambda d: _swap_primes(d["edges"][0]),
+        lambda d: d["edges"][0].update(witness=[3]),
+    ],
+    ids=["site_index_out_of_range", "partition_outside_pool", "not_split_oriented",
+         "witness_outside_pool"],
+)
+def test_malformed_instance_is_refused(tmp_path, recorded_k3, command, corrupt):
+    inst, recovery = recorded_k3
+    doc = json.loads(inst.read_text())
+    corrupt(doc)
+    bad = tmp_path / "instance.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    extra = ["--recovery", str(recovery), "--k", "3"] if command == "score" else []
+    assert main([command, "--out", str(out), "--instance", str(bad), *extra]) == 2
+    err = json.loads((out / f"{command}_error.json").read_text())["error"]
+    assert err["type"] == "InstanceError"
+    assert [f.name for f in out.iterdir()] == [f"{command}_error.json"]

@@ -69,7 +69,6 @@ def hand_instance(t_star=F(0), q_star=1, drop_edges=()):
         separation=params.separation,
         split_p1=frozenset({101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151}),
         split_p2=frozenset({157, 163, 167, 173, 179, 181, 191, 193, 197, 199}),
-        params=params,
     )
 
     def mk(i, j, p, q):
@@ -142,7 +141,6 @@ class TestSelectHub:
             separation=params.separation,
             split_p1=frozenset({101, 103, 107, 109, 113, 127, 131, 137, 139}),
             split_p2=frozenset({157, 163, 167, 173, 179, 181, 191}),
-            params=params,
         )
 
         def mk(i, j, p, q):

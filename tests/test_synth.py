@@ -5,12 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import brute_route_pair_candidates
 from freqpath.pathgraph import Edge
 from freqpath.synth import (
     InfeasibleParamsError,
     Instance,
     Params,
     ParamsError,
+    _route_pair_candidates,
     audit_instance,
     gen_instance,
     instance_from_json,
@@ -201,6 +203,23 @@ class TestAudit:
     def test_blind_instance_audits(self):
         inst = gen_instance(small_params(site_count=50), t_star=F(10**5))
         assert audit_instance(inst.strip_truth()).passed
+
+
+class TestRoutePairSearch:
+    """The integer-keyed search ranks the same pairs as the Fraction oracle."""
+
+    @pytest.mark.parametrize("q_star", [1, 6, 13])
+    def test_matches_fraction_oracle(self, q_star):
+        params = web_params()
+        want = brute_route_pair_candidates(params, q_star, 24)
+        assert len(want) == 24
+        assert _route_pair_candidates(params, q_star, 24) == want
+
+    def test_fewer_pairs_than_requested(self):
+        params = web_params(P=50, K=250)
+        want = brute_route_pair_candidates(params, 13, 24)
+        assert 0 < len(want) < 24
+        assert _route_pair_candidates(params, 13, 24) == want
 
 
 class TestWebPlacement:
