@@ -21,7 +21,7 @@ from .pathgraph import (
     path_prepath,
 )
 from .pyramid import PrePathError, build_pyramid, verify_pyramid
-from .recover import RecoverConfig, recover_instance, score_record
+from .recover import RecordError, RecoverConfig, recover_instance, score_record
 from .synth import (
     Params,
     audit_instance,
@@ -187,8 +187,6 @@ def cmd_census(args) -> int:
 
 def cmd_recover(args) -> int:
     inst = _load_instance(args.instance)
-    if args.blind:
-        inst = inst.strip_truth()
     rcfg = RecoverConfig(
         k=args.k,
         min_common_witness=args.min_common_witness,
@@ -210,7 +208,10 @@ def cmd_recover(args) -> int:
 
 def cmd_score(args) -> int:
     inst = _load_instance(args.instance)
-    doc = json.loads(FsPath(args.recovery).read_text())
+    try:
+        doc = json.loads(FsPath(args.recovery).read_text())
+    except ValueError as exc:
+        raise RecordError(f"recovery record is not JSON: {exc}") from exc
     score = score_record(doc, inst, args.k)
     _write_json(
         FsPath(args.out) / "score.json",
@@ -292,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-T", default=None)
     p.add_argument("--d-min", type=int, default=None)
     p.add_argument("--limit", type=int, default=20000)
-    p.add_argument("--blind", action="store_true")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("score", help="grade a recorded recovery against the truth")

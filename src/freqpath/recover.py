@@ -32,7 +32,7 @@ from .pathgraph import (
 from .primes import floor_nth_root, prod
 from .pyramid import PrePathError, build_pyramid
 from .synth import GroundTruth, Instance
-from .torus import Modulus, as_fraction, frac_to_str, norm_mod, str_to_frac
+from .torus import MALFORMED, Modulus, as_fraction, frac_to_str, norm_mod, str_to_frac
 
 
 class EmptyGraphError(RuntimeError):
@@ -55,23 +55,18 @@ class RecordError(ValueError):
 class RecoverConfig:
     """Free dials of the recovery pipeline.
 
-    tol_t defaults to x_hub / H^(1 - delta) with the root taken as an exact
-    integer floor; min_cluster is the acceptance fraction below which
-    aggregation refuses to pick a consensus.
+    tol_t defaults to x_hub / H^(3/4) with the root taken as an exact
+    integer floor.
     """
 
     k: int = 2
     min_common_witness: int = 1
     tol_t: Fraction | None = None
-    delta: Fraction = Fraction(1, 4)
-    min_cluster: Fraction = Fraction(1, 2)
     path_limit: int = 20000
     d_min: int | None = None  # peeling degree override; None uses the instance's
 
     def default_tol_t(self, hub_x: Fraction, h_scale: int) -> Fraction:
-        expo = 1 - self.delta
-        root = floor_nth_root(h_scale**expo.numerator, expo.denominator)
-        return hub_x / max(1, root)
+        return hub_x / max(1, floor_nth_root(h_scale**3, 4))
 
 
 def round_half_down(z: Fraction) -> int:
@@ -84,7 +79,6 @@ def round_half_down(z: Fraction) -> int:
 class HubSelection:
     index: int
     survival_count: int
-    scores: dict[int, int]
 
 
 def select_hub(inst: Instance, d_min: int | None = None) -> HubSelection:
@@ -100,7 +94,7 @@ def select_hub(inst: Instance, d_min: int | None = None) -> HubSelection:
     best = min(
         scores, key=lambda i: (-scores[i], inst.cfg.sites[i].x)
     )
-    return HubSelection(best, scores[best], scores)
+    return HubSelection(best, scores[best])
 
 
 @dataclass(frozen=True)
@@ -166,8 +160,8 @@ def find_disjoint_path_pairs(
 class LocalEstimate:
     """Per-target decomposition of the loop apex.
 
-    e is the signed residue of D * alpha_y modulo Q_y (|e| <= Q_y/2, ties
-    resolved downward); (u/d) is n/D mod 1 in lowest terms, so d divides
+    e = D * alpha_y - n * Q_y is the signed residue modulo Q_y (|e| <= Q_y/2,
+    ties resolved downward); (u/d) is n/D mod 1 in lowest terms, so d divides
     |D|.  res_hub and res_target are the exact residuals of the two base
     congruences after rounding out the integer parts a_y, b_y.
     """
@@ -176,7 +170,6 @@ class LocalEstimate:
     target_x: Fraction
     q_mod: Modulus
     d_big: int
-    n: int
     e: Fraction
     u: int
     d: int
@@ -186,9 +179,6 @@ class LocalEstimate:
     res_hub: Fraction
     res_target: Fraction
     apex_bound: Fraction
-    hub_bound: Fraction
-    target_bound: Fraction
-    t_cap_ok: bool | None
 
     def to_row(self) -> dict:
         return {
@@ -214,10 +204,7 @@ class DroppedTarget:
 
 
 def local_estimate(
-    inst: Instance,
-    hub_index: int,
-    pair: PathPair,
-    delta: Fraction = Fraction(1, 4),
+    inst: Instance, hub_index: int, pair: PathPair
 ) -> LocalEstimate | DroppedTarget:
     """Extract (T_y, a_y, b_y, d_y, Q_y) from one disjoint route pair.
 
@@ -225,12 +212,11 @@ def local_estimate(
     snapping values silently; an exactly zero D would violate the
     prime-disjointness invariant and raises.
     """
-    params = inst.params
     hub = inst.cfg.sites[hub_index]
     target = inst.cfg.sites[pair.target_index]
     loop = concat_paths(pair.first, invert_path(pair.second))
     try:
-        pp = path_prepath(loop, params.eps_edge, modulus=pair.q_mod)
+        pp = path_prepath(loop, inst.params.eps_edge, modulus=pair.q_mod)
     except PrePathError as exc:
         return DroppedTarget(pair.target_index, f"loop pre-path invalid: {exc}")
     py = build_pyramid(pp)
@@ -284,19 +270,11 @@ def local_estimate(
     )
     if res_target > target_bound:
         return DroppedTarget(pair.target_index, "target residual above tolerance")
-    gates = params.gates()
-    if gates["h_range"] and gates["route_count_gate_max_k"] >= 1:
-        expo = 2 - delta
-        cap_root = floor_nth_root(params.H**expo.numerator, expo.denominator)
-        t_cap_ok = abs(t_y) <= Fraction(params.X**2, max(1, cap_root))
-    else:
-        t_cap_ok = None
     return LocalEstimate(
         target_index=pair.target_index,
         target_x=target.x,
         q_mod=pair.q_mod,
         d_big=d_big,
-        n=n,
         e=e,
         u=u,
         d=d,
@@ -306,9 +284,6 @@ def local_estimate(
         res_hub=res_hub,
         res_target=res_target,
         apex_bound=apex_bound,
-        hub_bound=cert_lo.bound,
-        target_bound=target_bound,
-        t_cap_ok=t_cap_ok,
     )
 
 
@@ -444,10 +419,6 @@ class RecoveryScore:
         }
 
 
-# what reading a malformed record can raise; each becomes a RecordError
-_MALFORMED = (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError)
-
-
 def _malformed(exc: Exception) -> RecordError:
     return RecordError(f"malformed recovery record: {type(exc).__name__}: {exc}")
 
@@ -492,7 +463,7 @@ def score_global(
                  *(_int(r[key]) for key in ("d_y", "a_y", "b_y")))
                 for r in glob["accepted"]
             ]
-        except _MALFORMED as exc:
+        except MALFORMED as exc:
             raise _malformed(exc) from exc
     if truth is None:
         return RecoveryScore(status="truth unavailable")
@@ -537,7 +508,7 @@ def score_record(doc: dict, inst: Instance, k: int) -> RecoveryScore:
         made = (doc["params"], doc["seed"])
         made_k, glob = _int(doc["config"]["k"]), doc["global"]
         hub = _int(doc["hub"], 0, len(inst.cfg.sites))
-    except _MALFORMED as exc:
+    except MALFORMED as exc:
         raise _malformed(exc) from exc
     if made != (inst.params.to_json(), inst.params.seed):
         raise RecordError("recovery record: params or seed differ from the instance's")
@@ -588,7 +559,7 @@ def recover_instance(inst: Instance, rcfg: RecoverConfig) -> RecoveryResult:
     estimates: list[LocalEstimate] = []
     dropped: list[DroppedTarget] = []
     for target in sorted(first_pair):
-        out = local_estimate(inst, hub.index, first_pair[target], rcfg.delta)
+        out = local_estimate(inst, hub.index, first_pair[target])
         if isinstance(out, LocalEstimate):
             estimates.append(out)
         else:
@@ -602,9 +573,7 @@ def recover_instance(inst: Instance, rcfg: RecoverConfig) -> RecoveryResult:
     )
     global_freq, error = None, None
     try:
-        global_freq = aggregate_global(
-            estimates, tol_t, rcfg.min_cluster, targets_total=reachable
-        )
+        global_freq = aggregate_global(estimates, tol_t, targets_total=reachable)
     except NoConsensusError as exc:
         error = str(exc)
     return RecoveryResult(

@@ -29,7 +29,14 @@ from .pathgraph import (
     route_count_gate_max_k,
 )
 from .primes import primes_in_range, prod
-from .torus import Rational, as_fraction, fields_to_json, frac_to_str, str_to_frac
+from .torus import (
+    MALFORMED,
+    Rational,
+    as_fraction,
+    fields_to_json,
+    frac_to_str,
+    str_to_frac,
+)
 
 SCHEMA_VERSION = 1
 
@@ -613,12 +620,23 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    """Read an instance; raise InstanceError for a partition other than the
-    params' split, or an edge with a site index out of range, primes not
-    split-oriented, or a witness outside the witness pool."""
-    doc = json.loads(text)
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ParamsError(f"unsupported schema {doc.get('schema')!r}")
+    """Read an instance; raise InstanceError naming what no generated instance
+    holds: text that is not JSON, another schema, a missing key, a value of
+    the wrong type, a rational that is not "num/den", a partition other than
+    the params' split, or an edge with a site index out of range, primes not
+    split-oriented, a witness outside the witness pool or an inexact slack."""
+    try:
+        return _instance_from_doc(json.loads(text))
+    except InstanceError:
+        raise
+    except MALFORMED as exc:
+        raise InstanceError(
+            f"malformed instance file: {type(exc).__name__}: {exc}") from exc
+
+
+def _instance_from_doc(doc: dict) -> Instance:
+    if doc["schema"] != SCHEMA_VERSION:
+        raise InstanceError(f"unsupported schema {doc['schema']!r}")
     params = Params.from_json(doc["params"])
     truth = GroundTruth.from_json(doc["truth"]) if doc["truth"] else None
     split = params.split_partition()
@@ -646,10 +664,14 @@ def instance_from_json(text: str) -> Instance:
     sites, pool_w = range(len(cfg.sites)), set(params.witness_primes())
     for e in edges:
         where = f"edge ({e.i},{e.j},{e.p},{e.q})"
+        if not all(type(v) is int for v in (e.i, e.j, e.p, e.q, *e.witness)):
+            raise InstanceError(f"{where}: a non-integer index, prime or witness")
         if e.i not in sites or e.j not in sites:
             raise InstanceError(f"{where}: site index out of range")
         if e.p not in cfg.split_p1 or e.q not in cfg.split_p2:
             raise InstanceError(f"{where}: not split-oriented")
         if not e.witness <= pool_w:
             raise InstanceError(f"{where}: witness outside the pool {sorted(pool_w)}")
+        if e.slack != edge_slack(cfg.sites[e.i], cfg.sites[e.j], e.p, e.q):
+            raise InstanceError(f"{where}: stored slack is not exact")
     return Instance(cfg=cfg, edges=edges, truth=truth, params=params)

@@ -44,6 +44,12 @@ def fields_to_json(obj) -> dict:
             for name, v in vars(obj).items()}
 
 
+# what reading a malformed JSON document can raise; the instance and record
+# readers each turn these into their own typed error
+MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError,
+             ZeroDivisionError)
+
+
 def str_to_frac(s: str) -> Fraction:
     if "/" in s:
         num, den = s.split("/")

@@ -94,7 +94,7 @@ class TestSynth:
 
 class TestPipelineCommands:
     def test_audit_verify_census_recover_score(self, tmp_path, params_file):
-        out = synth_dir(tmp_path, params_file, "inst")
+        out = synth_dir(tmp_path, params_file, "inst", "--blind")
         instance = str(out / "instance.json")
 
         rc = main(["audit", "--out", str(tmp_path / "audit"), "--instance", instance])
@@ -141,10 +141,9 @@ class TestPipelineCommands:
                 "--out",
                 str(tmp_path / "rec"),
                 "--instance",
-                instance,
+                str(out / "instance_blind.json"),
                 "--k",
                 "2",
-                "--blind",
             ]
         )
         assert rc == 0
@@ -204,11 +203,11 @@ def recorded_k3(tmp_path_factory) -> tuple[Path, Path]:
     root = tmp_path_factory.mktemp("recorded")
     params = root / "params.json"
     params.write_text(json.dumps(README_PARAMS))
-    inst = synth_dir(root, params, "inst") / "instance.json"
-    rc = main(["recover", "--out", str(root / "rec"), "--instance", str(inst),
-               "--k", "3", "--blind"])
+    out = synth_dir(root, params, "inst", "--blind")
+    rc = main(["recover", "--out", str(root / "rec"), "--instance",
+               str(out / "instance_blind.json"), "--k", "3"])
     assert rc == 0
-    return inst, root / "rec" / "recovery.json"
+    return out / "instance.json", root / "rec" / "recovery.json"
 
 
 def score(out: Path, inst: Path, recovery: Path, k: int) -> int:
@@ -264,16 +263,30 @@ class TestScoreGradesTheRecord:
         assert err["error"]["type"] == "RecordError"
         assert not (tmp_path / "out" / "score.json").exists()
 
+    def test_non_json_record_is_refused(self, tmp_path, recorded_k3):
+        inst, _ = recorded_k3
+        bad = tmp_path / "recovery.json"
+        bad.write_text("{")
+        assert score(tmp_path / "out", inst, bad, 3) == 2
+        err = json.loads((tmp_path / "out" / "score_error.json").read_text())
+        assert err["error"]["type"] == "RecordError"
+        assert not (tmp_path / "out" / "score.json").exists()
+
 
 def test_format_only_on_verify_bounds(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["recover", "--out", str(tmp_path), "--instance", "x.json",
-              "--format", "csv"])
-    assert exc.value.code == 2
+    for extra in (["--format", "csv"], ["--blind"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", "--out", str(tmp_path), "--instance", "x.json", *extra])
+        assert exc.value.code == 2
 
 
 def _swap_primes(edge: dict) -> None:
     edge.update(p=edge["q"], q=edge["p"])
+
+
+def _slack_off_by_one(edge: dict) -> None:
+    slack = Fraction(edge["slack"]) + 1
+    edge.update(slack=f"{slack.numerator}/{slack.denominator}")
 
 
 @pytest.mark.parametrize("command", ["audit", "verify-bounds", "census", "recover", "score"])
@@ -284,9 +297,14 @@ def _swap_primes(edge: dict) -> None:
         lambda d: d.update(partition=[[2] + d["partition"][0][1:], d["partition"][1]]),
         lambda d: _swap_primes(d["edges"][0]),
         lambda d: d["edges"][0].update(witness=[3]),
+        lambda d: _slack_off_by_one(d["edges"][0]),
+        lambda d: d.pop("partition"),
+        lambda d: d["sites"][0].update(x="12.5"),
+        lambda d: d.update(schema=2),
     ],
     ids=["site_index_out_of_range", "partition_outside_pool", "not_split_oriented",
-         "witness_outside_pool"],
+         "witness_outside_pool", "slack_off_by_one", "partition_deleted",
+         "site_x_not_num_den", "schema_2"],
 )
 def test_malformed_instance_is_refused(tmp_path, recorded_k3, command, corrupt):
     inst, recovery = recorded_k3

@@ -319,15 +319,6 @@ class TestEnumeration:
         edges = [make_edge(cfg, 0, 1, 13, 11)]  # p-label from the wrong set
         assert enumerate_split_paths(cfg, edges, 0, 1).paths == ()
 
-    def test_inexact_stored_slack_rejected(self):
-        cfg = line_config()
-        good = make_edge(cfg, 0, 1, 11, 13)
-        bad = Edge(1, 2, 23, 29, good.witness,
-                   abs(cfg.sites[1].x / 23 - cfg.sites[2].x / 29) + 1)
-        assert enumerate_split_paths(cfg, [good], 0, 1).paths
-        with pytest.raises(PathError, match="slack at step 2"):
-            enumerate_split_paths(cfg, [good, bad], 0, 2)
-
 
 class TestPeeling:
     def make_cfg(self, n):

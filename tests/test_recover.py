@@ -254,7 +254,6 @@ def make_estimate(target, x, q_factors, t_y, a=0, b=0, d=1) -> LocalEstimate:
         target_x=F(x),
         q_mod=Modulus(prod(q_factors), tuple(sorted(q_factors))),
         d_big=48,
-        n=0,
         e=F(0),
         u=0,
         d=d,
@@ -264,9 +263,6 @@ def make_estimate(target, x, q_factors, t_y, a=0, b=0, d=1) -> LocalEstimate:
         res_hub=F(0),
         res_target=F(0),
         apex_bound=F(1, 10),
-        hub_bound=F(1, 10),
-        target_bound=F(1, 10),
-        t_cap_ok=None,
     )
 
 
