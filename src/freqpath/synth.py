@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import nsmallest
 from itertools import permutations
-from math import exp, gcd, log, sqrt
+from math import exp, gcd, lcm, log, sqrt
 
 from .pathgraph import (
     Configuration,
@@ -263,11 +264,16 @@ def _try_place(placed: list[Fraction], x: Fraction, lo, hi, sep) -> bool:
     return True
 
 
+Route = tuple[int, int, int, int]
+_ROUTE_PAIRS: dict[tuple, tuple[tuple[Route, Route], ...]] = {}
+
+
 def _route_pair_candidates(
     params: Params, q_star: int, max_out: int
-) -> list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]:
+) -> tuple[tuple[Route, Route], ...]:
     """The max_out pairs of two-step split routes with disjoint primes and
-    nearly equal ratio products, ascending by ratio gap.
+    nearly equal ratio products, ascending by ratio gap.  Memoised on the
+    values the search reads: the split partition, q_star and max_out.
 
     A route (pa, qa, pb, qb) is keyed by its ratio qa*qb/(pa*pb) scaled by
     the product of the p-side primes, an exact integer that sorts like the
@@ -276,8 +282,11 @@ def _route_pair_candidates(
     the planted residues verify on the closing edge as well.
     """
     if max_out == 0:
-        return []
-    p1s, p2s = params.split_partition()
+        return ()
+    key = (params.split_partition(), q_star, max_out)
+    if key in _ROUTE_PAIRS:
+        return _ROUTE_PAIRS[key]
+    p1s, p2s = key[0]
     scale = prod(p1s)
     routes = sorted(
         (qa * qb * (scale // (pa * pb)), (pa, qa, pb, qb))
@@ -293,7 +302,9 @@ def _route_pair_candidates(
         for r2, t2 in routes[i + 1 : i + 40]
         if set(t1).isdisjoint(t2) and (r2 - r1) % q_star == 0
     )
-    return [(t1, t2) for _gap, t1, t2 in nsmallest(max_out, pairs)]
+    found = tuple((t1, t2) for _gap, t1, t2 in nsmallest(max_out, pairs))
+    _ROUTE_PAIRS[key] = found
+    return found
 
 
 def _place_sites(params: Params, rng: random.Random, q_star: int) -> list[Fraction]:
@@ -376,25 +387,35 @@ def _physical_candidates(
     params: Params, xs: list[Fraction]
 ) -> list[tuple[int, int, int, int, Fraction]]:
     """All (i, j, p, q, slack) with j the site nearest x_i * q/p passing the
-    physical threshold; ties toward the smaller site."""
+    physical threshold; ties toward the smaller site.  xs is ascending.
+
+    The sites are scaled by the lcm D of their denominators to integers X,
+    so the search and both comparisons are exact integer arithmetic: the
+    nearest site minimises d = |X_j*p - X_i*q| = p*D*|x_j - x_i*q/p|, and
+    the slack |x_i/p - x_j/q| is d/(p*q*D)."""
     p1s, p2s = params.split_partition()
+    scale = lcm(*(x.denominator for x in xs))
+    ints = [x.numerator * (scale // x.denominator) for x in xs]
+    s_num, s_den = params.s_edge.numerator, params.s_edge.denominator
+    n = len(ints)
     out = []
-    for i, x in enumerate(xs):
+    for i, xi in enumerate(ints):
         for p in p1s:
             for q in p2s:
-                target = x * Fraction(q, p)
-                pos = bisect_left(xs, target)
-                best = None
+                xq = xi * q
+                # x_j >= x_i*q/p  iff  X_j >= ceil(X_i*q/p), X_j being integers
+                pos = bisect_left(ints, -(-xq // p))
+                best = d_best = None
                 for j in (pos - 1, pos):
-                    if 0 <= j < len(xs) and j != i:
-                        d = abs(xs[j] - target)
-                        if best is None or d < abs(xs[best] - target):
-                            best = j
+                    if 0 <= j < n and j != i:
+                        d = abs(ints[j] * p - xq)
+                        if best is None or d < d_best:
+                            best, d_best = j, d
                 if best is None:
                     continue
-                slack = abs(x / p - xs[best] / q)
-                if slack <= params.s_edge:
-                    out.append((i, best, p, q, slack))
+                pq_scale = p * q * scale
+                if d_best * s_den <= s_num * pq_scale:
+                    out.append((i, best, p, q, Fraction(d_best, pq_scale)))
     return out
 
 
@@ -418,9 +439,9 @@ def _propagate_residues(
         if root in a:
             continue
         a[root] = 1 if q_star > 1 else 0
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v, pu, qv in adj[u]:
                 if v in a:
                     continue

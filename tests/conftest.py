@@ -9,6 +9,7 @@ enough to work out by hand.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,34 @@ def brute_route_pair_candidates(
             out.append((t1, t2, r2 - r1))
     out.sort(key=lambda t: (t[2], t[0], t[1]))
     return [(t1, t2) for t1, t2, _gap in out[:max_out]]
+
+
+def brute_physical_candidates(
+    params, xs: list[Fraction]
+) -> list[tuple[int, int, int, int, Fraction]]:
+    """Physical edge candidates by direct Fraction arithmetic: for every site
+    i and split pair (p, q), bisect the ascending sites for x_i * q/p, take
+    the nearer of the two neighbours other than i (ties toward the smaller
+    site), and keep it when |x_i/p - x_j/q| <= s_edge."""
+    p1s, p2s = params.split_partition()
+    out = []
+    for i, x in enumerate(xs):
+        for p in p1s:
+            for q in p2s:
+                target = x * Fraction(q, p)
+                pos = bisect_left(xs, target)
+                best = None
+                for j in (pos - 1, pos):
+                    if 0 <= j < len(xs) and j != i:
+                        d = abs(xs[j] - target)
+                        if best is None or d < abs(xs[best] - target):
+                            best = j
+                if best is None:
+                    continue
+                slack = abs(x / p - xs[best] / q)
+                if slack <= params.s_edge:
+                    out.append((i, best, p, q, slack))
+    return out
 
 
 def planted_prepath(

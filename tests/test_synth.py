@@ -1,17 +1,20 @@
 """Generator determinism, exact audits and planted consistency."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_route_pair_candidates
+from conftest import brute_physical_candidates, brute_route_pair_candidates
 from freqpath.pathgraph import Edge
 from freqpath.synth import (
     InfeasibleParamsError,
     Instance,
     Params,
     ParamsError,
+    _physical_candidates,
+    _place_sites,
     _route_pair_candidates,
     audit_instance,
     gen_instance,
@@ -213,13 +216,114 @@ class TestRoutePairSearch:
         params = web_params()
         want = brute_route_pair_candidates(params, q_star, 24)
         assert len(want) == 24
-        assert _route_pair_candidates(params, q_star, 24) == want
+        assert _route_pair_candidates(params, q_star, 24) == tuple(want)
 
     def test_fewer_pairs_than_requested(self):
         params = web_params(P=50, K=250)
         want = brute_route_pair_candidates(params, 13, 24)
         assert 0 < len(want) < 24
-        assert _route_pair_candidates(params, 13, 24) == want
+        assert _route_pair_candidates(params, 13, 24) == tuple(want)
+
+    def test_memo_returns_one_object_per_key(self):
+        first = _route_pair_candidates(web_params(), 6, 12)
+        # the seed is not part of the key: the search never reads it
+        assert _route_pair_candidates(web_params(seed=9), 6, 12) is first
+        assert first == tuple(brute_route_pair_candidates(web_params(), 6, 12))
+
+    @pytest.mark.parametrize(
+        "params, q_star, max_out",
+        [
+            (web_params(), 13, 12),  # another q_star
+            (web_params(), 6, 8),  # another max_out
+            (web_params(P=50, K=250), 6, 12),  # another prime pool
+        ],
+    )
+    def test_memo_keys_give_the_oracle_pairs(self, params, q_star, max_out):
+        _route_pair_candidates(web_params(), 6, 12)  # another key is memoised
+        want = tuple(brute_route_pair_candidates(params, q_star, max_out))
+        assert _route_pair_candidates(params, q_star, max_out) == want
+        assert _route_pair_candidates(params, q_star, max_out) == want
+
+    def test_no_pairs_requested(self):
+        assert _route_pair_candidates(web_params(), 6, 0) == ()
+
+
+def e2e_sites(seed: int, q_star: int, sites: int = 300):
+    """The ascending sites gen_instance places for an e2e-scale seed."""
+    params = web_params(site_count=sites, seed=seed, web_pair_targets=6)
+    return params, _place_sites(params, random.Random(seed), q_star)
+
+
+class TestPhysicalCandidates:
+    """The integer-scaled search keeps the Fraction oracle's candidates,
+    slacks included, in the same order."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("q_star", [1, 6])
+    def test_e2e_sites(self, seed, q_star):
+        params, xs = e2e_sites(seed, q_star)
+        want = brute_physical_candidates(params, xs)
+        assert len(want) > 300
+        assert _physical_candidates(params, xs) == want
+
+    def test_1200_sites(self):
+        params, xs = e2e_sites(2, 1, sites=1200)
+        assert len(xs) >= 1200
+        assert _physical_candidates(params, xs) == brute_physical_candidates(params, xs)
+
+    def test_chain_instance_sites(self):
+        params = Params(
+            X=10**11, H=4 * 10**5, K=500, P=100, P_prime=5,
+            eps_edge=F(1, 8), s_edge=F(8), site_count=120, seed=0,
+            placement="web", web_chains=6, web_chain_len=8,
+        )
+        xs = _place_sites(params, random.Random(0), 1)
+        want = brute_physical_candidates(params, xs)
+        assert want
+        assert _physical_candidates(params, xs) == want
+
+    # hand-built sites on the [20, 40] pool, split (23, 29) | (31, 37)
+
+    def test_exact_tie_goes_to_the_smaller_site(self):
+        # x_0 * 31/23 = 3100/7 lies exactly between 3099/7 and 3101/7
+        xs = [F(2300, 7), F(3099, 7), F(3101, 7), F(5000, 3)]
+        params = small_params(s_edge=F(5))
+        got = _physical_candidates(params, xs)
+        assert got == brute_physical_candidates(params, xs)
+        assert (0, 1, 23, 31, F(1, 31 * 7)) in got
+        assert not any(c[:4] == (0, 2, 23, 31) for c in got)
+
+    def test_fractional_target_takes_the_site_above(self):
+        # x_0 * 31/23 = 1581/23 lies strictly between the sites 68 and 69,
+        # and 69 is the nearer one
+        xs = [F(51), F(68), F(69)]
+        params = small_params(s_edge=F(5))
+        got = _physical_candidates(params, xs)
+        assert got == brute_physical_candidates(params, xs)
+        assert (0, 2, 23, 31, F(6, 23 * 31)) in got
+
+    def test_slack_equal_to_threshold_is_kept(self):
+        # x_0/23 = 100 and x_1/31 = 209/2, so the slack is exactly 9/2
+        xs = [F(2300), F(6479, 2)]
+        at = small_params(s_edge=F(9, 2))
+        below = small_params(s_edge=F(9, 2) - F(1, 10**9))
+        assert (0, 1, 23, 31, F(9, 2)) in _physical_candidates(at, xs)
+        assert (0, 1, 23, 31, F(9, 2)) not in _physical_candidates(below, xs)
+        for params in (at, below):
+            assert _physical_candidates(params, xs) == brute_physical_candidates(
+                params, xs
+            )
+
+    def test_site_itself_is_skipped(self):
+        # x_0 * 31/23 = 62: x_0 itself (distance 16) is nearer than x_1
+        # (distance 17), but an edge needs two sites, so x_1 is taken
+        xs = [F(46), F(79)]
+        params = small_params(s_edge=F(5))
+        got = _physical_candidates(params, xs)
+        assert got == brute_physical_candidates(params, xs)
+        assert (0, 1, 23, 31, F(17, 31)) in got
+        assert all(i != j for i, j, *_ in got)
+        assert _physical_candidates(params, [F(46)]) == []
 
 
 class TestWebPlacement:
