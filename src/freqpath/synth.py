@@ -264,16 +264,11 @@ def _try_place(placed: list[Fraction], x: Fraction, lo, hi, sep) -> bool:
     return True
 
 
-Route = tuple[int, int, int, int]
-_ROUTE_PAIRS: dict[tuple, tuple[tuple[Route, Route], ...]] = {}
-
-
 def _route_pair_candidates(
     params: Params, q_star: int, max_out: int
-) -> tuple[tuple[Route, Route], ...]:
+) -> list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]:
     """The max_out pairs of two-step split routes with disjoint primes and
-    nearly equal ratio products, ascending by ratio gap.  Memoised on the
-    values the search reads: the split partition, q_star and max_out.
+    nearly equal ratio products, ascending by ratio gap.
 
     A route (pa, qa, pb, qb) is keyed by its ratio qa*qb/(pa*pb) scaled by
     the product of the p-side primes, an exact integer that sorts like the
@@ -282,11 +277,8 @@ def _route_pair_candidates(
     the planted residues verify on the closing edge as well.
     """
     if max_out == 0:
-        return ()
-    key = (params.split_partition(), q_star, max_out)
-    if key in _ROUTE_PAIRS:
-        return _ROUTE_PAIRS[key]
-    p1s, p2s = key[0]
+        return []
+    p1s, p2s = params.split_partition()
     scale = prod(p1s)
     routes = sorted(
         (qa * qb * (scale // (pa * pb)), (pa, qa, pb, qb))
@@ -302,9 +294,7 @@ def _route_pair_candidates(
         for r2, t2 in routes[i + 1 : i + 40]
         if set(t1).isdisjoint(t2) and (r2 - r1) % q_star == 0
     )
-    found = tuple((t1, t2) for _gap, t1, t2 in nsmallest(max_out, pairs))
-    _ROUTE_PAIRS[key] = found
-    return found
+    return [(t1, t2) for _gap, t1, t2 in nsmallest(max_out, pairs)]
 
 
 def _place_sites(params: Params, rng: random.Random, q_star: int) -> list[Fraction]:
