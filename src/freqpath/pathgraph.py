@@ -17,7 +17,7 @@ from functools import cached_property
 from math import factorial, log
 
 from .primes import primes_in_range, prod
-from .pyramid import PrePath, Pyramid, predicted_gap
+from .pyramid import PrePath, PrePathError, Pyramid, gap_denominator
 from .torus import (
     Modulus,
     Rational,
@@ -26,7 +26,7 @@ from .torus import (
     frac_to_str,
     norm_mod,
     reduce_mod,
-    torus_norm,
+    scaled_gap,
 )
 
 
@@ -367,27 +367,54 @@ def _check_pyramid_matches(path: Path, py: Pyramid) -> None:
         raise PathError("pyramid primes do not match the path")
 
 
+def _uniform_eps(py: Pyramid) -> Fraction:
+    """The tolerance the closed-form bounds assume; they hold for no other."""
+    eps = py.uniform_eps
+    if eps is None:
+        raise PrePathError("verification needs uniform tolerances")
+    return eps
+
+
+def _column_bound(
+    eps: Fraction, path: Path, first: int, last: int
+) -> tuple[int, int]:
+    """sum_{t=first..last} predicted_gap(t) * prod_{i=first..t-1} q_i, as an
+    unreduced pair (numerator, denominator); (0, 1) when first > last.
+
+    Every predicted_gap(t) denominator in the range divides
+        common = prod_{i<=h(last)} p_i * prod_{h(first)<=i<last} q_i,
+    h(t) = floor((t-1)/2) + 1, so the terms are summed over that one
+    denominator with a running q-product.
+    """
+    if first > last:
+        return 0, 1
+    ps, qs = path.p_primes, path.q_primes
+    common = gap_denominator(last, ps, qs) * prod(
+        qs[(first - 1) // 2 : (last - 1) // 2]
+    )
+    total, run = 0, 1
+    for t in range(first, last + 1):
+        total += run * (common // gap_denominator(t, ps, qs))
+        run *= qs[t - 1]
+    return eps.numerator * total, eps.denominator * common
+
+
 def anchor_bound_certificate(path: Path, py: Pyramid, j: int, m: int) -> AnchorCert:
     """Exact anchor-column certificate between levels m < j.
 
     actual = ||(prod_{i=m..j-1} q_i) * col[j] - col[m]|| and the bound is
     the recursion  sum_{t=m..j-1} predicted_gap(t) * prod_{i=m..t-1} q_i,
-    evaluated exactly.
+    evaluated exactly.  The pyramid must have uniform tolerances.
     """
     _check_pyramid_matches(path, py)
     k = path.k
     if not (1 <= m < j <= k + 1):
         raise IndexError(f"need 1 <= m < j <= {k + 1}, got (j, m) = ({j}, {m})")
-    eps = py.step_eps[0][0]
+    eps = _uniform_eps(py)
     col = py.anchor_column
     mult = prod(path.q_primes[m - 1 : j - 1])
-    actual = torus_norm(col[j - 1].scale(mult) - col[m - 1])
-    bound = Fraction(0)
-    for t in range(m, j):
-        bound += predicted_gap(t, eps, path.p_primes, path.q_primes) * prod(
-            path.q_primes[m - 1 : t - 1]
-        )
-    return AnchorCert(j, m, actual, bound)
+    actual = Fraction(*scaled_gap(mult, col[j - 1], 1, col[m - 1]))
+    return AnchorCert(j, m, actual, Fraction(*_column_bound(eps, path, m, j - 1)))
 
 
 def top_anchor_certificate(path: Path, py: Pyramid, j: int) -> AnchorCert:
@@ -396,25 +423,32 @@ def top_anchor_certificate(path: Path, py: Pyramid, j: int) -> AnchorCert:
     actual = ||(prod_{i<j} p_i * prod_{i>=j} q_i) * top - base[j]||.  The
     bound composes, by the triangle inequality, the anchor-column
     certificate from level j up to the apex with the descending chain of
-    p-side bounds from level j back down to the base.
+    p-side bounds from level j back down to the base:
+
+        sum_{t<j} pside_bound(j-t, t) * prod_{i=t+1..j-1} p_i
+            + prod_{i<j} p_i * sum_{t=j..k} predicted_gap(t) * prod_{i=j..t-1} q_i.
+
+    Every pside_bound(j-t, t) divides a tolerance by q_{j-1}; the sums are
+    taken over integers and one Fraction is built.  The pyramid must have
+    uniform tolerances.
     """
     _check_pyramid_matches(path, py)
     k = path.k
     if not 1 <= j <= k + 1:
         raise IndexError(f"j = {j} out of range 1..{k + 1}")
+    eps = _uniform_eps(py)
     pprod = prod(path.p_primes[: j - 1])
     qprod = prod(path.q_primes[j - 1 :])
-    actual = torus_norm(py.top.scale(pprod * qprod) - py.layers[0][j - 1])
-    eps = py.step_eps[0][0]
-    b_fwd = Fraction(0)
-    for t in range(j, k + 1):
-        b_fwd += predicted_gap(t, eps, path.p_primes, path.q_primes) * prod(
-            path.q_primes[j - 1 : t - 1]
-        )
-    b_dwn = Fraction(0)
-    for t in range(1, j):
-        b_dwn += py.pside_bound(j - t, t) * prod(path.p_primes[t : j - 1])
-    return AnchorCert(j, 0, actual, b_dwn + pprod * b_fwd)
+    actual = Fraction(*scaled_gap(pprod * qprod, py.top, 1, py.layers[0][j - 1]))
+    dn, dd, run = 0, 1, 1
+    for t in range(j - 1, 0, -1):
+        e = py.step_eps[j - t - 1][t - 1]
+        dn, dd = dn * e.denominator + e.numerator * run * dd, dd * e.denominator
+        run *= path.p_primes[t - 1]
+    if j > 1:
+        dd *= path.q_primes[j - 2]
+    fn, fd = _column_bound(eps, path, j, k)
+    return AnchorCert(j, 0, actual, Fraction(dn * fd + pprod * fn * dd, dd * fd))
 
 
 def top_anchor_actuals(path: Path, top, j: int) -> Fraction:
@@ -422,7 +456,7 @@ def top_anchor_actuals(path: Path, top, j: int) -> Fraction:
     pprod = prod(path.p_primes[: j - 1])
     qprod = prod(path.q_primes[j - 1 :])
     base = reduce_mod(path.sites[j - 1].alpha, top.modulus)
-    return torus_norm(top.scale(pprod * qprod) - base)
+    return Fraction(*scaled_gap(pprod * qprod, top, 1, base))
 
 
 @dataclass(frozen=True)

@@ -10,24 +10,30 @@ Tolerances evolve deterministically through the iteration, so each layer's
 hypothesis bounds are carried along explicitly; `predicted_gap` is the
 closed form of the anchor-column bound and `verify_pyramid` checks the
 constructed pyramid against it row by row, in exact arithmetic.
+
+Every inequality here is decided on integers: a torus distance comes from
+`torus.scaled_gap` as a pair (g, D) and is compared with a tolerance e by
+`g * e.denominator < e.numerator * D`.  `merge_two` takes the closest lift
+pair from `torus.lift_shifts` and forms the weighted combination over one
+integer denominator, so each merged point costs one gcd; a Fraction is
+built for a distance only where a report or an error message shows it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .primes import is_prime
+from .primes import is_prime, prod
 from .torus import (
     Modulus,
     Rational,
     TorusPoint,
-    aligned_reals,
     as_fraction,
-    closest_lift_pair,
-    convex_combine,
     frac_to_str,
-    torus_norm,
+    lift_shifts,
+    scaled_gap,
 )
 
 
@@ -37,6 +43,12 @@ class PrePathError(ValueError):
 
 class HypothesisViolation(PrePathError):
     """Input distance at or above the tolerance the merge step requires."""
+
+
+def _below(gap: tuple[int, int], bound: Rational) -> bool:
+    """Whether the distance g/D of a `scaled_gap` pair is below `bound`."""
+    g, d = gap
+    return g * bound.denominator < bound.numerator * d
 
 
 def merge_two(
@@ -53,23 +65,41 @@ def merge_two(
 
         ||p2*alpha - a1||_Q < eps1/p1   and   ||p1*alpha - a2||_Q < eps2/p2,
 
-    built as the closest lift pair followed by the convex combination with
-    weights (eps1, eps2).  Both output inequalities are re-checked before
-    returning; a failure would mean a construction bug, not bad input.
+    built as the closest lift pair (b1, b2) followed by the convex
+    combination b1 - eps2/(eps1 + eps2) * (b1 - b2) of its aligned reals.
+    Both output inequalities are re-checked before returning; a failure
+    would mean a construction bug, not bad input, and raises AssertionError.
     """
     eps1, eps2 = as_fraction(eps1), as_fraction(eps2)
-    if eps1 <= 0 or eps2 <= 0:
+    e1, f1 = eps1.numerator, eps1.denominator
+    e2, f2 = eps2.numerator, eps2.denominator
+    if e1 <= 0 or e2 <= 0:
         raise PrePathError("tolerances must be positive")
-    premise = torus_norm(a1.scale(p1) - a2.scale(p2))
-    if premise >= eps1 + eps2:
+    # eps1 : eps2 = w1 : w2, and eps1 + eps2 = (w1 + w2) / (f1 * f2)
+    w1, w2 = e1 * f2, e2 * f1
+    g, d = scaled_gap(p1, a1, p2, a2)
+    if g * f1 * f2 >= (w1 + w2) * d:
         raise HypothesisViolation(
-            f"||{p1}*a1 - {p2}*a2|| = {premise} >= eps1 + eps2 = {eps1 + eps2}"
+            f"||{p1}*a1 - {p2}*a2|| = {Fraction(g, d)} >= eps1 + eps2 = {eps1 + eps2}"
         )
-    b1, b2 = closest_lift_pair(a1, a2, p1, p2)
-    ra, rb = aligned_reals(b1, b2)
-    alpha = convex_combine(ra, rb, eps1, eps2, a1.modulus)
-    assert torus_norm(alpha.scale(p2) - a1) < eps1 / p1
-    assert torus_norm(alpha.scale(p1) - a2) < eps2 / p2
+    k1, _k2, s = lift_shifts(a1, a2, p1, p2)
+    q = a1.modulus.q
+    x1, x2 = a1.value, a2.value
+    d1, d2 = x1.denominator, x2.denominator
+    # b1 = (a2 + k1*Q)/p1 and b1 - b2 = s/(p1*p2*d1*d2), over one denominator
+    den = (w1 + w2) * p1 * p2 * d1 * d2
+    num = (x2.numerator + k1 * q * d2) * (w1 + w2) * p2 * d1 - w2 * s
+    alpha = TorusPoint.canonical(Fraction(num % (q * den), den), a1.modulus)
+    g, d = scaled_gap(p2, alpha, 1, a1)
+    if g * f1 * p1 >= e1 * d:
+        raise AssertionError(
+            f"merge output: ||{p2}*alpha - a1|| = {Fraction(g, d)} >= eps1/{p1}"
+        )
+    g, d = scaled_gap(p1, alpha, 1, a2)
+    if g * f2 * p2 >= e2 * d:
+        raise AssertionError(
+            f"merge output: ||{p1}*alpha - a2|| = {Fraction(g, d)} >= eps2/{p2}"
+        )
     return alpha
 
 
@@ -105,9 +135,9 @@ def layer_step(
     if len(mid) != m:
         raise PrePathError("mid tuple must have one entry per merged pair")
     for j in range(m):
-        if torus_norm(top[j + 1].scale(q_primes[j]) - mid[j]) >= eps[j]:
+        if not _below(scaled_gap(q_primes[j], top[j + 1], 1, mid[j]), eps[j]):
             raise HypothesisViolation(f"q-side hypothesis fails at index {j + 1}")
-        if torus_norm(top[j].scale(p_primes[j]) - mid[j]) >= eps_prime[j]:
+        if not _below(scaled_gap(p_primes[j], top[j], 1, mid[j]), eps_prime[j]):
             raise HypothesisViolation(f"p-side hypothesis fails at index {j + 1}")
     out = []
     for j in range(m):
@@ -165,20 +195,18 @@ class PrePath:
             if pt.modulus.q != self.modulus.q:
                 raise PrePathError("anchor modulus mismatch")
         for j in range(k):
-            qn = torus_norm(
-                self.top_anchors[j + 1].scale(self.q_primes[j]) - self.mid_anchors[j]
-            )
-            if qn >= self.eps[j]:
+            mid = self.mid_anchors[j]
+            qn = scaled_gap(self.q_primes[j], self.top_anchors[j + 1], 1, mid)
+            if not _below(qn, self.eps[j]):
                 raise HypothesisViolation(
-                    f"q-side hypothesis fails at index {j + 1}: {qn} >= {self.eps[j]}"
+                    f"q-side hypothesis fails at index {j + 1}: "
+                    f"{Fraction(*qn)} >= {self.eps[j]}"
                 )
-            pn = torus_norm(
-                self.top_anchors[j].scale(self.p_primes[j]) - self.mid_anchors[j]
-            )
-            if pn >= self.eps_prime[j]:
+            pn = scaled_gap(self.p_primes[j], self.top_anchors[j], 1, mid)
+            if not _below(pn, self.eps_prime[j]):
                 raise HypothesisViolation(
                     f"p-side hypothesis fails at index {j + 1}: "
-                    f"{pn} >= {self.eps_prime[j]}"
+                    f"{Fraction(*pn)} >= {self.eps_prime[j]}"
                 )
 
     @property
@@ -220,6 +248,12 @@ class Pyramid:
     @property
     def top(self) -> TorusPoint:
         return self.layers[-1][0]
+
+    @cached_property
+    def uniform_eps(self) -> Fraction | None:
+        """The pre-path's one tolerance, or None when its tolerances differ."""
+        vals = set(self.step_eps[0]) | set(self.step_eps_prime[0])
+        return next(iter(vals)) if len(vals) == 1 else None
 
     def qside_bound(self, step: int, entry: int) -> Fraction:
         """Bound on ||q_{step+entry-1} * layers[step][entry-1] -
@@ -287,6 +321,17 @@ def build_pyramid(pp: PrePath) -> Pyramid:
     )
 
 
+def gap_denominator(
+    j: int, p_primes: tuple[int, ...], q_primes: tuple[int, ...]
+) -> int:
+    """eps / predicted_gap(j, eps, ...): with h = floor((j-1)/2) + 1 it is
+
+        prod_{i=1}^{h} p_i * prod_{i=h}^{j-1} q_i.
+    """
+    h = (j - 1) // 2 + 1
+    return prod(p_primes[:h]) * prod(q_primes[h - 1 : j - 1])
+
+
 def predicted_gap(
     j: int,
     eps: Rational,
@@ -304,13 +349,7 @@ def predicted_gap(
     k = len(p_primes)
     if not 1 <= j <= k:
         raise IndexError(f"j = {j} out of range 1..{k}")
-    eps = as_fraction(eps)
-    denom = 1
-    for i in range(1, (j - 1) // 2 + 2):
-        denom *= p_primes[i - 1]
-    for i in range(1, (j - 1 + 1) // 2 + 1):
-        denom *= q_primes[j - i - 1]
-    return eps / denom
+    return as_fraction(eps) / gap_denominator(j, p_primes, q_primes)
 
 
 @dataclass(frozen=True)
@@ -356,9 +395,9 @@ def verify_pyramid(pp: PrePath, py: Pyramid) -> BoundReport:
     col = py.anchor_column
     rows = []
     for j in range(1, pp.k + 1):
-        actual = torus_norm(col[j].scale(pp.q_primes[j - 1]) - col[j - 1])
+        gap = scaled_gap(pp.q_primes[j - 1], col[j], 1, col[j - 1])
         pred = predicted_gap(j, eps, pp.p_primes, pp.q_primes)
-        rows.append(GapRow(j, actual, pred, actual < pred))
+        rows.append(GapRow(j, Fraction(*gap), pred, _below(gap, pred)))
     return BoundReport(tuple(rows))
 
 

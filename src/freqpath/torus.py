@@ -1,9 +1,19 @@
 """Exact arithmetic on the torus R/QZ.
 
-Values are canonical residues in [0, Q) stored as `fractions.Fraction`;
-the norm is the distance to zero, taking values in [0, Q/2].  Nothing in
-this module ever touches floating point: every inequality downstream is
-tolerance-tight and has to be decided exactly.
+A point is a canonical residue n/d in [0, Q), stored as a
+`fractions.Fraction` in lowest terms; the norm is the distance to zero,
+taking values in [0, Q/2].  Nothing in this module ever touches floating
+point: every inequality downstream is tolerance-tight and has to be
+decided exactly.
+
+The arithmetic is decided on the integers n and d.  `scaled_gap` returns
+||c1*a - c2*b||_Q as an unreduced pair (g, D) over D = d_a*d_b, so a
+caller decides `norm < eps` by one cross-multiplication; `lift_shifts`
+returns the closest lift pair as integer lift indices and its aligned gap
+over p1*p2*D.  A Fraction (one gcd) and a TorusPoint are built only for a
+value that is handed out, and a point whose residue is canonical by
+construction (`TorusPoint.canonical`) skips the range check that guards
+points built by outside callers.
 
 Q = 1 is a legal modulus; the "p does not divide Q" condition on prime
 lifts is vacuous there.
@@ -105,6 +115,14 @@ class TorusPoint:
         if not (0 <= self.value < self.modulus.q):
             raise TorusError(f"{self.value} is not canonical mod {self.modulus.q}")
 
+    @classmethod
+    def canonical(cls, value: Fraction, modulus: Modulus) -> "TorusPoint":
+        """A point whose value the caller has reduced into [0, Q) exactly."""
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "value", value)
+        object.__setattr__(pt, "modulus", modulus)
+        return pt
+
     def scale(self, c: Rational) -> "TorusPoint":
         return reduce_mod(as_fraction(c) * self.value, self.modulus)
 
@@ -127,11 +145,14 @@ class TorusPoint:
 
 
 def reduce_mod(x: Rational, modulus: Modulus | int) -> TorusPoint:
-    """The unique representative of x mod Q in [0, Q)."""
+    """The unique representative of x mod Q in [0, Q).
+
+    For x = n/d in lowest terms it is (n mod Q*d)/d, again in lowest terms.
+    """
     modulus = _as_modulus(modulus)
     x = as_fraction(x)
-    q = modulus.q
-    return TorusPoint(x - (x / q).__floor__() * q, modulus)
+    d = x.denominator
+    return TorusPoint.canonical(Fraction(x.numerator % (modulus.q * d), d), modulus)
 
 
 def torus_norm(x: TorusPoint) -> Fraction:
@@ -145,10 +166,23 @@ def norm_mod(x: Rational, modulus: Modulus | int) -> Fraction:
     return torus_norm(reduce_mod(x, modulus))
 
 
-def signed_residual(x: TorusPoint) -> Fraction:
-    """The representative of x in (-Q/2, Q/2]; its absolute value is the norm."""
-    q = x.modulus.as_fraction()
-    return x.value if 2 * x.value <= q else x.value - q
+def scaled_gap(c1: int, a: TorusPoint, c2: int, b: TorusPoint) -> tuple[int, int]:
+    """||c1*a - c2*b||_Q for integers c1, c2, as a pair (g, D) with norm g/D.
+
+    With a = n1/d1 and b = n2/d2 the difference is (c1*n1*d2 - c2*n2*d1)/D
+    with D = d1*d2, reduced mod Q*D.  The pair is not normalised:
+    `g * e.denominator < e.numerator * D` decides `norm < e`, and
+    `Fraction(g, D)` is the norm.
+    """
+    q = a.modulus.q
+    if b.modulus.q != q:
+        raise TorusError(f"modulus mismatch: {q} vs {b.modulus.q}")
+    x, y = a.value, b.value
+    d1, d2 = x.denominator, y.denominator
+    den = d1 * d2
+    m = q * den
+    r = (c1 * x.numerator * d2 - c2 * y.numerator * d1) % m
+    return min(r, m - r), den
 
 
 def lift_roots(alpha: TorusPoint, p: int) -> list[TorusPoint]:
@@ -167,38 +201,47 @@ def lift_roots(alpha: TorusPoint, p: int) -> list[TorusPoint]:
     return [TorusPoint(base + k * step, alpha.modulus) for k in range(p)]
 
 
-def _lift_pair_bruteless(
+def lift_shifts(
     a1: TorusPoint, a2: TorusPoint, p1: int, p2: int
-) -> list[tuple[TorusPoint, TorusPoint]]:
-    """Gap-minimizing lift pairs, computed in O(1) instead of scanning p1*p2.
+) -> tuple[int, int, int]:
+    """The closest lift pair of `closest_lift_pair` in integers: (k1, k2, s).
 
-    Lifts b1 of a2 by p1 and b2 of a1 by p2 differ by
-    (p2*a2 - p1*a1 + cQ)/(p1*p2) as the integer c ranges over all residues
-    mod p1*p2 (CRT), so the torus gap is minimized at the c that reduces
-    p2*a2 - p1*a1 into (-Q/2, Q/2].  Two values of c tie exactly when that
-    residue sits at Q/2.
+    The pair is b1 = (a2 + k1*Q)/p1 and b2 = (a1 + k2*Q)/p2.  With
+    a1 = n1/d1 and a2 = n2/d2, s/(p1*p2*d1*d2) is b1 - b2 taken in
+    [-Q/(2*p1*p2), Q/(2*p1*p2)], so |s| measures the torus gap.
+
+    Lifts of a2 by p1 and of a1 by p2 differ by (p2*a2 - p1*a1 + c*Q)/(p1*p2)
+    as the integer c ranges over all residues mod p1*p2 (CRT), so the gap
+    is minimised at the c that reduces x = (p2*a2 - p1*a1)*d1*d2 into
+    (-M/2, M/2], M = Q*d1*d2.  Two values of c tie exactly when that residue
+    sits at M/2; b1 grows with k1, so the smaller k1 gives the
+    lexicographically smaller pair.  The primes are checked as
+    `closest_lift_pair` documents.
     """
+    if p1 == p2:
+        raise TorusError("the two primes must be distinct")
+    a1._check_same(a2)
     q = a1.modulus.q
-    w = reduce_mod(p2 * a2.value - p1 * a1.value, a1.modulus)
-    s = signed_residual(w)
-    m_frac = (p2 * a2.value - p1 * a1.value - w.value) / q
-    if m_frac.denominator != 1:
-        raise AssertionError("reduction shift must be an integer")
-    m = m_frac.numerator
-    shift_frac = (s - w.value) / q
-    cs = [shift_frac.numerator]  # shift_frac is an integer by construction
-    if 2 * s == q:  # antipodal tie: -Q/2 works as well
-        cs.append(cs[0] - 1)
-    out = []
+    for p in (p1, p2):
+        if not is_prime(p):
+            raise TorusError(f"{p} is not prime")
+        if q % p == 0:
+            raise TorusError(f"prime {p} divides the modulus {q}")
+    x1, x2 = a1.value, a2.value
+    d1, d2 = x1.denominator, x2.denominator
+    m = q * d1 * d2
+    x = p2 * x2.numerator * d1 - p1 * x1.numerator * d2
+    w = x % m
+    gaps = (w,) if 2 * w < m else (w - m,) if 2 * w > m else (w, w - m)
     inv_p2 = pow(p2, -1, p1)
-    for c in cs:
-        k1 = ((c - m) * inv_p2) % p1
-        k2_num = k1 * p2 - (c - m)
-        k2 = (k2_num // p1) % p2
-        b1 = TorusPoint((a2.value + k1 * q) / p1, a1.modulus)
-        b2 = TorusPoint((a1.value + k2 * q) / p2, a1.modulus)
-        out.append((b1, b2))
-    return out
+    best = None
+    for s in gaps:
+        c = (s - x) // m  # exact: s = x + c*M
+        k1 = c * inv_p2 % p1
+        k2 = (k1 * p2 - c) // p1 % p2
+        if best is None or k1 < best[0]:
+            best = (k1, k2, s)
+    return best
 
 
 def closest_lift_pair(
@@ -208,43 +251,15 @@ def closest_lift_pair(
 
     The minimum is at most Q/(2*p1*p2).  Ties (only possible at the
     antipode) are broken by the lexicographically smallest pair of
-    canonical representatives, so the result is deterministic.
+    canonical representatives, so the result is deterministic.  The primes
+    must be distinct primes that do not divide Q.
     """
-    if p1 == p2:
-        raise TorusError("the two primes must be distinct")
-    a1._check_same(a2)
-    for p in (p1, p2):
-        if not is_prime(p):
-            raise TorusError(f"{p} is not prime")
-        if a1.modulus.q % p == 0:
-            raise TorusError(f"prime {p} divides the modulus {a1.modulus.q}")
-    candidates = _lift_pair_bruteless(a1, a2, p1, p2)
-    return min(candidates, key=lambda bb: (bb[0].value, bb[1].value))
-
-
-def aligned_reals(b1: TorusPoint, b2: TorusPoint) -> tuple[Fraction, Fraction]:
-    """Real representatives (a, b) of the two points with |a - b| equal to
-    their torus distance; b is shifted by a multiple of Q if wrapping is
-    shorter."""
-    q = b1.modulus.as_fraction()
-    a = b1.value
-    best = None
-    for t in (0, -1, 1):
-        b = b2.value + t * q
-        if best is None or abs(a - b) < abs(a - best):
-            best = b
-    return a, best
-
-
-def convex_combine(
-    a: Rational, b: Rational, w1: Rational, w2: Rational, modulus: Modulus | int
-) -> TorusPoint:
-    """a - (w2/(w1+w2))*(a - b), reduced mod Q.  Weights must not both vanish."""
-    a, b = as_fraction(a), as_fraction(b)
-    w1, w2 = as_fraction(w1), as_fraction(w2)
-    if w1 + w2 <= 0:
-        raise TorusError("weights must have positive sum")
-    return reduce_mod(a - (w2 / (w1 + w2)) * (a - b), modulus)
+    k1, k2, _s = lift_shifts(a1, a2, p1, p2)
+    q = a1.modulus.q
+    return (
+        TorusPoint.canonical((a2.value + k1 * q) / p1, a1.modulus),
+        TorusPoint.canonical((a1.value + k2 * q) / p2, a1.modulus),
+    )
 
 
 def combine_moduli(

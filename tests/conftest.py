@@ -1,10 +1,16 @@
-"""Shared generators and independent brute-force oracles.
+"""Shared generators, independent brute-force oracles and reference oracles.
 
 The oracles here deliberately avoid the library's fast paths: closest lift
 pairs are found by scanning all p1*p2 candidates, peeling answers come from
 subset enumeration, and expected certificate values are recomputed by direct
-substitution.  Tests freeze hand-derived constants where the setup is small
-enough to work out by hand.
+substitution.  The exact core (merge, pyramid, certificate bounds) has a
+reference in `fractions.Fraction` arithmetic, term by term, that the
+library's integer kernel must match exactly.  Tests freeze hand-derived
+constants where the setup is small enough to work out by hand.
+
+One hypothesis profile is loaded for the whole suite: derandomised, with a
+bounded example count and no example database, so every run draws the same
+examples.
 """
 from __future__ import annotations
 
@@ -13,10 +19,24 @@ from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
+from freqpath.pathgraph import Path, Site
 from freqpath.primes import primes_in_range, prod
-from freqpath.pyramid import PrePath
-from freqpath.torus import Modulus, TorusPoint, lift_roots, reduce_mod, torus_norm
+from freqpath.pyramid import HypothesisViolation, PrePath, Pyramid, predicted_gap
+from freqpath.torus import (
+    Modulus,
+    TorusPoint,
+    as_fraction,
+    lift_roots,
+    reduce_mod,
+    torus_norm,
+)
+
+settings.register_profile(
+    "freqpath", derandomize=True, max_examples=60, deadline=None, database=None
+)
+settings.load_profile("freqpath")
 
 SMALL_PRIMES = primes_in_range(2, 97)
 MODULUS_PRIMES = primes_in_range(2, 50)
@@ -55,6 +75,128 @@ def brute_closest_lift_pair(
             if best is None or key < best[0]:
                 best = (key, (b1, b2))
     return best[1]
+
+
+def ref_signed_residual(x: TorusPoint) -> Fraction:
+    """The representative of x in (-Q/2, Q/2]; its absolute value is the norm."""
+    q = x.modulus.as_fraction()
+    return x.value if 2 * x.value <= q else x.value - q
+
+
+def ref_closest_lift_pair(
+    a1: TorusPoint, a2: TorusPoint, p1: int, p2: int
+) -> tuple[TorusPoint, TorusPoint]:
+    """Closest lift pair in Fraction arithmetic, in O(1): the CRT shift c
+    that reduces p2*a2 - p1*a1 into (-Q/2, Q/2], both shifts at the antipode,
+    lexicographically smallest pair."""
+    q = a1.modulus.q
+    w = reduce_mod(p2 * a2.value - p1 * a1.value, a1.modulus)
+    s = ref_signed_residual(w)
+    m_frac = (p2 * a2.value - p1 * a1.value - w.value) / q
+    assert m_frac.denominator == 1
+    m = m_frac.numerator
+    cs = [((s - w.value) / q).numerator]
+    if 2 * s == q:
+        cs.append(cs[0] - 1)
+    out = []
+    inv_p2 = pow(p2, -1, p1)
+    for c in cs:
+        k1 = ((c - m) * inv_p2) % p1
+        k2 = ((k1 * p2 - (c - m)) // p1) % p2
+        b1 = TorusPoint((a2.value + k1 * q) / p1, a1.modulus)
+        b2 = TorusPoint((a1.value + k2 * q) / p2, a1.modulus)
+        out.append((b1, b2))
+    return min(out, key=lambda bb: (bb[0].value, bb[1].value))
+
+
+def ref_aligned_reals(b1: TorusPoint, b2: TorusPoint) -> tuple[Fraction, Fraction]:
+    """Real representatives (a, b) of the two points with |a - b| equal to
+    their torus distance."""
+    q = b1.modulus.as_fraction()
+    a = b1.value
+    best = None
+    for t in (0, -1, 1):
+        b = b2.value + t * q
+        if best is None or abs(a - b) < abs(a - best):
+            best = b
+    return a, best
+
+
+def ref_merge_two(a1, a2, p1, p2, eps1, eps2) -> TorusPoint:
+    """merge_two in Fraction arithmetic: premise, closest lift pair, aligned
+    reals, convex combination with weights (eps1, eps2), post-conditions."""
+    eps1, eps2 = as_fraction(eps1), as_fraction(eps2)
+    if torus_norm(a1.scale(p1) - a2.scale(p2)) >= eps1 + eps2:
+        raise HypothesisViolation("merge premise fails")
+    ra, rb = ref_aligned_reals(*ref_closest_lift_pair(a1, a2, p1, p2))
+    alpha = reduce_mod(ra - (eps2 / (eps1 + eps2)) * (ra - rb), a1.modulus)
+    assert torus_norm(alpha.scale(p2) - a1) < eps1 / p1
+    assert torus_norm(alpha.scale(p1) - a2) < eps2 / p2
+    return alpha
+
+
+def ref_build_pyramid(pp: PrePath) -> Pyramid:
+    """build_pyramid in Fraction arithmetic, checking every layer hypothesis
+    with torus_norm before merging."""
+    k = pp.k
+    layers = [pp.top_anchors]
+    cur_eps, cur_eps_prime = list(pp.eps), list(pp.eps_prime)
+    mids = pp.mid_anchors
+    step_eps, step_eps_prime = [], []
+    for s in range(1, k + 1):
+        m = k + 1 - s
+        top, ps, qs = layers[-1], pp.p_primes[:m], pp.q_primes[s - 1 : s - 1 + m]
+        step_eps.append(tuple(cur_eps[:m]))
+        step_eps_prime.append(tuple(cur_eps_prime[:m]))
+        for j in range(m):
+            if torus_norm(top[j + 1].scale(qs[j]) - mids[j]) >= cur_eps[j]:
+                raise HypothesisViolation(f"q-side hypothesis fails at index {j + 1}")
+            if torus_norm(top[j].scale(ps[j]) - mids[j]) >= cur_eps_prime[j]:
+                raise HypothesisViolation(f"p-side hypothesis fails at index {j + 1}")
+        layers.append(tuple(
+            ref_merge_two(
+                top[j], top[j + 1], ps[j], qs[j], cur_eps_prime[j], cur_eps[j]
+            )
+            for j in range(m)
+        ))
+        mids = top[1:-1]
+        cur_eps, cur_eps_prime = (
+            [cur_eps_prime[i + 1] / pp.p_primes[i + 1] for i in range(m - 1)],
+            [cur_eps[i] / qs[i] for i in range(m - 1)],
+        )
+    return Pyramid(pp.modulus, pp.p_primes, pp.q_primes, tuple(layers),
+                   tuple(step_eps), tuple(step_eps_prime))
+
+
+def ref_anchor_bound(py: Pyramid, j: int, m: int) -> tuple[Fraction, Fraction]:
+    """(actual, bound) of anchor_bound_certificate, one Fraction per term."""
+    eps = py.step_eps[0][0]
+    col = py.anchor_column
+    actual = torus_norm(col[j - 1].scale(prod(py.q_primes[m - 1 : j - 1])) - col[m - 1])
+    bound = Fraction(0)
+    for t in range(m, j):
+        bound += predicted_gap(t, eps, py.p_primes, py.q_primes) * prod(
+            py.q_primes[m - 1 : t - 1]
+        )
+    return actual, bound
+
+
+def ref_top_anchor(py: Pyramid, j: int) -> tuple[Fraction, Fraction]:
+    """(actual, bound) of top_anchor_certificate, one Fraction per term."""
+    k = py.k
+    pprod = prod(py.p_primes[: j - 1])
+    qprod = prod(py.q_primes[j - 1 :])
+    actual = torus_norm(py.top.scale(pprod * qprod) - py.layers[0][j - 1])
+    eps = py.step_eps[0][0]
+    b_fwd = Fraction(0)
+    for t in range(j, k + 1):
+        b_fwd += predicted_gap(t, eps, py.p_primes, py.q_primes) * prod(
+            py.q_primes[j - 1 : t - 1]
+        )
+    b_dwn = Fraction(0)
+    for t in range(1, j):
+        b_dwn += py.pside_bound(j - t, t) * prod(py.p_primes[t : j - 1])
+    return actual, b_dwn + pprod * b_fwd
 
 
 def brute_min_degree_subset(n: int, adjacency: dict[int, set[int]], d_min: int) -> frozenset[int]:
@@ -183,6 +325,16 @@ def planted_prepath(
         q_primes=q_primes,
         eps=(eps,) * k,
         eps_prime=(eps,) * k,
+    )
+
+
+def path_over(pp: PrePath) -> Path:
+    """A path with the pre-path's primes whose sites carry its top anchors."""
+    return Path(
+        sites=tuple(Site(i + 1, a.value) for i, a in enumerate(pp.top_anchors)),
+        p_primes=pp.p_primes,
+        q_primes=pp.q_primes,
+        step_witness=(frozenset({2}),) * pp.k,
     )
 
 

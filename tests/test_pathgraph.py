@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_min_degree_subset
+from conftest import brute_min_degree_subset, path_over, planted_prepath
 from freqpath.pathgraph import (
     Configuration,
     Edge,
@@ -32,8 +32,9 @@ from freqpath.pathgraph import (
     top_anchor_certificate,
 )
 from freqpath.primes import prod
-from freqpath.pyramid import build_pyramid
+from freqpath.pyramid import PrePath, PrePathError, build_pyramid
 from freqpath.synth import Params, gen_instance
+from freqpath.torus import Modulus
 
 
 def chain_instance(seed: int, chains: int = 5, length: int = 8):
@@ -198,6 +199,19 @@ class TestAnchorCertificates:
             top_anchor_certificate(ell, py, 3)
         with pytest.raises(IndexError):
             ratio_drift_certificate(ell, 2)
+
+    def test_nonuniform_pyramid_refused(self, rng):
+        # the closed-form bounds assume one tolerance; on this valid
+        # non-uniform pre-path they would be applied with eps = 1/50
+        pp = planted_prepath(rng, 3, F(1, 50), Modulus(1, ()))
+        eps = (F(1, 50), F(1, 5), F(1, 2))
+        uneven = PrePath(pp.modulus, pp.top_anchors, pp.mid_anchors,
+                         pp.p_primes, pp.q_primes, eps, eps)
+        ell, py = path_over(uneven), build_pyramid(uneven)
+        with pytest.raises(PrePathError, match="uniform tolerances"):
+            anchor_bound_certificate(ell, py, 2, 1)
+        with pytest.raises(PrePathError, match="uniform tolerances"):
+            top_anchor_certificate(ell, py, 1)
 
     def test_planted_paths_have_zero_residual(self):
         # zero-noise plant: every anchor is an exact multiple of one frequency

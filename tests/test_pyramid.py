@@ -2,7 +2,12 @@
 closed-form gap bound."""
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +19,7 @@ from conftest import (
     rand_modulus,
     rand_signed,
 )
+from freqpath import pyramid as pyramid_module
 from freqpath.primes import prod
 from freqpath.pyramid import (
     HypothesisViolation,
@@ -65,12 +71,51 @@ class TestMergeTwo:
                 reduce_mod(F(0), 1), reduce_mod(F(1, 2), 1), 2, 3, F(1, 10), F(1, 10)
             )
 
+    def test_premise_at_equality_is_refused(self):
+        # ||2*0 - 3*(1/30)|| = 1/10 exactly: the premise is strict
+        a1, a2 = reduce_mod(F(0), 1), reduce_mod(F(1, 30), 1)
+        with pytest.raises(HypothesisViolation):
+            merge_two(a1, a2, 2, 3, F(1, 20), F(1, 20))
+        merge_two(a1, a2, 2, 3, F(1, 20), F(1, 20) + F(1, 10**9))
+
     def test_postconditions_random(self, rng):
         for _ in range(500):
             a1, a2, p1, p2, e1, e2 = make_valid_merge_case(rng)
             a = merge_two(a1, a2, p1, p2, e1, e2)
             assert torus_norm(a.scale(p2) - a1) < e1 / p1
             assert torus_norm(a.scale(p1) - a2) < e2 / p2
+
+    def test_postconditions_checked_under_optimize(self):
+        # a wrong lift index breaks the output inequalities; the checks must
+        # raise even where `python -O` strips assert statements
+        script = textwrap.dedent("""
+            import sys
+            from fractions import Fraction as F
+            from freqpath import pyramid
+            from freqpath.torus import reduce_mod
+
+            assert sys.flags.optimize >= 1
+            true_lift = pyramid.lift_shifts
+
+            def wrong_lift(a1, a2, p1, p2):
+                k1, k2, s = true_lift(a1, a2, p1, p2)
+                return (k1 + 1) % p1, k2, s
+
+            pyramid.lift_shifts = wrong_lift
+            a1, a2 = reduce_mod(F(3, 10), 1), reduce_mod(F(21, 100), 1)
+            try:
+                pyramid.merge_two(a1, a2, 2, 3, F(1, 50), F(1, 50))
+            except AssertionError as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = pathlib.Path(pyramid_module.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "merge output" in proc.stdout
 
 
 class TestLayerStep:
@@ -171,6 +216,19 @@ class TestBuildPyramid:
         )
         mutated = build_pyramid(prefix).anchor_column
         assert [c.value for c in mutated] == [c.value for c in col[:j]]
+
+    def test_hypotheses_at_equality_are_refused(self):
+        # ||3*(1/30) - 0|| = 1/10 and ||2*0 - 0|| = 0: both hypotheses are strict
+        m = Modulus(1)
+        tops = (reduce_mod(F(0), m), reduce_mod(F(1, 30), m))
+        mids = (reduce_mod(F(0), m),)
+        with pytest.raises(HypothesisViolation, match="q-side"):
+            PrePath(m, tops, mids, (2,), (3,), (F(1, 10),), (F(1, 10),))
+        with pytest.raises(HypothesisViolation, match="q-side"):
+            layer_step(tops, mids, (2,), (3,), (F(1, 10),), (F(1, 10),))
+        eps = (F(1, 10) + F(1, 10**9),)
+        ok = PrePath(m, tops, mids, (2,), (3,), eps, eps)
+        assert verify_pyramid(ok, build_pyramid(ok)).all_passed
 
     def test_propagates_failing_index(self, rng):
         pp = planted_prepath(rng, 3, F(1, 30))

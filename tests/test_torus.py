@@ -16,12 +16,11 @@ from freqpath.torus import (
     TorusError,
     closest_lift_pair,
     combine_moduli,
-    convex_combine,
     frac_to_str,
     lift_roots,
     norm_mod,
     reduce_mod,
-    signed_residual,
+    scaled_gap,
     str_to_frac,
     torus_norm,
 )
@@ -62,9 +61,9 @@ class TestNorm:
             pt = reduce_mod(rand_fraction(rng) - rand_fraction(rng), m)
             n = torus_norm(pt)
             assert 0 <= n <= F(m.q, 2)
-            s = signed_residual(pt)
-            assert abs(s) == n
-            assert -F(m.q, 2) < s <= F(m.q, 2)
+            # the integer norm of 1*pt - 0*pt agrees, unreduced over d^2
+            g, d = scaled_gap(1, pt, 0, pt)
+            assert F(g, d) == n and d == pt.value.denominator ** 2
 
 
 class TestLiftRoots:
@@ -140,19 +139,6 @@ class TestClosestLiftPair:
         b1, b2 = closest_lift_pair(a1, a2, 3, 2)
         brute = brute_closest_lift_pair(a1, a2, 3, 2)
         assert (b1.value, b2.value) == (brute[0].value, brute[1].value)
-
-
-class TestConvexCombine:
-    def test_midpoint(self):
-        assert convex_combine(F(21, 200), F(1, 10),er := F(1), er, 1).value == F(
-            41, 400
-        )
-
-    def test_degenerate_weight(self):
-        assert convex_combine(F(2, 7), F(5, 7), F(3), F(0), 1).value == F(2, 7)
-
-    def test_identical_points(self):
-        assert convex_combine(F(2, 7), F(2, 7), F(1), F(9), 1).value == F(2, 7)
 
 
 class TestCombineModuli:
