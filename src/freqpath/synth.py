@@ -17,15 +17,14 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import nsmallest
-from itertools import permutations
+from heapq import heapify, heappop, heappush
+from itertools import combinations
 from math import exp, gcd, lcm, log, sqrt
 
 from .pathgraph import (
     Configuration,
     Edge,
     Site,
-    edge_slack,
     edge_witness,
     route_count_gate_max_k,
 )
@@ -264,37 +263,78 @@ def _try_place(placed: list[Fraction], x: Fraction, lo, hi, sep) -> bool:
     return True
 
 
+Route = tuple[int, int, int, int]  # (pa, qa, pb, qb)
+
+
 def _route_pair_candidates(
     params: Params, q_star: int, max_out: int
-) -> list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]:
+) -> list[tuple[Route, Route]]:
     """The max_out pairs of two-step split routes with disjoint primes and
-    nearly equal ratio products, ascending by ratio gap.
+    nearly equal ratio products, ascending by (ratio gap, first route,
+    second route).
 
     A route (pa, qa, pb, qb) is keyed by its ratio qa*qb/(pa*pb) scaled by
     the product of the p-side primes, an exact integer that sorts like the
-    ratio.  Only cycle-consistent pairs are kept (the congruence multipliers
-    around the closing loop multiply to 1 mod q_star), so in rational mode
-    the planted residues verify on the closing edge as well.
+    ratio.  The pairs are those of each route with the 39 routes after it in
+    (key, route) order.  Only cycle-consistent pairs are kept (the
+    congruence multipliers around the closing loop multiply to 1 mod
+    q_star), so in rational mode the planted residues verify on the closing
+    edge as well.
+
+    The search ranks groups, not routes.  By unique factorisation two routes
+    share a key exactly when they use the same sets {pa, pb} and {qa, qb},
+    so the routes fall into groups of four with distinct keys, each group
+    contiguous in route order with members (a, c, b, d) < (a, d, b, c) <
+    (b, c, a, d) < (b, d, a, c) for a < b and c < d.  A zero gap joins two
+    routes of one group, which share primes, so it never qualifies.  Member
+    m of group g sits at place 4g + m, so its 39 successors are all members
+    of groups g+1 .. g+9 and the members m' < m of group g+10.  Every route
+    of a group uses all four of its primes, and a pair's gap is the
+    difference of its groups' keys, so prime-disjointness and cycle
+    consistency are decided once per pair of groups.  A lazy heap yields the
+    pairs of groups by ascending gap; each gap's route pairs are emitted in
+    (route, route) order.
     """
     if max_out == 0:
         return []
     p1s, p2s = params.split_partition()
     scale = prod(p1s)
-    routes = sorted(
-        (qa * qb * (scale // (pa * pb)), (pa, qa, pb, qb))
-        for pa, pb in permutations(p1s, 2)
-        for qa, qb in permutations(p2s, 2)
+    groups = sorted(
+        (c * d * (scale // (a * b)), a, b, c, d)
+        for a, b in combinations(p1s, 2)
+        for c, d in combinations(p2s, 2)
     )
-    # for disjoint routes the key gap is the loop's multiplier difference
-    # qa*qb*pc*pd - qc*qd*pa*pb times scale/(pa*pb*pc*pd), a cofactor prime
-    # to q_star (gen_instance checks), so the gap decides cycle consistency
-    pairs = (
-        (r2 - r1, t1, t2)
-        for i, (r1, t1) in enumerate(routes)
-        for r2, t2 in routes[i + 1 : i + 40]
-        if set(t1).isdisjoint(t2) and (r2 - r1) % q_star == 0
-    )
-    return [(t1, t2) for _gap, t1, t2 in nsmallest(max_out, pairs)]
+    heap = [(groups[g + 1][0] - groups[g][0], g, g + 1)
+            for g in range(len(groups) - 1)]
+    heapify(heap)
+    out: list[tuple[Route, Route]] = []
+    while heap and len(out) < max_out:
+        gap, batch = heap[0][0], []
+        while heap and heap[0][0] == gap:
+            _gap, g, h = heappop(heap)
+            if h - g < 10 and h + 1 < len(groups):
+                heappush(heap, (groups[h + 1][0] - groups[g][0], g, h + 1))
+            # for disjoint routes the key gap is the loop's multiplier
+            # difference qa*qb*pc*pd - qc*qd*pa*pb times a cofactor prime to
+            # q_star (gen_instance checks), so the gap decides consistency
+            if gap % q_star or not set(groups[g][1:]).isdisjoint(groups[h][1:]):
+                continue
+            window_end = h - g == 10
+            batch.extend(
+                (t1, t2)
+                for m, t1 in enumerate(_group_routes(groups[g]))
+                for m2, t2 in enumerate(_group_routes(groups[h]))
+                if not window_end or m2 < m
+            )
+        batch.sort()
+        out.extend(batch)
+    return out[:max_out]
+
+
+def _group_routes(group: tuple[int, int, int, int, int]) -> tuple[Route, ...]:
+    """The four routes of a group (key, a, b, c, d), in route order."""
+    _key, a, b, c, d = group
+    return (a, c, b, d), (a, d, b, c), (b, c, a, d), (b, d, a, c)
 
 
 def _place_sites(params: Params, rng: random.Random, q_star: int) -> list[Fraction]:
@@ -539,6 +579,16 @@ class AuditReport:
         }
 
 
+def _slack_is_exact(a: Site, b: Site, p: int, q: int, slack: Fraction) -> bool:
+    """Whether slack = |x_a/p - x_b/q|, decided on integers: with x_a = n1/d1,
+    x_b = n2/d2 and slack = n/m it holds iff |n1*d2*q - n2*d1*p| * m equals
+    n * d1*d2*p*q, all denominators being positive."""
+    n1, d1 = a.x.numerator, a.x.denominator
+    n2, d2 = b.x.numerator, b.x.denominator
+    return (abs(n1 * d2 * q - n2 * d1 * p) * slack.denominator
+            == slack.numerator * d1 * d2 * p * q)
+
+
 def audit_instance(inst: Instance) -> AuditReport:
     """Re-verify every instance invariant with exact arithmetic."""
     params = inst.params
@@ -572,9 +622,11 @@ def audit_instance(inst: Instance) -> AuditReport:
             bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) not split-oriented"
             break
         step = (cfg.sites[e.i], cfg.sites[e.j], e.p, e.q)
-        slack = edge_slack(*step)
-        if slack != e.slack or slack > params.s_edge:
-            bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) physical slack {slack}"
+        if not _slack_is_exact(*step, e.slack):
+            bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) stored slack is not exact"
+            break
+        if e.slack > params.s_edge:
+            bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) physical slack {e.slack}"
             break
         witness = edge_witness(*step, pool_w, params.eps_edge)
         if witness != e.witness:
@@ -683,6 +735,6 @@ def _instance_from_doc(doc: dict) -> Instance:
             raise InstanceError(f"{where}: not split-oriented")
         if not e.witness <= pool_w:
             raise InstanceError(f"{where}: witness outside the pool {sorted(pool_w)}")
-        if e.slack != edge_slack(cfg.sites[e.i], cfg.sites[e.j], e.p, e.q):
+        if not _slack_is_exact(cfg.sites[e.i], cfg.sites[e.j], e.p, e.q, e.slack):
             raise InstanceError(f"{where}: stored slack is not exact")
     return Instance(cfg=cfg, edges=edges, truth=truth, params=params)

@@ -3,9 +3,9 @@
 The oracles here deliberately avoid the library's fast paths: closest lift
 pairs are found by scanning all p1*p2 candidates, peeling answers come from
 subset enumeration, and expected certificate values are recomputed by direct
-substitution.  The exact core (merge, pyramid, certificate bounds) has a
-reference in `fractions.Fraction` arithmetic, term by term, that the
-library's integer kernel must match exactly.  Tests freeze hand-derived
+substitution.  The exact core (reduction mod Q, merge, pyramid, certificate
+bounds) has a reference in `fractions.Fraction` arithmetic, term by term,
+that the library's integer kernel must match exactly.  Tests freeze hand-derived
 constants where the setup is small enough to work out by hand.
 
 One hypothesis profile is loaded for the whole suite: derandomised, with a
@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import settings
@@ -75,6 +76,12 @@ def brute_closest_lift_pair(
             if best is None or key < best[0]:
                 best = (key, (b1, b2))
     return best[1]
+
+
+def ref_reduce_mod(x, q: int) -> Fraction:
+    """x mod Q by floor division in Fraction arithmetic: x - Q*floor(x/Q)."""
+    x = Fraction(x)
+    return x - q * floor(x / q)
 
 
 def ref_signed_residual(x: TorusPoint) -> Fraction:

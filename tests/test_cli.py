@@ -284,8 +284,8 @@ def _swap_primes(edge: dict) -> None:
     edge.update(p=edge["q"], q=edge["p"])
 
 
-def _slack_off_by_one(edge: dict) -> None:
-    slack = Fraction(edge["slack"]) + 1
+def _slack_off_by(edge: dict, delta: Fraction) -> None:
+    slack = Fraction(edge["slack"]) + delta
     edge.update(slack=f"{slack.numerator}/{slack.denominator}")
 
 
@@ -297,14 +297,15 @@ def _slack_off_by_one(edge: dict) -> None:
         lambda d: d.update(partition=[[2] + d["partition"][0][1:], d["partition"][1]]),
         lambda d: _swap_primes(d["edges"][0]),
         lambda d: d["edges"][0].update(witness=[3]),
-        lambda d: _slack_off_by_one(d["edges"][0]),
+        lambda d: _slack_off_by(d["edges"][0], Fraction(1)),
+        lambda d: _slack_off_by(d["edges"][0], Fraction(1, 10**9)),
         lambda d: d.pop("partition"),
         lambda d: d["sites"][0].update(x="12.5"),
         lambda d: d.update(schema=2),
     ],
     ids=["site_index_out_of_range", "partition_outside_pool", "not_split_oriented",
-         "witness_outside_pool", "slack_off_by_one", "partition_deleted",
-         "site_x_not_num_den", "schema_2"],
+         "witness_outside_pool", "slack_off_by_one", "slack_off_by_1e-9",
+         "partition_deleted", "site_x_not_num_den", "schema_2"],
 )
 def test_malformed_instance_is_refused(tmp_path, recorded_k3, command, corrupt):
     inst, recovery = recorded_k3

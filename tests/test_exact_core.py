@@ -1,14 +1,16 @@
 """The integer exact core against its Fraction reference oracles.
 
-Merged points, whole pyramids (layers and both tolerance tables) and
-certificate rows must equal the reference values exactly, on Q = 1, Q = 35
-and products of three primes, with uniform and non-uniform tolerances, and
-at forced antipodal ties where two lift pairs are equally close.
+Reductions mod Q, merged points, whole pyramids (layers and both tolerance
+tables) and certificate rows must equal the reference values exactly, on
+Q = 1, Q = 35 and products of three primes, with uniform and non-uniform
+tolerances, and at forced antipodal ties where two lift pairs are equally
+close.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from conftest import (
     ref_build_pyramid,
     ref_closest_lift_pair,
     ref_merge_two,
+    ref_reduce_mod,
     ref_top_anchor,
 )
 from freqpath.pathgraph import (
@@ -112,6 +115,22 @@ def assert_same_pyramid(pp: PrePath) -> None:
     assert py.layers == ref.layers
     assert py.step_eps == ref.step_eps
     assert py.step_eps_prime == ref.step_eps_prime
+
+
+class TestReduceMod:
+    @given(
+        moduli,
+        st.one_of(
+            st.integers(-10**30, 10**30),
+            st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**15)),
+        ),
+    )
+    def test_canonical(self, m, x):
+        r = reduce_mod(x, m).value
+        assert r == ref_reduce_mod(x, m.q)
+        assert 0 <= r < m.q
+        assert ((x - r) / m.q).denominator == 1
+        assert r.denominator > 0 and gcd(r.numerator, r.denominator) == 1
 
 
 class TestScaledGap:

@@ -1,16 +1,21 @@
 """Generator determinism, exact audits and planted consistency."""
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import brute_physical_candidates, brute_route_pair_candidates
 from freqpath.pathgraph import Edge
 from freqpath.synth import (
     InfeasibleParamsError,
     Instance,
+    InstanceError,
     Params,
     ParamsError,
     _physical_candidates,
@@ -121,6 +126,136 @@ class TestDeterminism:
         assert back.params == inst.params
 
 
+def small_instance(seed: int, sites: int, kind: str, blind: bool = False) -> Instance:
+    """A small web instance of one generator kind: archimedean, rational at
+    q* = 6, or archimedean with site noise."""
+    noise = F(1, 100) if kind == "noisy" else F(0)
+    params = web_params(site_count=sites, seed=seed, noise_level=noise)
+    mode, q_star = ("rational", 6) if kind == "q*=6" else ("archimedean", 1)
+    inst = gen_instance(params, mode=mode, t_star=F(10**5), q_star=q_star)
+    return inst.strip_truth() if blind else inst
+
+
+@cache
+def valid_instance_text() -> str:
+    return instance_to_json(small_instance(5, 60, "q*=6"))
+
+
+# values no field of an instance file holds: other types, and strings that
+# are not "num/den" integers
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.lists(st.none(), min_size=1, max_size=2),
+    st.sampled_from(["", "x", "1/0", "12.5", "1/2/3", "0x1f", "1/2.0"]),
+)
+
+
+def _shifted(value: str, delta: F) -> str:
+    x = F(value) + delta
+    return f"{x.numerator}/{x.denominator}"
+
+
+@st.composite
+def corruptions(draw):
+    """(description, doc -> None): one field of a valid instance file set to
+    a value no generated instance holds."""
+    doc = json.loads(valid_instance_text())
+    n_sites, n_edges = len(doc["sites"]), len(doc["edges"])
+    e = draw(st.integers(0, n_edges - 1))
+    edge = doc["edges"][e]
+    field = draw(st.sampled_from(["x", "slack", "index", "witness", "partition"]))
+    shift = draw(st.one_of(st.none(), st.fractions().filter(bool)))
+    if field == "x":
+        end = draw(st.sampled_from(["i", "j"]))
+        site = edge[end]
+        if shift is None:
+            value = draw(JUNK)
+        else:
+            value = _shifted(doc["sites"][site]["x"], shift)
+            # the edge's slack stays exact only if its endpoint moves to the
+            # mirror image about the other end
+            xs = {k: F(doc["sites"][edge[k]]["x"]) for k in ("i", "j")}
+            xs[end] = F(value)
+            assume(abs(xs["i"] / edge["p"] - xs["j"] / edge["q"]) != F(edge["slack"]))
+
+        def corrupt(d):
+            d["sites"][site]["x"] = value
+    elif field == "slack":
+        value = draw(JUNK) if shift is None else _shifted(edge["slack"], shift)
+
+        def corrupt(d):
+            d["edges"][e]["slack"] = value
+    elif field == "index":
+        end = draw(st.sampled_from(["i", "j"]))
+        other = edge["j" if end == "i" else "i"]
+        value = draw(st.one_of(
+            JUNK,
+            st.integers(max_value=-1),
+            st.integers(min_value=n_sites),
+            st.just(other),
+        ))
+
+        def corrupt(d):
+            d["edges"][e][end] = value
+    elif field == "witness":
+        pool = web_params().witness_primes()
+        outside = st.integers().filter(lambda w: w not in pool)
+        value = draw(st.one_of(
+            JUNK,
+            st.tuples(st.lists(st.sampled_from(pool), max_size=2), outside).map(
+                lambda t: t[0] + [t[1]]
+            ),
+        ))
+
+        def corrupt(d):
+            d["edges"][e]["witness"] = value
+    else:
+        lower, upper = doc["partition"]
+        value = draw(st.one_of(
+            JUNK,
+            st.sampled_from([
+                [upper, lower],
+                [lower[1:], upper],
+                [lower + upper[:1], upper[1:]],
+                [lower + [2], upper],
+                [lower],
+            ]),
+        ))
+
+        def corrupt(d):
+            d["partition"] = value
+    return f"{field} of edge {e} set to {value!r}", corrupt
+
+
+class TestInstanceJson:
+    """The JSON round trip is the identity on generated instances, and any
+    one corrupted field of a valid file is refused with InstanceError."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        sites=st.integers(20, 80),
+        kind=st.sampled_from(["archimedean", "q*=6", "noisy"]),
+        blind=st.booleans(),
+    )
+    def test_round_trip_is_identity(self, seed, sites, kind, blind):
+        text = instance_to_json(small_instance(seed, sites, kind, blind))
+        assert instance_to_json(instance_from_json(text)) == text
+
+    @given(corruptions())
+    def test_corrupted_field_is_refused(self, case):
+        _what, corrupt = case
+        doc = json.loads(valid_instance_text())
+        corrupt(doc)
+        with pytest.raises(InstanceError):
+            instance_from_json(json.dumps(doc))
+
+    def test_valid_file_loads(self):
+        text = valid_instance_text()
+        assert instance_to_json(instance_from_json(text)) == text
+
+
 class TestGeneratedInstances:
     def test_archimedean_edge_consistency_inequality(self):
         # per-edge oracle: |p*a1 - q*a2| <= T* p q s_edge / (x1 x2) < eps_edge
@@ -191,6 +326,14 @@ class TestAudit:
         assert not report.passed
         assert any(c.name == "edges" and not c.passed for c in report.checks)
 
+    def test_slack_off_by_a_billionth_fails(self):
+        inst = gen_instance(small_params(site_count=200), t_star=F(10**5))
+        e = inst.edges[0]
+        bad = Edge(e.i, e.j, e.p, e.q, e.witness, e.slack + F(1, 10**9))
+        tampered = Instance(inst.cfg, (bad,) + inst.edges[1:], inst.truth, inst.params)
+        edges = [c for c in audit_instance(tampered).checks if c.name == "edges"]
+        assert not edges[0].passed and "not exact" in edges[0].detail
+
     def test_corrupted_witness_fails(self):
         inst = gen_instance(small_params(site_count=200), t_star=F(10**5))
         e = inst.edges[0]
@@ -223,6 +366,22 @@ class TestRoutePairSearch:
         want = brute_route_pair_candidates(params, 13, 24)
         assert 0 < len(want) < 24
         assert _route_pair_candidates(params, 13, 24) == want
+
+    # The window of 39 routes ends inside the tenth prime-set group ahead:
+    # these lists hold pairs from that group, so pairing it in full or
+    # stopping one group short both change them.
+    def test_window_edge_at_q7(self):
+        params = web_params(P=50, K=250)
+        want = brute_route_pair_candidates(params, 7, 200)
+        assert 24 < len(want) < 200
+        assert _route_pair_candidates(params, 7, 200) == want
+
+    @pytest.mark.parametrize("pool", [50, 60])
+    def test_full_list(self, pool):
+        params = web_params(P=pool, K=5 * pool)
+        want = brute_route_pair_candidates(params, 1, 10**6)
+        assert 24 < len(want) < 10**6
+        assert _route_pair_candidates(params, 1, 10**6) == want
 
 
 def e2e_sites(seed: int, q_star: int, sites: int = 300):
