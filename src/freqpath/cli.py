@@ -171,13 +171,16 @@ def cmd_census(args) -> int:
         enum = enumerate_split_paths(
             inst.cfg, inst.edges, start, args.k, limit=args.limit
         )
+        ok &= not enum.truncated
         if not enum.paths:
             continue
         rep = collision_census(
             list(enum.paths), params.X, params.H, params.P, params.B_ratio
         )
         ok &= rep.passed
-        reports.append({"start": start, **rep.to_json()})
+        reports.append(
+            {"start": start, "truncated": enum.truncated, **rep.to_json()}
+        )
     _write_json(
         FsPath(args.out) / "census_report.json",
         {**_report_header(params), "census": reports, "pass": ok},

@@ -22,7 +22,6 @@ from .torus import (
     Modulus,
     Rational,
     as_fraction,
-    combine_moduli,
     frac_to_str,
     norm_mod,
     reduce_mod,
@@ -95,8 +94,9 @@ class Edge:
     """Quadruple relation between sites i and j through primes (p, q).
 
     slack is the exact physical deviation |x_i/p - x_j/q|; witness is the
-    nonempty set of moduli under which the frequency relation holds.  The
-    reverse orientation (j, i, q, p) carries identical slack and witness.
+    nonempty set of primes w with ||p*alpha_i - q*alpha_j||_w < eps_edge,
+    the strict inequality every pre-path hypothesis needs.  The reverse
+    orientation (j, i, q, p) carries identical slack and witness.
     """
 
     i: int
@@ -117,45 +117,35 @@ class Edge:
             raise PathError("edge witness set must be nonempty")
 
 
-def edge_slack(a: Site, b: Site, p: int, q: int) -> Fraction:
-    """The physical deviation |x_a/p - x_b/q| of a step from a to b."""
-    return abs(a.x / p - b.x / q)
-
-
 def edge_witness(
     a: Site, b: Site, p: int, q: int, witness_pool: tuple[int, ...], eps_edge: Fraction
 ) -> frozenset[int]:
     """Exact witness computation: primes w in the pool for which
-    ||p*alpha_a - q*alpha_b||_w <= eps_edge."""
+    ||p*alpha_a - q*alpha_b||_w < eps_edge."""
     rel = p * a.alpha - q * b.alpha
-    return frozenset(w for w in witness_pool if norm_mod(rel, w) <= eps_edge)
+    return frozenset(w for w in witness_pool if norm_mod(rel, w) < eps_edge)
 
 
 @dataclass(frozen=True)
 class Path:
-    """A walk through the configuration with globally distinct primes.
+    """A walk through the configuration over checked edges, with globally
+    distinct primes.
 
-    Step t relates sites[t] to sites[t+1] through (p_t, q_t) with witness
-    set step_witness[t]; site_indices, when known, are the sites' positions
-    in the configuration.  The per-step deviations and the path modulus (the
-    product of the common witness primes, possibly trivial) are derived from
-    these fields.
+    Step t is edges[t], taken in the direction of the walk: it relates
+    sites[t] to sites[t+1] through (p_t, q_t) with its witness set and its
+    stored slack |x_t/p_t - x_{t+1}/q_t|.  The primes, the site indices and
+    the path modulus (the product of the common witness primes, possibly
+    trivial) are read off the edges.
     """
 
     sites: tuple[Site, ...]
-    p_primes: tuple[int, ...]
-    q_primes: tuple[int, ...]
-    step_witness: tuple[frozenset[int], ...]
-    site_indices: tuple[int, ...] | None = None
+    edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
         k = self.k
         if k < 1:
             raise PathError("a path has at least one step")
-        if not (
-            len(self.sites) == k + 1
-            and len(self.q_primes) == len(self.step_witness) == k
-        ):
+        if len(self.sites) != k + 1:
             raise PathError("inconsistent path tuple lengths")
         allp = self.p_primes + self.q_primes
         if len(set(allp)) != 2 * k:
@@ -163,7 +153,7 @@ class Path:
 
     @property
     def k(self) -> int:
-        return len(self.p_primes)
+        return len(self.edges)
 
     @property
     def initial(self) -> Site:
@@ -173,21 +163,26 @@ class Path:
     def end(self) -> Site:
         return self.sites[-1]
 
-    def steps(self):
-        """(site, next site, p, q) for each step, in order."""
-        return zip(self.sites, self.sites[1:], self.p_primes, self.q_primes)
+    @cached_property
+    def p_primes(self) -> tuple[int, ...]:
+        return tuple(e.p for e in self.edges)
 
     @cached_property
+    def q_primes(self) -> tuple[int, ...]:
+        return tuple(e.q for e in self.edges)
+
+    @property
+    def site_indices(self) -> tuple[int, ...]:
+        return (self.edges[0].i,) + tuple(e.j for e in self.edges)
+
+    @property
     def step_edge_slack(self) -> tuple[Fraction, ...]:
         """The symmetric per-step deviations |x_t/p_t - x_{t+1}/q_t|."""
-        return tuple(edge_slack(*step) for step in self.steps())
+        return tuple(e.slack for e in self.edges)
 
     @property
     def common_witness(self) -> frozenset[int]:
-        out = self.step_witness[0]
-        for w in self.step_witness[1:]:
-            out &= w
-        return out
+        return frozenset.intersection(*(e.witness for e in self.edges))
 
     @property
     def modulus(self) -> Modulus:
@@ -204,45 +199,27 @@ def build_path(cfg: Configuration, edges: list[Edge] | tuple[Edge, ...]) -> Path
         if e.i != idxs[-1]:
             raise EndpointMismatch("edges do not chain")
         idxs.append(e.j)
-    return Path(
-        sites=tuple(cfg.sites[i] for i in idxs),
-        p_primes=tuple(e.p for e in edges),
-        q_primes=tuple(e.q for e in edges),
-        step_witness=tuple(e.witness for e in edges),
-        site_indices=tuple(idxs),
-    )
+    return Path(tuple(cfg.sites[i] for i in idxs), tuple(edges))
 
 
 def validate_path_modulus(path: Path, modulus: Modulus, eps_edge: Fraction) -> None:
-    """Check each step relation against the combined modulus, one coprime
-    combination at a time."""
-    factors = modulus.factors
-    if factors is None:
-        raise PathError("modulus validation needs the prime factor list")
-    for t, (a, b, p, q) in enumerate(path.steps()):
-        rel = p * a.alpha - q * b.alpha
-        if not factors:
-            continue
-        acc = factors[0]
-        if norm_mod(rel, acc) >= eps_edge:
-            raise PathError(f"step {t + 1} relation fails mod {acc}")
-        for w in factors[1:]:
-            if not combine_moduli(rel, acc, w, eps_edge):
-                raise PathError(f"step {t + 1} relation fails mod {acc * w}")
-            acc *= w
+    """Check each step relation ||p_t*alpha_t - q_t*alpha_{t+1}||_Q < eps_edge.
+
+    One decision per step at the whole modulus Q suffices: for every d
+    dividing Q, ||x||_d <= ||x||_Q, so it implies the relation modulo each
+    partial product of Q's prime factors.
+    """
+    for t, (a, b, e) in enumerate(zip(path.sites, path.sites[1:], path.edges)):
+        if norm_mod(e.p * a.alpha - e.q * b.alpha, modulus) >= eps_edge:
+            raise PathError(f"step {t + 1} relation fails mod {modulus.q}")
 
 
 def invert_path(path: Path) -> Path:
-    """Endpoint reversal: primes become (q_k..q_1, p_k..p_1).  An involution."""
-    return Path(
-        sites=tuple(reversed(path.sites)),
-        p_primes=tuple(reversed(path.q_primes)),
-        q_primes=tuple(reversed(path.p_primes)),
-        step_witness=tuple(reversed(path.step_witness)),
-        site_indices=(
-            tuple(reversed(path.site_indices)) if path.site_indices else None
-        ),
-    )
+    """Endpoint reversal: primes become (q_k..q_1, p_k..p_1).  An involution.
+
+    Each edge is taken backwards, with its slack and witness unchanged."""
+    edges = tuple(Edge(e.j, e.i, e.q, e.p, e.witness, e.slack) for e in path.edges)
+    return Path(tuple(reversed(path.sites)), edges[::-1])
 
 
 def concat_paths(a: Path, b: Path) -> Path:
@@ -254,17 +231,7 @@ def concat_paths(a: Path, b: Path) -> Path:
     sb = set(b.p_primes + b.q_primes)
     if sa & sb:
         raise PrimeCollision(f"paths share primes {sorted(sa & sb)}")
-    return Path(
-        sites=a.sites + b.sites[1:],
-        p_primes=a.p_primes + b.p_primes,
-        q_primes=a.q_primes + b.q_primes,
-        step_witness=a.step_witness + b.step_witness,
-        site_indices=(
-            a.site_indices + b.site_indices[1:]
-            if a.site_indices and b.site_indices
-            else None
-        ),
-    )
+    return Path(a.sites + b.sites[1:], a.edges + b.edges)
 
 
 def path_prepath(
@@ -715,13 +682,10 @@ def collision_census(
     rows = []
     share_endpoint = share_prime = diff_multiset = violations = 0
     two_p_pow = (2 * p_scale) ** (2 * k)
-    for gi, (key, group) in enumerate(sorted(groups.items())):
-        endpoint_idx = (
-            group[0].site_indices[-1] if group[0].site_indices is not None else gi
-        )
+    for _key, group in sorted(groups.items()):
         rows.append(
             EndpointCensusRow(
-                endpoint_idx,
+                group[0].site_indices[-1],
                 len(group),
                 budget,
                 len(group) <= budget if gate_ok else None,

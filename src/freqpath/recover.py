@@ -124,8 +124,8 @@ def find_disjoint_path_pairs(
     Both routes are split walks of length k; their 2k-prime sets must be
     disjoint and their witness intersections at least min_common_witness
     primes large.  The pair modulus is the product of the shared witness
-    primes, re-validated against every step relation through the checked
-    coprime combination.
+    primes; every step relation of both routes is re-validated once at that
+    whole modulus.
     """
     enum = enumerate_split_paths(
         inst.cfg, inst.edges, hub_index, k, limit=path_limit

@@ -5,8 +5,11 @@ pairs are found by scanning all p1*p2 candidates, peeling answers come from
 subset enumeration, and expected certificate values are recomputed by direct
 substitution.  The exact core (reduction mod Q, merge, pyramid, certificate
 bounds) has a reference in `fractions.Fraction` arithmetic, term by term,
-that the library's integer kernel must match exactly.  Tests freeze hand-derived
-constants where the setup is small enough to work out by hand.
+that the library's integer kernel must match exactly.  A path's modulus
+check, one decision per step, is matched against a prefix chain that
+decides each step at every partial product of the modulus's factors.
+Tests freeze hand-derived constants where the setup is small enough to
+work out by hand.
 
 One hypothesis profile is loaded for the whole suite: derandomised, with a
 bounded example count and no example database, so every run draws the same
@@ -22,14 +25,16 @@ from math import floor
 import pytest
 from hypothesis import settings
 
-from freqpath.pathgraph import Path, Site
+from freqpath.pathgraph import Edge, Path, PathError, Site
 from freqpath.primes import primes_in_range, prod
 from freqpath.pyramid import HypothesisViolation, PrePath, Pyramid, predicted_gap
 from freqpath.torus import (
     Modulus,
     TorusPoint,
     as_fraction,
+    combine_moduli,
     lift_roots,
+    norm_mod,
     reduce_mod,
     torus_norm,
 )
@@ -206,6 +211,25 @@ def ref_top_anchor(py: Pyramid, j: int) -> tuple[Fraction, Fraction]:
     return actual, b_dwn + pprod * b_fwd
 
 
+def ref_validate_path_modulus(path: Path, modulus: Modulus, eps_edge: Fraction) -> None:
+    """validate_path_modulus as a prefix chain: each step relation is decided
+    modulo the first factor, then at every longer product of the factors
+    through the checked coprime combination; a trivial modulus checks
+    nothing."""
+    factors = modulus.factors
+    for t, (a, b, e) in enumerate(zip(path.sites, path.sites[1:], path.edges)):
+        rel = e.p * a.alpha - e.q * b.alpha
+        if not factors:
+            continue
+        acc = factors[0]
+        if norm_mod(rel, acc) >= eps_edge:
+            raise PathError(f"step {t + 1} relation fails mod {acc}")
+        for w in factors[1:]:
+            if not combine_moduli(rel, acc, w, eps_edge):
+                raise PathError(f"step {t + 1} relation fails mod {acc * w}")
+            acc *= w
+
+
 def brute_min_degree_subset(n: int, adjacency: dict[int, set[int]], d_min: int) -> frozenset[int]:
     """Union of all subsets whose members each keep more than d_min neighbors
     inside; equals the unique maximal such subset."""
@@ -335,13 +359,25 @@ def planted_prepath(
     )
 
 
+def walk_path(sites, p_primes, q_primes, witnesses) -> Path:
+    """A hand-made walk over `sites` at configuration indices 0..k: step t
+    is an edge from t to t+1 through (p_t, q_t), with witness set
+    witnesses[t] and its exact slack |x_t/p_t - x_{t+1}/q_t|."""
+    sites = tuple(sites)
+    edges = tuple(
+        Edge(t, t + 1, p, q, w, abs(sites[t].x / p - sites[t + 1].x / q))
+        for t, (p, q, w) in enumerate(zip(p_primes, q_primes, witnesses))
+    )
+    return Path(sites, edges)
+
+
 def path_over(pp: PrePath) -> Path:
     """A path with the pre-path's primes whose sites carry its top anchors."""
-    return Path(
-        sites=tuple(Site(i + 1, a.value) for i, a in enumerate(pp.top_anchors)),
-        p_primes=pp.p_primes,
-        q_primes=pp.q_primes,
-        step_witness=(frozenset({2}),) * pp.k,
+    return walk_path(
+        (Site(i + 1, a.value) for i, a in enumerate(pp.top_anchors)),
+        pp.p_primes,
+        pp.q_primes,
+        (frozenset({2}),) * pp.k,
     )
 
 

@@ -191,6 +191,17 @@ def test_verify_bounds_stops_at_its_limit(tmp_path, params_file, monkeypatch):
     assert sum(built) == 60 and sum(built[:-1]) < 60
 
 
+def test_census_refuses_a_truncated_family(tmp_path, params_file):
+    instance = synth_dir(tmp_path, params_file, "inst") / "instance.json"
+    for limit, rc_want in (("1", 1), ("1000", 0)):
+        out = tmp_path / f"census_{limit}"
+        rc = main(["census", "--out", str(out), "--instance", str(instance),
+                   "--k", "2", "--limit", limit])
+        doc = json.loads((out / "census_report.json").read_text())
+        assert rc == rc_want and doc["pass"] is (rc_want == 0)
+        assert any(e["truncated"] for e in doc["census"]) is (rc_want == 1)
+
+
 # The README walkthrough instance: its k=3 recovery reaches one target.
 README_PARAMS = dict(
     WEB_PARAMS, site_count=300, web_pair_targets=6, web_diamonds=0, web_chain_len=4

@@ -7,8 +7,18 @@ from fractions import Fraction as F
 
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import brute_min_degree_subset, path_over, planted_prepath
+from conftest import (
+    MODULUS_PRIMES,
+    SMALL_PRIMES,
+    brute_min_degree_subset,
+    path_over,
+    planted_prepath,
+    ref_validate_path_modulus,
+    walk_path,
+)
 from freqpath.pathgraph import (
     Configuration,
     Edge,
@@ -21,6 +31,7 @@ from freqpath.pathgraph import (
     collision_census,
     concat_paths,
     count_close_products,
+    edge_witness,
     enumerate_split_paths,
     invert_path,
     path_prepath,
@@ -30,9 +41,10 @@ from freqpath.pathgraph import (
     route_count_gate_max_k,
     top_anchor_actuals,
     top_anchor_certificate,
+    validate_path_modulus,
 )
 from freqpath.primes import prod
-from freqpath.pyramid import PrePath, PrePathError, build_pyramid
+from freqpath.pyramid import HypothesisViolation, PrePath, PrePathError, build_pyramid
 from freqpath.synth import Params, gen_instance
 from freqpath.torus import Modulus
 
@@ -70,13 +82,7 @@ def generator_paths(seeds=range(3), k_max: int = 8, cap: int = 200) -> list[Path
 
 
 def simple_path(xs, ps, qs, witness=frozenset({5, 7})) -> Path:
-    sites = tuple(Site(F(x), F(0)) for x in xs)
-    return Path(
-        sites=sites,
-        p_primes=tuple(ps),
-        q_primes=tuple(qs),
-        step_witness=(witness,) * len(ps),
-    )
+    return walk_path((Site(F(x), F(0)) for x in xs), ps, qs, (witness,) * len(ps))
 
 
 class TestPathAlgebra:
@@ -174,12 +180,7 @@ class TestAnchorCertificates:
             Site(F(10**6) * F(157, 101), a0 * F(101, 157)),
             Site(F(10**6) * F(157 * 163, 101 * 103), a0 * F(101 * 103, 157 * 163)),
         ]
-        ell = Path(
-            sites=tuple(s),
-            p_primes=(101, 103),
-            q_primes=(157, 163),
-            step_witness=(frozenset({5}), frozenset({7})),
-        )
+        ell = walk_path(s, (101, 103), (157, 163), (frozenset({5}), frozenset({7})))
         assert ell.modulus.q == 1 and ell.modulus.factors == ()
         pp = path_prepath(ell, F(1, 8))
         assert pp.modulus.q == 1
@@ -249,12 +250,7 @@ class TestAnchorCertificates:
                 continue
             found += 1
             head_edges = ell.k // 2
-            head = Path(
-                sites=ell.sites[: head_edges + 1],
-                p_primes=ell.p_primes[:head_edges],
-                q_primes=ell.q_primes[:head_edges],
-                step_witness=ell.step_witness[:head_edges],
-            )
+            head = Path(ell.sites[: head_edges + 1], ell.edges[:head_edges])
             modulus = path_prepath(ell, F(1, 8)).modulus
             full_col = build_pyramid(path_prepath(ell, F(1, 8))).anchor_column
             head_col = build_pyramid(
@@ -284,6 +280,77 @@ class TestAnchorCertificates:
                     bound = top_anchor_certificate(path, pyr, j).bound
                     assert top_anchor_actuals(path, py.top, j) <= bound
                     assert top_anchor_actuals(path, pyi.top, j) <= bound
+
+
+class TestStepRelations:
+    def test_witness_excludes_the_tolerance_itself(self):
+        # ||101*0 - 157/(8*157)||_w is exactly 1/8 for w = 5 and w = 7; the
+        # pre-path hypotheses are strict, so a path over an edge witnessed
+        # there would be refused
+        a, b = Site(F(1000), F(0)), Site(F(1555), F(1, 8 * 157))
+        eps = F(1, 8)
+        with pytest.raises(HypothesisViolation):
+            path_prepath(walk_path((a, b), (101,), (157,), ({5, 7},)), eps)
+        assert edge_witness(a, b, 101, 157, (5, 7), eps) == frozenset()
+        wider = eps + F(1, 10**9)
+        witness = edge_witness(a, b, 101, 157, (5, 7), wider)
+        assert witness == {5, 7}
+        path_prepath(walk_path((a, b), (101,), (157,), (witness,)), wider)
+
+    @staticmethod
+    def verdict(check, path, modulus, eps):
+        """None when the check accepts, else the failing step's label."""
+        try:
+            check(path, modulus, eps)
+        except PathError as exc:
+            return str(exc).split(" relation")[0]
+        return None
+
+    @pytest.mark.parametrize(
+        "rel, want",
+        [(F(1, 16) + 35, None), (F(1, 8) + 35, "step 1"), (F(1, 16) + 5, "step 1")],
+        ids=["inside", "exactly_eps", "inside_mod_5_only"],
+    )
+    def test_step_relation_at_whole_modulus(self, rel, want):
+        modulus, eps = Modulus(35, (5, 7)), F(1, 8)
+        ell = walk_path((Site(1, F(0)), Site(2, -rel / 23)), (11,), (23,), ({5, 7},))
+        for check in (validate_path_modulus, ref_validate_path_modulus):
+            assert self.verdict(check, ell, modulus, eps) == want
+
+    @given(st.data())
+    def test_one_decision_matches_prefix_chain(self, data):
+        # every step relation lies strictly inside eps plus a multiple of Q,
+        # except step `odd` (none when odd == k): its relation is eps times
+        # a ratio in [-2, 2] (exactly 1 included) plus a multiple of a
+        # partial product of the factors, so it may fail at the first
+        # factor, only at a longer product, exactly at eps, or pass.
+        # Recovery's pair moduli always have at least one factor.
+        factors = tuple(sorted(data.draw(st.lists(
+            st.sampled_from(MODULUS_PRIMES), min_size=1, max_size=3, unique=True))))
+        modulus = Modulus(prod(factors), factors)
+        partial = [prod(factors[:i]) for i in range(len(factors) + 1)]
+        eps = data.draw(st.fractions(F(1, 100), F(49, 100), max_denominator=100))
+        k = data.draw(st.integers(1, 3))
+        odd = data.draw(st.integers(0, k))
+        primes = data.draw(st.lists(
+            st.sampled_from(SMALL_PRIMES), min_size=2 * k, max_size=2 * k, unique=True))
+        ps, qs = primes[:k], primes[k:]
+        alphas = [data.draw(st.fractions(0, 1, max_denominator=1000))]
+        for t in range(k):
+            if t == odd:
+                ratio = data.draw(st.one_of(
+                    st.just(F(1)), st.fractions(-2, 2, max_denominator=64)))
+                unit = data.draw(st.sampled_from(partial))
+            else:
+                ratio = data.draw(st.fractions(-1, 1, max_denominator=64).filter(
+                    lambda r: abs(r) < 1))
+                unit = modulus.q
+            rel = ratio * eps + unit * data.draw(st.integers(0, modulus.q))
+            alphas.append((ps[t] * alphas[t] - rel) / qs[t])
+        ell = walk_path((Site(i + 1, a) for i, a in enumerate(alphas)),
+                        ps, qs, (frozenset(factors),) * k)
+        assert self.verdict(validate_path_modulus, ell, modulus, eps) == self.verdict(
+            ref_validate_path_modulus, ell, modulus, eps)
 
 
 def line_config(n: int = 3):
@@ -442,11 +509,11 @@ class TestCollisionCensus:
 
         def path_of(*steps):
             st = [steps[0][0]] + [s[1] for s in steps]
-            return Path(
-                sites=tuple(st),
-                p_primes=tuple(s[2] for s in steps),
-                q_primes=tuple(s[3] for s in steps),
-                step_witness=(frozenset({5}),) * len(steps),
+            return walk_path(
+                st,
+                [s[2] for s in steps],
+                [s[3] for s in steps],
+                (frozenset({5}),) * len(steps),
             )
 
         r1 = path_of(mk("b", "z1", 11, 17), mk("z1", "y", 13, 19))
@@ -469,12 +536,7 @@ class TestCollisionCensus:
         base = F(2000)
         y = base * F(13, 11)
         s0, s1 = Site(base, F(0)), Site(y, F(0))
-        mk_path = lambda p, q: Path(
-            sites=(s0, s1),
-            p_primes=(p,),
-            q_primes=(q,),
-            step_witness=(frozenset({5}),),
-        )
+        mk_path = lambda p, q: walk_path((s0, s1), (p,), (q,), (frozenset({5}),))
         r1, r2 = mk_path(11, 13), mk_path(23, 29)
         num = prod(r1.q_primes) * prod(r2.p_primes)
         den = prod(r1.p_primes) * prod(r2.q_primes)
