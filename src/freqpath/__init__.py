@@ -29,6 +29,7 @@ from .pathgraph import (  # noqa: F401
     Edge,
     Path,
     Site,
+    SplitWalks,
     anchor_bound_certificate,
     collision_census,
     concat_paths,

@@ -14,8 +14,8 @@ from pathlib import Path as FsPath
 
 from . import __version__
 from .pathgraph import (
+    SplitWalks,
     collision_census,
-    enumerate_split_paths,
     ratio_drift_certificate,
     top_anchor_certificate,
     path_prepath,
@@ -118,13 +118,12 @@ def cmd_verify_bounds(args) -> int:
     pyramids: list[dict] = []
     ok = True
     n_paths = 0
+    walks = SplitWalks(inst.cfg, inst.edges)
     starts = range(len(inst.cfg.sites))
     for start, k in itertools.product(starts, range(1, args.k + 1)):
         if n_paths >= args.limit:
             break
-        enum = enumerate_split_paths(
-            inst.cfg, inst.edges, start, k, limit=args.limit - n_paths
-        )
+        enum = walks.walks(start, k, limit=args.limit - n_paths)
         for pid, path in enumerate(enum.paths):
             n_paths += 1
             path_id = f"{start}:{k}:{pid}"
@@ -167,10 +166,9 @@ def cmd_census(args) -> int:
     params = inst.params
     reports = []
     ok = True
+    walks = SplitWalks(inst.cfg, inst.edges)
     for start in range(len(inst.cfg.sites)):
-        enum = enumerate_split_paths(
-            inst.cfg, inst.edges, start, args.k, limit=args.limit
-        )
+        enum = walks.walks(start, args.k, limit=args.limit)
         ok &= not enum.truncated
         if not enum.paths:
             continue

@@ -6,6 +6,10 @@ threshold and p*alpha_i - q*alpha_j small modulo each prime in its witness
 set.  Paths chain edges under a global all-distinct-primes rule and induce
 pre-paths, so every layered bound becomes a computable certificate with the
 implicit constants replaced by exact telescoped sums.
+
+Split walks come from a `SplitWalks`, which holds one instance's split
+adjacency: a command that walks from every start site (`census`,
+`verify-bounds`) builds it once per instance and walks each start from it.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, log
+from math import factorial, lcm, log
 
 from .primes import primes_in_range, prod
 from .pyramid import PrePath, PrePathError, Pyramid, gap_denominator
@@ -80,12 +84,17 @@ class Configuration:
         object.__setattr__(self, "split_p2", frozenset(self.split_p2))
         if self.split_p1 & self.split_p2:
             raise PathError("split prime sets must be disjoint")
-        xs = sorted(s.x for s in self.sites)
+        # over the lcm D of the x denominators, b - a < s is decided as
+        # (B - A) * s_den < s_num * D on the integers B = b*D, A = a*D
+        scale = lcm(*(s.x.denominator for s in self.sites))
+        xs = sorted(s.x.numerator * (scale // s.x.denominator) for s in self.sites)
+        sep = self.separation
+        scaled_sep = sep.numerator * scale
         for a, b in zip(xs, xs[1:]):
-            if b - a < self.separation:
+            if (b - a) * sep.denominator < scaled_sep:
                 raise PathError(
-                    f"sites {a} and {b} are closer than the separation "
-                    f"{self.separation}"
+                    f"sites {Fraction(a, scale)} and {Fraction(b, scale)} are "
+                    f"closer than the separation {sep}"
                 )
 
 
@@ -147,6 +156,12 @@ class Path:
             raise PathError("a path has at least one step")
         if len(self.sites) != k + 1:
             raise PathError("inconsistent path tuple lengths")
+        for t, (e, f) in enumerate(zip(self.edges, self.edges[1:])):
+            if e.j != f.i:
+                raise EndpointMismatch(
+                    f"step {t + 1} ends at site {e.j} but step {t + 2} "
+                    f"starts at site {f.i}"
+                )
         allp = self.p_primes + self.q_primes
         if len(set(allp)) != 2 * k:
             raise PrimeCollision(f"path primes must all be distinct: {allp}")
@@ -191,14 +206,11 @@ class Path:
 
 
 def build_path(cfg: Configuration, edges: list[Edge] | tuple[Edge, ...]) -> Path:
-    """Assemble a Path from consecutive forward-oriented edges."""
+    """Assemble a Path from consecutive forward-oriented edges (the Path
+    checks that they chain)."""
     if not edges:
         raise PathError("empty edge sequence")
-    idxs = [edges[0].i]
-    for e in edges:
-        if e.i != idxs[-1]:
-            raise EndpointMismatch("edges do not chain")
-        idxs.append(e.j)
+    idxs = (edges[0].i,) + tuple(e.j for e in edges)
     return Path(tuple(cfg.sites[i] for i in idxs), tuple(edges))
 
 
@@ -432,6 +444,61 @@ class PathEnumeration:
     truncated: bool
 
 
+class SplitWalks:
+    """The split walks of one instance, all walked from one adjacency.
+
+    The adjacency keeps the split-oriented edges only (p-label from the
+    first split set, q-label from the second), each under its tail site in
+    ascending edge index, so every walk's output order is deterministic.
+    """
+
+    def __init__(
+        self, cfg: Configuration, edges: list[Edge] | tuple[Edge, ...]
+    ) -> None:
+        self.cfg = cfg
+        self.out_edges: dict[int, list[Edge]] = {}
+        for e in edges:
+            if e.p in cfg.split_p1 and e.q in cfg.split_p2:
+                self.out_edges.setdefault(e.i, []).append(e)
+
+    def walks(self, start: int, k: int, limit: int = 10000) -> PathEnumeration:
+        """Depth-first enumeration of split walks of length k from `start`.
+
+        Edges are traversed in their stored orientation only; the 2k primes
+        along a walk must be globally distinct.  Enumeration stops at
+        `limit` with the truncation flag raised.
+        """
+        if k < 1:
+            raise PathError("path length must be at least 1")
+        cfg, out_edges = self.cfg, self.out_edges
+        results: list[Path] = []
+        truncated = limit == 0
+
+        def walk(u: int, used: set[int], acc: list[Edge]) -> bool:
+            nonlocal truncated
+            if len(acc) == k:
+                if len(results) >= limit:
+                    truncated = True
+                    return False
+                results.append(build_path(cfg, acc))
+                return True
+            for e in out_edges.get(u, ()):
+                if e.p in used or e.q in used:
+                    continue
+                used.update((e.p, e.q))
+                acc.append(e)
+                ok = walk(e.j, used, acc)
+                acc.pop()
+                used.difference_update((e.p, e.q))
+                if not ok:
+                    return False
+            return True
+
+        if limit > 0:
+            walk(start, set(), [])
+        return PathEnumeration(tuple(results), truncated)
+
+
 def enumerate_split_paths(
     cfg: Configuration,
     edges: list[Edge] | tuple[Edge, ...],
@@ -439,46 +506,9 @@ def enumerate_split_paths(
     k: int,
     limit: int = 10000,
 ) -> PathEnumeration:
-    """Depth-first enumeration of split walks of length k from site `start`.
-
-    Edges are traversed in their stored orientation only (p-label from the
-    first split set, q-label from the second); the 2k primes along a walk
-    must be globally distinct.  Exploration follows ascending edge index,
-    so the output order is deterministic; enumeration stops at `limit`
-    with the truncation flag raised.
-    """
-    if k < 1:
-        raise PathError("path length must be at least 1")
-    out_edges: dict[int, list[Edge]] = {}
-    for e in edges:
-        if e.p in cfg.split_p1 and e.q in cfg.split_p2:
-            out_edges.setdefault(e.i, []).append(e)
-    results: list[Path] = []
-    truncated = limit == 0
-
-    def walk(u: int, used: set[int], acc: list[Edge]) -> bool:
-        nonlocal truncated
-        if len(acc) == k:
-            if len(results) >= limit:
-                truncated = True
-                return False
-            results.append(build_path(cfg, acc))
-            return True
-        for e in out_edges.get(u, ()):
-            if e.p in used or e.q in used:
-                continue
-            used.update((e.p, e.q))
-            acc.append(e)
-            ok = walk(e.j, used, acc)
-            acc.pop()
-            used.difference_update((e.p, e.q))
-            if not ok:
-                return False
-        return True
-
-    if limit > 0:
-        walk(start, set(), [])
-    return PathEnumeration(tuple(results), truncated)
+    """Split walks of length k from site `start`, from an adjacency built for
+    this one call; see `SplitWalks.walks`."""
+    return SplitWalks(cfg, edges).walks(start, k, limit)
 
 
 def peel_regular(

@@ -7,7 +7,9 @@ substitution.  The exact core (reduction mod Q, merge, pyramid, certificate
 bounds) has a reference in `fractions.Fraction` arithmetic, term by term,
 that the library's integer kernel must match exactly.  A path's modulus
 check, one decision per step, is matched against a prefix chain that
-decides each step at every partial product of the modulus's factors.
+decides each step at every partial product of the modulus's factors;
+split walks are matched against an enumerator that rebuilds the adjacency
+on every call, and the integer separation check against sorted Fractions.
 Tests freeze hand-derived constants where the setup is small enough to
 work out by hand.
 
@@ -25,7 +27,14 @@ from math import floor
 import pytest
 from hypothesis import settings
 
-from freqpath.pathgraph import Edge, Path, PathError, Site
+from freqpath.pathgraph import (
+    Configuration,
+    Edge,
+    Path,
+    PathEnumeration,
+    PathError,
+    Site,
+)
 from freqpath.primes import primes_in_range, prod
 from freqpath.pyramid import HypothesisViolation, PrePath, Pyramid, predicted_gap
 from freqpath.torus import (
@@ -230,6 +239,60 @@ def ref_validate_path_modulus(path: Path, modulus: Modulus, eps_edge: Fraction) 
             acc *= w
 
 
+def ref_separation_error(xs, separation) -> str | None:
+    """The message Configuration raises for sites at positions `xs`, by
+    sorting the Fractions and subtracting each neighbour pair; None when
+    every gap is at least the separation."""
+    xs = sorted(Fraction(x) for x in xs)
+    separation = Fraction(separation)
+    for a, b in zip(xs, xs[1:]):
+        if b - a < separation:
+            return f"sites {a} and {b} are closer than the separation {separation}"
+    return None
+
+
+def ref_enumerate_split_paths(
+    cfg: Configuration, edges, start: int, k: int, limit: int = 10000
+) -> PathEnumeration:
+    """Split walks of length k from `start`, rebuilding the split adjacency
+    on every call: depth-first over edges in ascending index, stored
+    orientation only, globally distinct primes, stopping at `limit` with
+    the truncation flag raised."""
+    if k < 1:
+        raise PathError("path length must be at least 1")
+    out_edges: dict[int, list[Edge]] = {}
+    for e in edges:
+        if e.p in cfg.split_p1 and e.q in cfg.split_p2:
+            out_edges.setdefault(e.i, []).append(e)
+    results: list[Path] = []
+    truncated = limit == 0
+
+    def walk(u: int, used: set[int], acc: list[Edge]) -> bool:
+        nonlocal truncated
+        if len(acc) == k:
+            if len(results) >= limit:
+                truncated = True
+                return False
+            idxs = [acc[0].i] + [e.j for e in acc]
+            results.append(Path(tuple(cfg.sites[i] for i in idxs), tuple(acc)))
+            return True
+        for e in out_edges.get(u, ()):
+            if e.p in used or e.q in used:
+                continue
+            used.update((e.p, e.q))
+            acc.append(e)
+            ok = walk(e.j, used, acc)
+            acc.pop()
+            used.difference_update((e.p, e.q))
+            if not ok:
+                return False
+        return True
+
+    if limit > 0:
+        walk(start, set(), [])
+    return PathEnumeration(tuple(results), truncated)
+
+
 def brute_min_degree_subset(n: int, adjacency: dict[int, set[int]], d_min: int) -> frozenset[int]:
     """Union of all subsets whose members each keep more than d_min neighbors
     inside; equals the unique maximal such subset."""
@@ -359,13 +422,14 @@ def planted_prepath(
     )
 
 
-def walk_path(sites, p_primes, q_primes, witnesses) -> Path:
-    """A hand-made walk over `sites` at configuration indices 0..k: step t
-    is an edge from t to t+1 through (p_t, q_t), with witness set
-    witnesses[t] and its exact slack |x_t/p_t - x_{t+1}/q_t|."""
+def walk_path(sites, p_primes, q_primes, witnesses, first: int = 0) -> Path:
+    """A hand-made walk over `sites` at configuration indices first..first+k:
+    step t is an edge from first+t to first+t+1 through (p_t, q_t), with
+    witness set witnesses[t] and its exact slack |x_t/p_t - x_{t+1}/q_t|."""
     sites = tuple(sites)
     edges = tuple(
-        Edge(t, t + 1, p, q, w, abs(sites[t].x / p - sites[t + 1].x / q))
+        Edge(first + t, first + t + 1, p, q, w,
+             abs(sites[t].x / p - sites[t + 1].x / q))
         for t, (p, q, w) in enumerate(zip(p_primes, q_primes, witnesses))
     )
     return Path(sites, edges)

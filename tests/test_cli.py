@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from freqpath.cli import main
-from freqpath.pathgraph import enumerate_split_paths
+from freqpath.pathgraph import SplitWalks
 from freqpath.synth import Params
 
 
@@ -173,13 +173,14 @@ class TestPipelineCommands:
 
 def test_verify_bounds_stops_at_its_limit(tmp_path, params_file, monkeypatch):
     built: list[int] = []
+    walks = SplitWalks.walks
 
-    def counting(*args, **kwargs):
-        enum = enumerate_split_paths(*args, **kwargs)
+    def counting(self, *args, **kwargs):
+        enum = walks(self, *args, **kwargs)
         built.append(len(enum.paths))
         return enum
 
-    monkeypatch.setattr("freqpath.cli.enumerate_split_paths", counting)
+    monkeypatch.setattr(SplitWalks, "walks", counting)
     instance = synth_dir(tmp_path, params_file, "inst") / "instance.json"
     rc = main(["verify-bounds", "--out", str(tmp_path / "vb"), "--instance",
                str(instance), "--k", "2", "--limit", "60"])
@@ -189,6 +190,28 @@ def test_verify_bounds_stops_at_its_limit(tmp_path, params_file, monkeypatch):
     # every path built is certified, and no enumeration follows the one
     # that reached the cap
     assert sum(built) == 60 and sum(built[:-1]) < 60
+
+
+@pytest.mark.parametrize("command", ["census", "verify-bounds"])
+def test_one_adjacency_per_command(tmp_path, params_file, monkeypatch, command):
+    adjacencies: list[int] = []
+    starts: set[int] = set()
+
+    class Counting(SplitWalks):
+        def __init__(self, *args):
+            adjacencies.append(1)
+            super().__init__(*args)
+
+        def walks(self, start, *args, **kwargs):
+            starts.add(start)
+            return super().walks(start, *args, **kwargs)
+
+    monkeypatch.setattr("freqpath.cli.SplitWalks", Counting)
+    instance = synth_dir(tmp_path, params_file, "inst") / "instance.json"
+    rc = main([command, "--out", str(tmp_path / "out"), "--instance", str(instance),
+               "--k", "2", "--limit", "10000"])
+    assert rc == 0
+    assert len(adjacencies) == 1 and len(starts) == WEB_PARAMS["site_count"]
 
 
 def test_census_refuses_a_truncated_family(tmp_path, params_file):

@@ -16,6 +16,8 @@ from conftest import (
     brute_min_degree_subset,
     path_over,
     planted_prepath,
+    ref_enumerate_split_paths,
+    ref_separation_error,
     ref_validate_path_modulus,
     walk_path,
 )
@@ -27,6 +29,7 @@ from freqpath.pathgraph import (
     PathError,
     PrimeCollision,
     Site,
+    SplitWalks,
     anchor_bound_certificate,
     collision_census,
     concat_paths,
@@ -47,6 +50,7 @@ from freqpath.primes import prod
 from freqpath.pyramid import HypothesisViolation, PrePath, PrePathError, build_pyramid
 from freqpath.synth import Params, gen_instance
 from freqpath.torus import Modulus
+from test_e2e import e2e_params
 
 
 def chain_instance(seed: int, chains: int = 5, length: int = 8):
@@ -81,8 +85,10 @@ def generator_paths(seeds=range(3), k_max: int = 8, cap: int = 200) -> list[Path
     return out
 
 
-def simple_path(xs, ps, qs, witness=frozenset({5, 7})) -> Path:
-    return walk_path((Site(F(x), F(0)) for x in xs), ps, qs, (witness,) * len(ps))
+def simple_path(xs, ps, qs, witness=frozenset({5, 7}), first: int = 0) -> Path:
+    return walk_path(
+        (Site(F(x), F(0)) for x in xs), ps, qs, (witness,) * len(ps), first
+    )
 
 
 class TestPathAlgebra:
@@ -99,7 +105,7 @@ class TestPathAlgebra:
 
     def test_concat(self):
         a = simple_path([1000, 1182], [11], [13])
-        b = simple_path([1182, 1280], [23], [29])
+        b = simple_path([1182, 1280], [23], [29], first=1)
         ab = concat_paths(a, b)
         assert ab.k == 2
         assert ab.p_primes == (11, 23) and ab.q_primes == (13, 29)
@@ -118,10 +124,19 @@ class TestPathAlgebra:
 
     def test_inverse_distributes_over_concat(self):
         a = simple_path([1000, 1182], [11], [13])
-        b = simple_path([1182, 1280], [23], [29])
+        b = simple_path([1182, 1280], [23], [29], first=1)
         lhs = invert_path(concat_paths(a, b))
         rhs = concat_paths(invert_path(b), invert_path(a))
         assert lhs == rhs
+
+    def test_concat_refuses_unchained_edges(self):
+        # both walks run 0 -> 1, so the join would read site_indices (0, 1, 1)
+        a = simple_path([1000, 1182], [11], [13])
+        b = simple_path([1182, 1280], [23], [29])
+        with pytest.raises(EndpointMismatch, match="step 1 ends at site 1"):
+            concat_paths(a, b)
+        with pytest.raises(EndpointMismatch):
+            Path(a.sites + b.sites[1:], a.edges + b.edges)
 
     def test_path_rejects_repeated_primes(self):
         with pytest.raises(PrimeCollision):
@@ -399,6 +414,57 @@ class TestEnumeration:
         cfg = line_config()
         edges = [make_edge(cfg, 0, 1, 13, 11)]  # p-label from the wrong set
         assert enumerate_split_paths(cfg, edges, 0, 1).paths == ()
+
+    @pytest.mark.parametrize(
+        "seed, mode, q_star",
+        [(seed, mode, q) for seed in range(3)
+         for mode, q in (("archimedean", 1), ("rational", 6))] + [(0, "chain", 1)],
+    )
+    def test_walks_match_reference(self, seed, mode, q_star):
+        # same paths, same order, same truncation flag, from every start
+        if mode == "chain":
+            inst = chain_instance(seed)
+        else:
+            inst = gen_instance(e2e_params(seed), mode=mode, t_star=F(10**5),
+                                q_star=q_star)
+        walks = SplitWalks(inst.cfg, inst.edges)
+        for start, k in itertools.product(range(len(inst.cfg.sites)), (1, 2, 3)):
+            for limit in (0, 1, 8):
+                assert walks.walks(start, k, limit) == ref_enumerate_split_paths(
+                    inst.cfg, inst.edges, start, k, limit)
+            assert walks.walks(start, k) == ref_enumerate_split_paths(
+                inst.cfg, inst.edges, start, k)
+
+
+class TestSeparation:
+    @staticmethod
+    def verdict(xs, separation):
+        """None when the configuration is accepted, else its error text."""
+        try:
+            Configuration(tuple(Site(x, F(0)) for x in xs), separation,
+                          frozenset({11}), frozenset({13}))
+        except PathError as exc:
+            return str(exc)
+        return None
+
+    def test_gap_equal_to_separation(self):
+        sep = F(100, 7)
+        assert self.verdict([F(1000, 3), F(1000, 3) + sep], sep) is None
+        assert self.verdict([F(1000, 3) + sep - F(1, 10**9), F(1000, 3)], sep) == (
+            f"sites {F(1000, 3)} and {F(1000, 3) + sep - F(1, 10**9)} are closer "
+            f"than the separation {sep}")
+
+    @given(st.data())
+    def test_integer_check_matches_fractions(self, data):
+        # the sites, in drawn order, sit at running sums of gaps; a gap is
+        # the separation exactly, or anything from 0 to three times it
+        sep = data.draw(st.fractions(F(1, 50), 50, max_denominator=50))
+        gaps = data.draw(st.lists(
+            st.one_of(st.just(sep), st.fractions(0, 3 * sep, max_denominator=60)),
+            min_size=1, max_size=8))
+        x0 = data.draw(st.fractions(F(1, 7), 10**6, max_denominator=1000))
+        xs = data.draw(st.permutations(list(itertools.accumulate(gaps, initial=x0))))
+        assert self.verdict(xs, sep) == ref_separation_error(xs, sep)
 
 
 class TestPeeling:
