@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm, log
+from collections.abc import Iterable
 
 from .primes import primes_in_range, prod
 from .pyramid import PrePath, PrePathError, Pyramid, gap_denominator
@@ -27,7 +28,6 @@ from .torus import (
     Rational,
     as_fraction,
     frac_to_str,
-    norm_mod,
     reduce_mod,
     scaled_gap,
 )
@@ -64,6 +64,27 @@ class Site:
             raise PathError(f"site position must be positive, got {self.x}")
 
 
+def scaled_positions(xs: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(D, the integers x*D ascending): D is the lcm of the denominators, so
+    every comparison of positions, or of a gap b - a with a rational s, is
+    decided on integers: b - a < s iff (B - A) * s_den < s_num * D."""
+    xs = list(xs)
+    scale = lcm(*(x.denominator for x in xs))
+    return scale, sorted(x.numerator * (scale // x.denominator) for x in xs)
+
+
+def close_pair(
+    scale: int, ints: list[int], separation: Fraction
+) -> tuple[int, int] | None:
+    """The first neighbours (A, B) of the ascending scaled positions `ints`
+    closer than `separation`, or None when every gap is at least it."""
+    sep_den, scaled_sep = separation.denominator, separation.numerator * scale
+    for a, b in zip(ints, ints[1:]):
+        if (b - a) * sep_den < scaled_sep:
+            return a, b
+    return None
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Separated sites plus a split partition of the edge-prime pool.
@@ -84,18 +105,14 @@ class Configuration:
         object.__setattr__(self, "split_p2", frozenset(self.split_p2))
         if self.split_p1 & self.split_p2:
             raise PathError("split prime sets must be disjoint")
-        # over the lcm D of the x denominators, b - a < s is decided as
-        # (B - A) * s_den < s_num * D on the integers B = b*D, A = a*D
-        scale = lcm(*(s.x.denominator for s in self.sites))
-        xs = sorted(s.x.numerator * (scale // s.x.denominator) for s in self.sites)
-        sep = self.separation
-        scaled_sep = sep.numerator * scale
-        for a, b in zip(xs, xs[1:]):
-            if (b - a) * sep.denominator < scaled_sep:
-                raise PathError(
-                    f"sites {Fraction(a, scale)} and {Fraction(b, scale)} are "
-                    f"closer than the separation {sep}"
-                )
+        scale, xs = scaled_positions(s.x for s in self.sites)
+        pair = close_pair(scale, xs, self.separation)
+        if pair:
+            a, b = pair
+            raise PathError(
+                f"sites {Fraction(a, scale)} and {Fraction(b, scale)} are "
+                f"closer than the separation {self.separation}"
+            )
 
 
 @dataclass(frozen=True)
@@ -126,13 +143,32 @@ class Edge:
             raise PathError("edge witness set must be nonempty")
 
 
+def edge_relation(a: Site, b: Site, p: int, q: int) -> tuple[int, int]:
+    """p*alpha_a - q*alpha_b as an unreduced pair (N, D), the value N/D.
+
+    With alpha_a = n_a/d_a and alpha_b = n_b/d_b, N = p*n_a*d_b - q*n_b*d_a
+    and D = d_a*d_b > 0; N may be negative."""
+    na, da = a.alpha.numerator, a.alpha.denominator
+    nb, db = b.alpha.numerator, b.alpha.denominator
+    return p * na * db - q * nb * da, da * db
+
+
+def relation_below(rel: tuple[int, int], w: int, eps: Fraction) -> bool:
+    """Whether ||N/D||_w < eps for rel = (N, D), decided on integers: with
+    r = N mod w*D in [0, w*D) the norm is min(r, w*D - r)/D."""
+    n, d = rel
+    m = w * d
+    r = n % m
+    return min(r, m - r) * eps.denominator < eps.numerator * d
+
+
 def edge_witness(
     a: Site, b: Site, p: int, q: int, witness_pool: tuple[int, ...], eps_edge: Fraction
 ) -> frozenset[int]:
     """Exact witness computation: primes w in the pool for which
     ||p*alpha_a - q*alpha_b||_w < eps_edge."""
-    rel = p * a.alpha - q * b.alpha
-    return frozenset(w for w in witness_pool if norm_mod(rel, w) < eps_edge)
+    rel = edge_relation(a, b, p, q)
+    return frozenset(w for w in witness_pool if relation_below(rel, w, eps_edge))
 
 
 @dataclass(frozen=True)
@@ -222,7 +258,7 @@ def validate_path_modulus(path: Path, modulus: Modulus, eps_edge: Fraction) -> N
     partial product of Q's prime factors.
     """
     for t, (a, b, e) in enumerate(zip(path.sites, path.sites[1:], path.edges)):
-        if norm_mod(e.p * a.alpha - e.q * b.alpha, modulus) >= eps_edge:
+        if not relation_below(edge_relation(a, b, e.p, e.q), modulus.q, eps_edge):
             raise PathError(f"step {t + 1} relation fails mod {modulus.q}")
 
 

@@ -8,25 +8,34 @@ integer multiple of every witness prime at once, so edge consistency is
 decided by the archimedean part alone.  Every emitted edge is verified
 against both thresholds exactly; nothing about an instance is sampled
 without being re-checked.
+
+Placement, the physical candidate search and the witness check are decided
+on integer-scaled values: sites on the common grid 1/S of every position
+they can take, candidate distances over the lcm of the site denominators,
+and each witness norm on the numerator of p*alpha_i - q*alpha_j over
+d_i*d_j.  A Fraction is built only for a value the instance holds.
 """
 from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, compress, count, islice, repeat
 from math import exp, gcd, lcm, log, sqrt
+from operator import add, getitem, le, sub
 
 from .pathgraph import (
     Configuration,
     Edge,
     Site,
+    close_pair,
     edge_witness,
     route_count_gate_max_k,
+    scaled_positions,
 )
 from .primes import primes_in_range, prod
 from .torus import (
@@ -251,7 +260,7 @@ class Instance:
         return Instance(self.cfg, self.edges, None, self.params)
 
 
-def _try_place(placed: list[Fraction], x: Fraction, lo, hi, sep) -> bool:
+def _try_place(placed: list[int], x: int, lo: int, hi: int, sep: int) -> bool:
     if not lo <= x <= hi:
         return False
     pos = bisect_left(placed, x)
@@ -338,12 +347,36 @@ def _group_routes(group: tuple[int, int, int, int, int]) -> tuple[Route, ...]:
 
 
 def _place_sites(params: Params, rng: random.Random, q_star: int) -> list[Fraction]:
+    """The ascending sites of an instance.
+
+    Every site is a grid point lo + slot*sep times a ratio prod(qs)/prod(ps)
+    of split primes: the ps are distinct primes of the p-side set p1s (a
+    route's two primes, a diamond's sample of two, a chain's unused ones,
+    none for a plain grid point).  Over S = L*prod(p1s), L the lcm of the
+    denominators of lo, sep and hi, such a site is the integer
+    (lo + slot*sep)*L * prod(qs) * prod(p1s without ps), a product with no
+    division, so placement decides on integers and builds the Fractions
+    v/S once, at return.
+    """
     lo, hi, sep = params.site_lo, params.site_hi, params.separation
-    placed: list[Fraction] = []
+    p1s, p2s = params.split_partition()
+    p1_prod = prod(p1s)
+    unit = lcm(lo.denominator, sep.denominator, hi.denominator)
+    scale = unit * p1_prod
+    lo_u, sep_u = (v.numerator * (unit // v.denominator) for v in (lo, sep))
+    lo_s, hi_s, sep_s = (v.numerator * (scale // v.denominator) for v in (lo, hi, sep))
+
+    def site(slot: int, ps: tuple[int, ...] = (), qs: tuple[int, ...] = ()) -> int:
+        return (lo_u + slot * sep_u) * prod(qs) * prod(p for p in p1s if p not in ps)
+
+    def place(*vs: int) -> bool:
+        return all(_try_place(placed, v, lo_s, hi_s, sep_s) for v in vs)
+
+    slots = params.slot_count()
+    placed: list[int] = []
     if params.placement == "web":
-        hub = lo
-        placed.append(hub)
-        p1s, p2s = params.split_partition()
+        placed.append(site(0))  # the hub
+        s_num, s_den = params.s_edge.numerator, params.s_edge.denominator
         pairs = _route_pair_candidates(params, q_star, 4 * params.web_pair_targets)
         planted_pairs = 0
         for t1, t2 in pairs:
@@ -351,58 +384,53 @@ def _place_sites(params: Params, rng: random.Random, q_star: int) -> list[Fracti
                 break
             pa, qa, pb, qb = t1
             pc, qc, pd, qd = t2
-            z1 = hub * Fraction(qa, pa)
-            y = z1 * Fraction(qb, pb)
-            z2 = hub * Fraction(qc, pc)
+            z1 = site(0, (pa,), (qa,))
+            y = site(0, (pa, pb), (qa, qb))
+            z2 = site(0, (pc,), (qc,))
             # closing edge z2 -> y through (pd, qd) must satisfy the
             # physical threshold: |z2 * qd/pd - y| <= qd * s_edge
-            if abs(z2 * Fraction(qd, pd) - y) > qd * params.s_edge:
+            if abs(z2 * qd - y * pd) * s_den > pd * qd * s_num * scale:
                 continue
             snapshot = list(placed)
-            if all(_try_place(placed, v, lo, hi, sep) for v in (z1, y, z2)):
+            if place(z1, y, z2):
                 planted_pairs += 1
             else:
                 placed[:] = snapshot
         for _ in range(params.web_diamonds):
-            base_slot = rng.randrange(max(1, params.slot_count() // 3))
-            base = lo + base_slot * sep
+            slot = rng.randrange(max(1, slots // 3))
             pa, pb = rng.sample(p1s, 2)
             qa, qb = rng.sample(p2s, 2)
-            z1 = base * Fraction(qa, pa)
-            z2 = base * Fraction(qb, pb)
-            y = base * Fraction(qa * qb, pa * pb)
             snapshot = list(placed)
-            if not all(_try_place(placed, v, lo, hi, sep) for v in (base, z1, z2, y)):
+            if not place(site(slot), site(slot, (pa,), (qa,)), site(slot, (pb,), (qb,)),
+                         site(slot, (pa, pb), (qa, qb))):
                 placed[:] = snapshot
+        # a chain step takes one of the three smallest ratios q/p of unused
+        # primes; q * (prod(p1s) // p) is an integer that sorts like q/p
+        ratios = sorted((q * (p1_prod // p), p, q) for p in p1s for q in p2s)
         for _ in range(params.web_chains):
             # start near the interval floor so long chains fit below the roof
-            start_slot = rng.randrange(max(1, params.slot_count() // 20))
-            cur = lo + start_slot * sep
-            if not _try_place(placed, cur, lo, hi, sep):
+            slot = rng.randrange(max(1, slots // 20))
+            if not place(site(slot)):
                 continue
-            used: set[int] = set()
+            ps: tuple[int, ...] = ()
+            qs: tuple[int, ...] = ()
             for _step in range(params.web_chain_len):
-                avail1 = [p for p in p1s if p not in used]
-                avail2 = [q for q in p2s if q not in used]
-                if not avail1 or not avail2:
+                smallest = list(islice(
+                    ((p, q) for _key, p, q in ratios if p not in ps and q not in qs), 3))
+                if not smallest:
                     break
-                smallest = sorted(
-                    (Fraction(q, p), p, q) for p in avail1 for q in avail2
-                )[:3]
-                _, p, q = smallest[rng.randrange(len(smallest))]
-                nxt = cur * Fraction(q, p)
-                if not _try_place(placed, nxt, lo, hi, sep):
+                p, q = smallest[rng.randrange(len(smallest))]
+                if not place(site(slot, ps + (p,), qs + (q,))):
                     break
-                used.update((p, q))
-                cur = nxt
+                ps, qs = ps + (p,), qs + (q,)
     need = params.site_count - len(placed)
     if need > 0:
-        n_slots = params.slot_count() + 1
+        n_slots = slots + 1
         tries = min(n_slots, max(4 * need + 16, need))
         for slot in rng.sample(range(n_slots), tries):
             if need == 0:
                 break
-            if _try_place(placed, lo + slot * sep, lo, hi, sep):
+            if place(lo_s + slot * sep_s):
                 need -= 1
         if need > 0:
             raise InfeasibleParamsError(
@@ -410,43 +438,57 @@ def _place_sites(params: Params, rng: random.Random, q_star: int) -> list[Fracti
             )
     # web placement may overshoot site_count; planted sites are never trimmed,
     # so site_count is a lower bound under placement="web"
-    return placed
+    return [Fraction(v, scale) for v in placed]
 
 
 def _physical_candidates(
     params: Params, xs: list[Fraction]
 ) -> list[tuple[int, int, int, int, Fraction]]:
     """All (i, j, p, q, slack) with j the site nearest x_i * q/p passing the
-    physical threshold; ties toward the smaller site.  xs is ascending.
+    physical threshold; ties toward the smaller site.  xs is ascending (so
+    scaling keeps its order), and the candidates come in (i, p, q) order.
 
     The sites are scaled by the lcm D of their denominators to integers X,
     so the search and both comparisons are exact integer arithmetic: the
-    nearest site minimises d = |X_j*p - X_i*q| = p*D*|x_j - x_i*q/p|, and
-    the slack |x_i/p - x_j/q| is d/(p*q*D)."""
+    nearest site minimises d = |X_j*p - X_i*q| = p*D*|x_j - x_i*q/p|, the
+    slack |x_i/p - x_j/q| is d/(p*q*D), and it passes when d <= lim =
+    floor(s_edge*p*q*D).  For each split pair (p, q) all sites are screened
+    at once: site i can have a candidate only when some X_j*p lies in
+    [X_i*q - lim, X_i*q + lim], that is when the first X_j*p >= X_i*q - lim
+    is at most X_i*q + lim; a site whose X_i*q - lim exceeds the last X_j*p
+    reaches none.  Only the sites that pass take the neighbour search: the
+    first j with X_j*p >= X_i*q, and the one before it.
+    """
     p1s, p2s = params.split_partition()
-    scale = lcm(*(x.denominator for x in xs))
-    ints = [x.numerator * (scale // x.denominator) for x in xs]
+    scale, ints = scaled_positions(xs)
     s_num, s_den = params.s_edge.numerator, params.s_edge.denominator
     n = len(ints)
-    out = []
-    for i, xi in enumerate(ints):
-        for p in p1s:
-            for q in p2s:
-                xq = xi * q
-                # x_j >= x_i*q/p  iff  X_j >= ceil(X_i*q/p), X_j being integers
-                pos = bisect_left(ints, -(-xq // p))
+    if n < 2:
+        return []
+    by_q = {q: [x * q for x in ints] for q in p2s}
+    found = []
+    for p in p1s:
+        xp = [x * p for x in ints]
+        for q in p2s:
+            xq = by_q[q]
+            lim = s_num * p * q * scale // s_den
+            m = bisect_right(xq, xp[-1] + lim)
+            first = map(bisect_left, repeat(xp), map(sub, islice(xq, m), repeat(lim)))
+            reach = map(le, map(getitem, repeat(xp), first), map(add, xq, repeat(lim)))
+            for i in compress(count(), reach):
+                pos = bisect_left(xp, xq[i])
                 best = d_best = None
                 for j in (pos - 1, pos):
                     if 0 <= j < n and j != i:
-                        d = abs(ints[j] * p - xq)
+                        d = abs(xp[j] - xq[i])
                         if best is None or d < d_best:
                             best, d_best = j, d
-                if best is None:
-                    continue
-                pq_scale = p * q * scale
-                if d_best * s_den <= s_num * pq_scale:
-                    out.append((i, best, p, q, Fraction(d_best, pq_scale)))
-    return out
+                if best is not None and d_best <= lim:
+                    found.append((i, p, q, best, d_best))
+    # p1s and p2s are ascending, so sorting on (i, p, q) is the loop order
+    # of a search site by site
+    found.sort()
+    return [(i, j, p, q, Fraction(d, p * q * scale)) for i, p, q, j, d in found]
 
 
 def _propagate_residues(
@@ -598,12 +640,13 @@ def audit_instance(inst: Instance) -> AuditReport:
     def check(name: str, ok: bool, detail: str = "") -> None:
         checks.append(AuditCheck(name, ok, detail))
 
-    xs = sorted(s.x for s in cfg.sites)
-    sep_ok = all(b - a >= params.separation for a, b in zip(xs, xs[1:]))
-    check("separation", sep_ok)
+    scale, xs = scaled_positions(s.x for s in cfg.sites)
+    check("separation", close_pair(scale, xs, params.separation) is None)
+    lo, hi = params.site_lo, params.site_hi
     check(
         "sites_in_interval",
-        all(params.site_lo <= x <= params.site_hi for x in xs),
+        all(lo.numerator * scale <= x * lo.denominator
+            and x * hi.denominator <= hi.numerator * scale for x in xs),
     )
     pool_pq = set(params.edge_primes())
     check(

@@ -10,6 +10,9 @@ check, one decision per step, is matched against a prefix chain that
 decides each step at every partial product of the modulus's factors;
 split walks are matched against an enumerator that rebuilds the adjacency
 on every call, and the integer separation check against sorted Fractions.
+Generation decides on integer-scaled values; its Fraction references are
+the witness check (`ref_edge_witness`) and site placement
+(`ref_place_sites`).
 Tests freeze hand-derived constants where the setup is small enough to
 work out by hand.
 
@@ -20,7 +23,7 @@ examples.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from fractions import Fraction
 from math import floor
 
@@ -37,6 +40,7 @@ from freqpath.pathgraph import (
 )
 from freqpath.primes import primes_in_range, prod
 from freqpath.pyramid import HypothesisViolation, PrePath, Pyramid, predicted_gap
+from freqpath.synth import InfeasibleParamsError, _route_pair_candidates
 from freqpath.torus import (
     Modulus,
     TorusPoint,
@@ -237,6 +241,104 @@ def ref_validate_path_modulus(path: Path, modulus: Modulus, eps_edge: Fraction) 
             if not combine_moduli(rel, acc, w, eps_edge):
                 raise PathError(f"step {t + 1} relation fails mod {acc * w}")
             acc *= w
+
+
+def ref_edge_witness(
+    a: Site, b: Site, p: int, q: int, witness_pool, eps_edge: Fraction
+) -> frozenset[int]:
+    """The witness primes by Fraction arithmetic: w is kept when the norm of
+    the Fraction p*alpha_a - q*alpha_b modulo w is strictly below eps_edge."""
+    rel = p * a.alpha - q * b.alpha
+    return frozenset(w for w in witness_pool if norm_mod(rel, w) < eps_edge)
+
+
+def _ref_try_place(placed: list[Fraction], x: Fraction, lo, hi, sep) -> bool:
+    if not lo <= x <= hi:
+        return False
+    pos = bisect_left(placed, x)
+    if pos > 0 and x - placed[pos - 1] < sep:
+        return False
+    if pos < len(placed) and placed[pos] - x < sep:
+        return False
+    insort(placed, x)
+    return True
+
+
+def ref_place_sites(params, rng: random.Random, q_star: int) -> list[Fraction]:
+    """Site placement in Fraction arithmetic, drawing from `rng` as the
+    generator does: the hub and planted route pairs, diamonds, chains whose
+    step takes one of the three smallest Fraction ratios q/p of unused
+    primes, then random grid slots, each placed by a bisect over the
+    Fraction sites."""
+    lo, hi, sep = params.site_lo, params.site_hi, params.separation
+    placed: list[Fraction] = []
+    if params.placement == "web":
+        hub = lo
+        placed.append(hub)
+        p1s, p2s = params.split_partition()
+        pairs = _route_pair_candidates(params, q_star, 4 * params.web_pair_targets)
+        planted_pairs = 0
+        for t1, t2 in pairs:
+            if planted_pairs >= params.web_pair_targets:
+                break
+            pa, qa, pb, qb = t1
+            pc, qc, pd, qd = t2
+            z1 = hub * Fraction(qa, pa)
+            y = z1 * Fraction(qb, pb)
+            z2 = hub * Fraction(qc, pc)
+            if abs(z2 * Fraction(qd, pd) - y) > qd * params.s_edge:
+                continue
+            snapshot = list(placed)
+            if all(_ref_try_place(placed, v, lo, hi, sep) for v in (z1, y, z2)):
+                planted_pairs += 1
+            else:
+                placed[:] = snapshot
+        for _ in range(params.web_diamonds):
+            base_slot = rng.randrange(max(1, params.slot_count() // 3))
+            base = lo + base_slot * sep
+            pa, pb = rng.sample(p1s, 2)
+            qa, qb = rng.sample(p2s, 2)
+            z1 = base * Fraction(qa, pa)
+            z2 = base * Fraction(qb, pb)
+            y = base * Fraction(qa * qb, pa * pb)
+            snapshot = list(placed)
+            if not all(_ref_try_place(placed, v, lo, hi, sep)
+                       for v in (base, z1, z2, y)):
+                placed[:] = snapshot
+        for _ in range(params.web_chains):
+            start_slot = rng.randrange(max(1, params.slot_count() // 20))
+            cur = lo + start_slot * sep
+            if not _ref_try_place(placed, cur, lo, hi, sep):
+                continue
+            used: set[int] = set()
+            for _step in range(params.web_chain_len):
+                avail1 = [p for p in p1s if p not in used]
+                avail2 = [q for q in p2s if q not in used]
+                if not avail1 or not avail2:
+                    break
+                smallest = sorted(
+                    (Fraction(q, p), p, q) for p in avail1 for q in avail2
+                )[:3]
+                _, p, q = smallest[rng.randrange(len(smallest))]
+                nxt = cur * Fraction(q, p)
+                if not _ref_try_place(placed, nxt, lo, hi, sep):
+                    break
+                used.update((p, q))
+                cur = nxt
+    need = params.site_count - len(placed)
+    if need > 0:
+        n_slots = params.slot_count() + 1
+        tries = min(n_slots, max(4 * need + 16, need))
+        for slot in rng.sample(range(n_slots), tries):
+            if need == 0:
+                break
+            if _ref_try_place(placed, lo + slot * sep, lo, hi, sep):
+                need -= 1
+        if need > 0:
+            raise InfeasibleParamsError(
+                f"could not place {params.site_count} separated sites"
+            )
+    return placed
 
 
 def ref_separation_error(xs, separation) -> str | None:

@@ -16,6 +16,7 @@ from conftest import (
     brute_min_degree_subset,
     path_over,
     planted_prepath,
+    ref_edge_witness,
     ref_enumerate_split_paths,
     ref_separation_error,
     ref_validate_path_modulus,
@@ -311,6 +312,51 @@ class TestStepRelations:
         witness = edge_witness(a, b, 101, 157, (5, 7), wider)
         assert witness == {5, 7}
         path_prepath(walk_path((a, b), (101,), (157,), (witness,)), wider)
+
+    @pytest.mark.parametrize(
+        "rel, want",
+        [
+            (F(0), {5, 7}),
+            (F(105), {5, 7}),
+            (F(-35), {5, 7}),
+            (-F(1, 16) - 35, {5, 7}),
+            (F(1, 8) + 5, set()),
+            (-F(1, 8) - 7, set()),
+            (-F(1, 16) - 5, {5}),
+            (F(-1, 16) + 14, {7}),
+        ],
+        ids=["zero", "multiple_of_both", "negative_multiple", "negative_inside",
+             "exactly_eps_mod_5", "exactly_minus_eps_mod_7", "negative_mod_5_only",
+             "mod_7_only"],
+    )
+    def test_witness_boundaries(self, rel, want):
+        # ||p*alpha_a - q*alpha_b||_w for the relation rel, eps = 1/8:
+        # r = 0, negative N, and norms exactly at eps
+        a = Site(F(1000), F(3, 7))
+        b = Site(F(1555), (101 * a.alpha - rel) / 157)
+        eps = F(1, 8)
+        assert edge_witness(a, b, 101, 157, (5, 7), eps) == want
+        assert ref_edge_witness(a, b, 101, 157, (5, 7), eps) == want
+
+    @given(st.data())
+    def test_witness_matches_fractions(self, data):
+        # the relation is eps times a ratio in [-2, 2] (-1, 0 and 1
+        # included) plus a multiple, of either sign, of one pool prime or of
+        # the whole pool's product
+        pool = sorted(data.draw(st.lists(
+            st.sampled_from(MODULUS_PRIMES), min_size=1, max_size=3, unique=True)))
+        eps = data.draw(st.fractions(F(1, 100), F(49, 100), max_denominator=100))
+        p, q = data.draw(st.lists(
+            st.sampled_from(SMALL_PRIMES), min_size=2, max_size=2, unique=True))
+        ratio = data.draw(st.one_of(
+            st.sampled_from([F(-1), F(0), F(1)]),
+            st.fractions(-2, 2, max_denominator=64)))
+        unit = data.draw(st.sampled_from(pool + [prod(pool)]))
+        rel = ratio * eps + unit * data.draw(st.integers(-5, 5))
+        a = Site(F(1000), data.draw(st.fractions(-3, 3, max_denominator=1000)))
+        b = Site(F(1555), (p * a.alpha - rel) / q)
+        assert edge_witness(a, b, p, q, tuple(pool), eps) == ref_edge_witness(
+            a, b, p, q, tuple(pool), eps)
 
     @staticmethod
     def verdict(check, path, modulus, eps):

@@ -1,8 +1,15 @@
 """Generator determinism, exact audits and planted consistency."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 from functools import cache
 
@@ -10,7 +17,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import brute_physical_candidates, brute_route_pair_candidates
+from conftest import brute_physical_candidates, brute_route_pair_candidates, ref_place_sites
+import freqpath
 from freqpath.pathgraph import Edge
 from freqpath.synth import (
     InfeasibleParamsError,
@@ -458,6 +466,144 @@ class TestPhysicalCandidates:
         assert (0, 1, 23, 31, F(17, 31)) in got
         assert all(i != j for i, j, *_ in got)
         assert _physical_candidates(params, [F(46)]) == []
+
+
+def chain_params(seed: int) -> Params:
+    """Acceptance criterion 3's chain scale: 6 chains of length 8."""
+    return Params(
+        X=10**11, H=4 * 10**5, K=500, P=100, P_prime=5,
+        eps_edge=F(1, 8), s_edge=F(8), site_count=120, seed=seed,
+        placement="web", web_chains=6, web_chain_len=8,
+    )
+
+
+class TestPlacement:
+    """Placement on integer-scaled sites places the Fraction oracle's sites,
+    drawing the same random numbers."""
+
+    @staticmethod
+    def both(params: Params, q_star: int) -> tuple[list[F], list[F]]:
+        rng, ref_rng = random.Random(params.seed), random.Random(params.seed)
+        got = _place_sites(params, rng, q_star)
+        want = ref_place_sites(params, ref_rng, q_star)
+        assert rng.getstate() == ref_rng.getstate()
+        return got, want
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("q_star", [1, 6])
+    def test_e2e_seeds(self, seed, q_star):
+        got, want = self.both(web_params(site_count=300, seed=seed,
+                                         web_pair_targets=6), q_star)
+        assert len(want) >= 300
+        assert got == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chain_instances(self, seed):
+        got, want = self.both(chain_params(seed), 1)
+        assert got == want
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_uniform(self, seed):
+        got, want = self.both(small_params(seed=seed), 1)
+        assert len(want) == 400
+        assert got == want
+
+    def test_closing_edge_at_the_threshold_is_planted(self):
+        # s_edge is the first route pair's closing-edge deviation
+        # |z2*qd/pd - y| / qd exactly; the physical threshold is inclusive,
+        # so the pair is planted and its target y is a site
+        base = web_params(site_count=300, seed=0, web_pair_targets=1,
+                          web_diamonds=0, web_chains=0)
+        (pa, qa, pb, qb), (pc, qc, pd, qd) = _route_pair_candidates(base, 1, 4)[0]
+        hub = base.site_lo
+        y = hub * F(qa * qb, pa * pb)
+        s_edge = abs(hub * F(qc * qd, pc * pd) - y) / qd
+        got, want = self.both(dataclasses.replace(base, s_edge=s_edge), 1)
+        assert got == want
+        assert y in got
+
+    def test_infeasible_is_refused_alike(self):
+        # 191 grid slots and 191 sites: the planted web sites lie off the
+        # grid, so some slots are blocked and the grid cannot fill up
+        params = small_params(X=10**6, site_count=191, placement="web",
+                              web_pair_targets=2, web_diamonds=1, web_chains=1,
+                              web_chain_len=3)
+        assert params.slot_count() + 1 == 191
+        errors = []
+        for place in (_place_sites, ref_place_sites):
+            with pytest.raises(InfeasibleParamsError) as info:
+                place(params, random.Random(params.seed), 1)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == "could not place 191 separated sites"
+
+
+def uniform_noisy_params() -> Params:
+    """Uniform placement at the e2e scale with an edge count to meet and
+    noise that costs most candidates their witnesses."""
+    return web_params(site_count=300, seed=3, placement="uniform",
+                      web_pair_targets=0, web_diamonds=0, web_chains=0,
+                      web_chain_len=0, edge_count=30, noise_level=F(1, 4))
+
+
+# sha256 of instance_to_json, recorded from the generator that decided
+# placement, candidates and witnesses in Fraction arithmetic; a change to
+# generation that moves one byte fails here
+PINNED = {
+    "e2e-0-archimedean": "6451d165d5ed0a47412951ec0619edae75e20897222ef724971b5f13f482067c",
+    "e2e-0-rational": "bd18982aa9392537b809272a5a2f342100e1ea5026493bd4caf730bcf718a31a",
+    "e2e-1-archimedean": "2bbfd02901036b177effc94a60e60399364850202664d8581f91e9d00cc23d03",
+    "e2e-1-rational": "ce0489c6aea42818a028587b20cd17b244d851df890defec846dd95ca7c254b2",
+    "e2e-2-archimedean": "d659880e15370234da42675198660ccbc6ce9daa9bae9998bf72f250b37813be",
+    "e2e-2-rational": "4dea3b1137c74474d8de8c82f48bd82d9edde76e450adcda2b28724a0d5e3283",
+    "chain-0": "24fef2e446e0ca4c7a1b2c24018a6c64f93a862c5c67d57faf2088b1bddecde7",
+    "uniform-noisy": "03760e2f2bd2af762d1b95cd1d7930c51cd0a70e4be7a83205f2ee81a1231eab",
+}
+
+
+def pinned_instance(name: str) -> Instance:
+    if name == "chain-0":
+        return gen_instance(chain_params(0), t_star=F(10**5))
+    if name == "uniform-noisy":
+        return gen_instance(uniform_noisy_params(), t_star=F(10**5))
+    _e2e, seed, mode = name.split("-")
+    params = web_params(site_count=300, seed=int(seed), web_pair_targets=6)
+    q_star = 6 if mode == "rational" else 1
+    return gen_instance(params, mode=mode, t_star=F(10**5), q_star=q_star)
+
+
+def sha256_hex(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedBytes:
+    """Generated instance files are pinned byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_instance_bytes(self, name):
+        inst = pinned_instance(name)
+        if name == "uniform-noisy":
+            assert len(inst.edges) == 30
+        assert sha256_hex(instance_to_json(inst)) == PINNED[name]
+
+    def test_bytes_under_optimize(self):
+        # python -O strips every assert: generation must not depend on one
+        script = textwrap.dedent("""
+            import sys
+            import test_synth
+
+            if not sys.flags.optimize:
+                sys.exit(2)
+            name = "e2e-0-rational"
+            inst = test_synth.pinned_instance(name)
+            digest = test_synth.sha256_hex(test_synth.instance_to_json(inst))
+            sys.exit(0 if digest == test_synth.PINNED[name] else 1)
+        """)
+        here = pathlib.Path(__file__).resolve().parent
+        src = pathlib.Path(freqpath.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(here)])}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestWebPlacement:
