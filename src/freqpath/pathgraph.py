@@ -27,8 +27,10 @@ from .torus import (
     Modulus,
     Rational,
     as_fraction,
+    below,
     frac_to_str,
     reduce_mod,
+    residue_gap,
     scaled_gap,
 )
 
@@ -153,22 +155,14 @@ def edge_relation(a: Site, b: Site, p: int, q: int) -> tuple[int, int]:
     return p * na * db - q * nb * da, da * db
 
 
-def relation_below(rel: tuple[int, int], w: int, eps: Fraction) -> bool:
-    """Whether ||N/D||_w < eps for rel = (N, D), decided on integers: with
-    r = N mod w*D in [0, w*D) the norm is min(r, w*D - r)/D."""
-    n, d = rel
-    m = w * d
-    r = n % m
-    return min(r, m - r) * eps.denominator < eps.numerator * d
-
-
 def edge_witness(
     a: Site, b: Site, p: int, q: int, witness_pool: tuple[int, ...], eps_edge: Fraction
 ) -> frozenset[int]:
     """Exact witness computation: primes w in the pool for which
     ||p*alpha_a - q*alpha_b||_w < eps_edge."""
-    rel = edge_relation(a, b, p, q)
-    return frozenset(w for w in witness_pool if relation_below(rel, w, eps_edge))
+    n, d = edge_relation(a, b, p, q)
+    return frozenset(
+        w for w in witness_pool if below(residue_gap(n, d, w), eps_edge))
 
 
 @dataclass(frozen=True)
@@ -258,7 +252,8 @@ def validate_path_modulus(path: Path, modulus: Modulus, eps_edge: Fraction) -> N
     partial product of Q's prime factors.
     """
     for t, (a, b, e) in enumerate(zip(path.sites, path.sites[1:], path.edges)):
-        if not relation_below(edge_relation(a, b, e.p, e.q), modulus.q, eps_edge):
+        gap = residue_gap(*edge_relation(a, b, e.p, e.q), modulus.q)
+        if not below(gap, eps_edge):
             raise PathError(f"step {t + 1} relation fails mod {modulus.q}")
 
 

@@ -11,16 +11,19 @@ hypothesis bounds are carried along explicitly; `predicted_gap` is the
 closed form of the anchor-column bound and `verify_pyramid` checks the
 constructed pyramid against it row by row, in exact arithmetic.
 
+Each hypothesis is decided once: `PrePath` decides the first layer's, and
+each later layer's are the previous merges' post-conditions (same gap, same
+bound), which `merge_two` decides; `layer_step` only merges.
+
 Every inequality here is decided on integers: a torus distance comes from
-`torus.scaled_gap` as a pair (g, D) and is compared with a tolerance e by
-`g * e.denominator < e.numerator * D`.  `merge_two` takes the closest lift
-pair from `torus.lift_shifts` and forms the weighted combination over one
-integer denominator, so each merged point costs one gcd; a Fraction is
-built for a distance only where a report or an error message shows it.
+`torus.scaled_gap` as a pair (g, D) and is compared with a tolerance by
+`torus.below`.  `merge_two` takes the closest lift pair from
+`torus.lift_shifts` and forms the weighted combination over one integer
+denominator, so each merged point costs one gcd; a Fraction is built for a
+distance only where a report or an error message shows it.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,6 +34,7 @@ from .torus import (
     Rational,
     TorusPoint,
     as_fraction,
+    below,
     frac_to_str,
     lift_shifts,
     scaled_gap,
@@ -43,12 +47,6 @@ class PrePathError(ValueError):
 
 class HypothesisViolation(PrePathError):
     """Input distance at or above the tolerance the merge step requires."""
-
-
-def _below(gap: tuple[int, int], bound: Rational) -> bool:
-    """Whether the distance g/D of a `scaled_gap` pair is below `bound`."""
-    g, d = gap
-    return g * bound.denominator < bound.numerator * d
 
 
 def merge_two(
@@ -105,7 +103,6 @@ def merge_two(
 
 def layer_step(
     top: tuple[TorusPoint, ...],
-    mid: tuple[TorusPoint, ...],
     p_primes: tuple[int, ...],
     q_primes: tuple[int, ...],
     eps: tuple[Fraction, ...],
@@ -113,8 +110,8 @@ def layer_step(
 ) -> tuple[TorusPoint, ...]:
     """One layer of the iteration.
 
-    With m = len(p_primes), takes anchors top[0..m] and mid[0..m-1]
-    satisfying, for each j,
+    With m = len(p_primes), takes anchors top[0..m] for which the caller
+    has decided, for each j,
 
         ||q_j * top[j+1] - mid[j]|| < eps[j]
         ||p_j * top[j]   - mid[j]|| < eps_prime[j]
@@ -125,20 +122,17 @@ def layer_step(
         ||q_j * new[j] - top[j]  || < eps_prime[j] / p_j.
 
     Each entry is merge_two on (top[j], top[j+1]) with primes (p_j, q_j)
-    and weights (eps_prime[j], eps[j]); the mid anchors only enter through
-    the hypotheses, which imply the merge premise by the triangle
-    inequality.
+    and weights (eps_prime[j], eps[j]).  The hypotheses are the caller's
+    and are not re-checked, because each is already decided once: at the
+    first layer `PrePath` decides them on its mid anchors; at a later layer
+    mid[j] is entry j+1 of the layer before `top`, and they are the
+    previous merges' post-conditions.  They imply each merge premise by the
+    triangle inequality, which `merge_two` decides; a failure names its
+    index.
     """
     m = len(p_primes)
     if not (len(q_primes) == len(eps) == len(eps_prime) == m and len(top) == m + 1):
         raise PrePathError("inconsistent slice lengths")
-    if len(mid) != m:
-        raise PrePathError("mid tuple must have one entry per merged pair")
-    for j in range(m):
-        if not _below(scaled_gap(q_primes[j], top[j + 1], 1, mid[j]), eps[j]):
-            raise HypothesisViolation(f"q-side hypothesis fails at index {j + 1}")
-        if not _below(scaled_gap(p_primes[j], top[j], 1, mid[j]), eps_prime[j]):
-            raise HypothesisViolation(f"p-side hypothesis fails at index {j + 1}")
     out = []
     for j in range(m):
         try:
@@ -197,13 +191,13 @@ class PrePath:
         for j in range(k):
             mid = self.mid_anchors[j]
             qn = scaled_gap(self.q_primes[j], self.top_anchors[j + 1], 1, mid)
-            if not _below(qn, self.eps[j]):
+            if not below(qn, self.eps[j]):
                 raise HypothesisViolation(
                     f"q-side hypothesis fails at index {j + 1}: "
                     f"{Fraction(*qn)} >= {self.eps[j]}"
                 )
             pn = scaled_gap(self.p_primes[j], self.top_anchors[j], 1, mid)
-            if not _below(pn, self.eps_prime[j]):
+            if not below(pn, self.eps_prime[j]):
                 raise HypothesisViolation(
                     f"p-side hypothesis fails at index {j + 1}: "
                     f"{Fraction(*pn)} >= {self.eps_prime[j]}"
@@ -281,9 +275,9 @@ class Pyramid:
 def build_pyramid(pp: PrePath) -> Pyramid:
     """Iterate layer_step to the apex, tracking tolerances exactly.
 
-    Step s consumes primes p_1..p_{k+1-s} and q_s..q_k.  The mid anchors
-    for step s+1 are layer s's entries from the second onward, and the new
-    hypothesis tolerances come from the previous step's output bounds:
+    Step s consumes primes p_1..p_{k+1-s} and q_s..q_k.  The hypotheses of
+    step s+1 are step s's merge post-conditions, relative to the interior
+    entries of layer s-1, so its tolerances are the step-s output bounds:
 
         eps'[s+1][i] = eps[s][i] / q_{s+i-1}
         eps [s+1][i] = eps'[s][i+1] / p_{i+1}
@@ -295,7 +289,6 @@ def build_pyramid(pp: PrePath) -> Pyramid:
     layers = [pp.top_anchors]
     cur_eps = list(pp.eps)
     cur_eps_prime = list(pp.eps_prime)
-    mids = pp.mid_anchors
     step_eps, step_eps_prime = [], []
     for s in range(1, k + 1):
         m = k + 1 - s
@@ -303,10 +296,7 @@ def build_pyramid(pp: PrePath) -> Pyramid:
         qs = pp.q_primes[s - 1 : s - 1 + m]
         step_eps.append(tuple(cur_eps[:m]))
         step_eps_prime.append(tuple(cur_eps_prime[:m]))
-        new_layer = layer_step(
-            layers[-1], mids, ps, qs, step_eps[-1], step_eps_prime[-1]
-        )
-        mids = layers[-1][1:-1]
+        new_layer = layer_step(layers[-1], ps, qs, step_eps[-1], step_eps_prime[-1])
         next_eps = [cur_eps_prime[i + 1] / pp.p_primes[i + 1] for i in range(m - 1)]
         next_eps_prime = [cur_eps[i] / qs[i] for i in range(m - 1)]
         cur_eps, cur_eps_prime = next_eps, next_eps_prime
@@ -376,9 +366,6 @@ class BoundReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def to_json(self) -> dict:
-        return {"rows": [r.to_json() for r in self.rows], "pass": self.all_passed}
-
 
 def verify_pyramid(pp: PrePath, py: Pyramid) -> BoundReport:
     """Exact per-row comparison of anchor-column gaps with predicted_gap.
@@ -397,10 +384,5 @@ def verify_pyramid(pp: PrePath, py: Pyramid) -> BoundReport:
     for j in range(1, pp.k + 1):
         gap = scaled_gap(pp.q_primes[j - 1], col[j], 1, col[j - 1])
         pred = predicted_gap(j, eps, pp.p_primes, pp.q_primes)
-        rows.append(GapRow(j, Fraction(*gap), pred, _below(gap, pred)))
+        rows.append(GapRow(j, Fraction(*gap), pred, below(gap, pred)))
     return BoundReport(tuple(rows))
-
-
-def pyramid_report_json(pp: PrePath, py: Pyramid) -> str:
-    doc = {"pyramid": py.to_json(), "bounds": verify_pyramid(pp, py).to_json()}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -194,13 +194,7 @@ class Params:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Params":
-        kwargs = dict(doc)
-        for name, fld in cls.__dataclass_fields__.items():
-            if name in kwargs and fld.type == "Fraction" and isinstance(
-                kwargs[name], str
-            ):
-                kwargs[name] = str_to_frac(kwargs[name])
-        return cls(**kwargs)
+        return cls(**doc)
 
 
 @dataclass(frozen=True)

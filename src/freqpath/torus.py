@@ -6,14 +6,16 @@ taking values in [0, Q/2].  Nothing in this module ever touches floating
 point: every inequality downstream is tolerance-tight and has to be
 decided exactly.
 
-The arithmetic is decided on the integers n and d.  `scaled_gap` returns
-||c1*a - c2*b||_Q as an unreduced pair (g, D) over D = d_a*d_b, so a
-caller decides `norm < eps` by one cross-multiplication; `lift_shifts`
-returns the closest lift pair as integer lift indices and its aligned gap
-over p1*p2*D.  A Fraction (one gcd) and a TorusPoint are built only for a
-value that is handed out, and a point whose residue is canonical by
-construction (`TorusPoint.canonical`) skips the range check that guards
-points built by outside callers.
+The arithmetic is decided on the integers n and d.  One norm test serves
+the whole package: `residue_gap(N, D, Q)` is ||N/D||_Q as an unreduced
+pair (g, D), and `below((g, D), eps)` decides `g/D < eps` by one
+cross-multiplication (only `pyramid.merge_two` cross-multiplies inline,
+against bounds it never reduces).  `scaled_gap` feeds it ||c1*a - c2*b||_Q
+over D = d_a*d_b; `lift_shifts` returns the closest lift pair as integer
+lift indices and its aligned gap over p1*p2*D.  A Fraction (one gcd) and a
+TorusPoint are built only for a value that is handed out, and a point
+whose residue is canonical by construction (`TorusPoint.canonical`) skips
+the range check that guards points built by outside callers.
 
 Q = 1 is a legal modulus; the "p does not divide Q" condition on prime
 lifts is vacuous there.
@@ -166,23 +168,34 @@ def norm_mod(x: Rational, modulus: Modulus | int) -> Fraction:
     return torus_norm(reduce_mod(x, modulus))
 
 
+def residue_gap(n: int, d: int, q: int) -> tuple[int, int]:
+    """||n/d||_q for d > 0 as the pair (g, d): with r = n mod q*d the norm
+    is min(r, q*d - r)/d."""
+    m = q * d
+    r = n % m
+    return min(r, m - r), d
+
+
+def below(gap: tuple[int, int], bound: Rational) -> bool:
+    """Whether the distance g/D of a gap pair (g, D) is below `bound`."""
+    g, d = gap
+    return g * bound.denominator < bound.numerator * d
+
+
 def scaled_gap(c1: int, a: TorusPoint, c2: int, b: TorusPoint) -> tuple[int, int]:
     """||c1*a - c2*b||_Q for integers c1, c2, as a pair (g, D) with norm g/D.
 
     With a = n1/d1 and b = n2/d2 the difference is (c1*n1*d2 - c2*n2*d1)/D
-    with D = d1*d2, reduced mod Q*D.  The pair is not normalised:
-    `g * e.denominator < e.numerator * D` decides `norm < e`, and
-    `Fraction(g, D)` is the norm.
+    with D = d1*d2, reduced mod Q*D by `residue_gap`.  The pair is not
+    normalised: `below((g, D), e)` decides `norm < e`, and `Fraction(g, D)`
+    is the norm.
     """
     q = a.modulus.q
     if b.modulus.q != q:
         raise TorusError(f"modulus mismatch: {q} vs {b.modulus.q}")
     x, y = a.value, b.value
     d1, d2 = x.denominator, y.denominator
-    den = d1 * d2
-    m = q * den
-    r = (c1 * x.numerator * d2 - c2 * y.numerator * d1) % m
-    return min(r, m - r), den
+    return residue_gap(c1 * x.numerator * d2 - c2 * y.numerator * d1, d1 * d2, q)
 
 
 def lift_roots(alpha: TorusPoint, p: int) -> list[TorusPoint]:

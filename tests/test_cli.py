@@ -1,6 +1,7 @@
 """Batch front-end: subcommand round trips, determinism and exit codes."""
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +29,22 @@ WEB_PARAMS = dict(
     web_chains=2,
     web_chain_len=3,
 )
+
+
+# sha256 of the reports the pipeline test writes; score.json is left out
+# because it records the path of its --recovery file
+PINNED_REPORTS = {
+    "vb/verify_report.json":
+        "c7c19427d210ca609baa9f691acaf73be8116239ee483122607e497b1d027b48",
+    "vb/bound_certificates.csv":
+        "75996fcd51bb3d6acd2268ea5e573b09dc615ba8ee17fa678a053d34e12589cd",
+    "census/census_report.json":
+        "9f4f0fbc4429f20ff36e1c63567a82b1deb6a74c50c8a2c7ab421725e19803d0",
+    "rec/recovery.json":
+        "77a2635ec946747f68a02fb2f7ad31ad0f5b6256ac53b31c626d0f12e2db3c3f",
+    "rec/targets.csv":
+        "cd23c09b45a865dcf949c22e825ae6a403d116cf8e87ee30bc394d4023d80ea6",
+}
 
 
 @pytest.fixture
@@ -169,6 +186,10 @@ class TestPipelineCommands:
         sc = json.loads((tmp_path / "score" / "score.json").read_text())
         assert sc["status"] == "ok"
         assert sc["q_match"] is True
+
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in PINNED_REPORTS}
+        assert digests == PINNED_REPORTS
 
 
 def test_verify_bounds_stops_at_its_limit(tmp_path, params_file, monkeypatch):
@@ -335,11 +356,13 @@ def _slack_off_by(edge: dict, delta: Fraction) -> None:
         lambda d: _slack_off_by(d["edges"][0], Fraction(1, 10**9)),
         lambda d: d.pop("partition"),
         lambda d: d["sites"][0].update(x="12.5"),
+        lambda d: d["params"].update(eps_edge="1/2.0"),
         lambda d: d.update(schema=2),
     ],
     ids=["site_index_out_of_range", "partition_outside_pool", "not_split_oriented",
          "witness_outside_pool", "slack_off_by_one", "slack_off_by_1e-9",
-         "partition_deleted", "site_x_not_num_den", "schema_2"],
+         "partition_deleted", "site_x_not_num_den", "eps_edge_not_num_den",
+         "schema_2"],
 )
 def test_malformed_instance_is_refused(tmp_path, recorded_k3, command, corrupt):
     inst, recovery = recorded_k3

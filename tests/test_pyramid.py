@@ -120,13 +120,20 @@ class TestMergeTwo:
 
 class TestLayerStep:
     def test_single_pair_matches_merge(self):
-        # mid = 2*a1 is exact on the p-side; ||3*a2 - mid|| = 3/100 < 1/25
+        # ||2*a1 - 3*a2|| = 3/100 < 2/25, the merge premise
         m = Modulus(1)
         a1 = reduce_mod(F(3, 10), m)
         a2 = reduce_mod(F(21, 100), m)
-        mid = reduce_mod(2 * a1.value, m)
-        out = layer_step((a1, a2), (mid,), (2,), (3,), (F(1, 25),), (F(1, 25),))
+        out = layer_step((a1, a2), (2,), (3,), (F(1, 25),), (F(1, 25),))
         assert len(out) == 1 and out[0].value == F(41, 400)
+
+    def test_failing_merge_names_its_index(self):
+        # merge 1: ||2*0 - 3*0|| = 0; merge 2: ||5*0 - 7*(1/2)|| = 1/2 >= 2/10
+        m = Modulus(1)
+        tops = (reduce_mod(F(0), m), reduce_mod(F(0), m), reduce_mod(F(1, 2), m))
+        eps = (F(1, 10), F(1, 10))
+        with pytest.raises(HypothesisViolation, match="index 2"):
+            layer_step(tops, (2, 5), (3, 7), eps, eps)
 
     def test_exact_reference_side(self, rng):
         # mids equal to p_j * top_j exactly: the p-side hypothesis is exact
@@ -143,7 +150,6 @@ class TestLayerStep:
             pp = planted_prepath(rng, k, F(1, 30))
             out = layer_step(
                 pp.top_anchors,
-                pp.mid_anchors,
                 pp.p_primes,
                 pp.q_primes,
                 pp.eps,
@@ -224,8 +230,6 @@ class TestBuildPyramid:
         mids = (reduce_mod(F(0), m),)
         with pytest.raises(HypothesisViolation, match="q-side"):
             PrePath(m, tops, mids, (2,), (3,), (F(1, 10),), (F(1, 10),))
-        with pytest.raises(HypothesisViolation, match="q-side"):
-            layer_step(tops, mids, (2,), (3,), (F(1, 10),), (F(1, 10),))
         eps = (F(1, 10) + F(1, 10**9),)
         ok = PrePath(m, tops, mids, (2,), (3,), eps, eps)
         assert verify_pyramid(ok, build_pyramid(ok)).all_passed
@@ -322,17 +326,6 @@ class TestVerifyPyramid:
         for a, b in zip(r1.rows, r2.rows):
             assert b.predicted == 2 * a.predicted
             assert b.passed
-
-    def test_report_json_shape(self, rng):
-        import json
-
-        from freqpath.pyramid import pyramid_report_json
-
-        pp = planted_prepath(rng, 2, F(1, 40))
-        doc = json.loads(pyramid_report_json(pp, build_pyramid(pp)))
-        assert doc["bounds"]["pass"] is True
-        assert len(doc["pyramid"]["layers"]) == 3
-        assert all("/" in v for layer in doc["pyramid"]["layers"] for v in layer)
 
     def test_nonuniform_rejected(self, rng):
         pp = planted_prepath(rng, 2, F(1, 40))
