@@ -10,6 +10,16 @@ implicit constants replaced by exact telescoped sums.
 Split walks come from a `SplitWalks`, which holds one instance's split
 adjacency: a command that walks from every start site (`census`,
 `verify-bounds`) builds it once per instance and walks each start from it.
+
+The certificates decide `passed` by one integer cross-multiplication and
+build Fractions only for the values a row shows.  `path_prepath` reduces
+each anchor by one integer n mod Q*d.  `anchor_bound_certificate` reads
+its bound off the pyramid's column sums in O(1), and
+`top_anchor_certificate` reads the pyramid's prefix products.
+`ratio_drift_certificate` takes only the path: it sums its telescoped
+bound over one denominator in O(m).  Nothing is cached on a `Path`, since
+the same paths are certified again and again; every table belongs to one
+`Pyramid`.
 """
 from __future__ import annotations
 
@@ -22,7 +32,7 @@ from math import factorial, lcm, log
 from collections.abc import Iterable
 
 from .primes import primes_in_range, prod
-from .pyramid import PrePath, PrePathError, Pyramid, gap_denominator
+from .pyramid import PrePath, PrePathError, Pyramid
 from .torus import (
     Modulus,
     Rational,
@@ -30,6 +40,7 @@ from .torus import (
     below,
     frac_to_str,
     reduce_mod,
+    reduce_ratio,
     residue_gap,
     scaled_gap,
 )
@@ -288,26 +299,18 @@ def path_prepath(
     """
     eps = as_fraction(eps)
     q = modulus if modulus is not None else path.modulus
-    tops = tuple(reduce_mod(s.alpha, q) for s in path.sites)
-    mids = tuple(
-        reduce_mod(path.p_primes[t] * path.sites[t].alpha, q) for t in range(path.k)
-    )
+    alphas = [(s.alpha.numerator, s.alpha.denominator) for s in path.sites]
     return PrePath(
         modulus=q,
-        top_anchors=tops,
-        mid_anchors=mids,
+        top_anchors=tuple(reduce_ratio(n, d, q) for n, d in alphas),
+        mid_anchors=tuple(
+            reduce_ratio(p * n, d, q) for p, (n, d) in zip(path.p_primes, alphas)
+        ),
         p_primes=path.p_primes,
         q_primes=path.q_primes,
         eps=(eps,) * path.k,
         eps_prime=(eps,) * path.k,
     )
-
-
-def ratio_product(
-    p_primes: tuple[int, ...], q_primes: tuple[int, ...], m: int
-) -> Fraction:
-    """prod_{i<=m} q_i / p_i as an exact rational."""
-    return Fraction(prod(q_primes[:m]), prod(p_primes[:m]))
 
 
 @dataclass(frozen=True)
@@ -316,10 +319,7 @@ class RatioDriftCert:
     ratio: Fraction
     drift: Fraction
     bound: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.drift <= self.bound
+    passed: bool
 
     def to_row(self) -> dict:
         return {
@@ -338,17 +338,33 @@ def ratio_drift_certificate(path: Path, m: int) -> RatioDriftCert:
     exact telescoping sum  sum_t s_t * prod_{i=t+1..m} q_i/p_i  with s_t =
     q_t times the t-th edge slack, |x_t * q_t/p_t - x_{t+1}|, so drift <=
     bound holds with no hidden constants.
+
+    With L the lcm of the slacks' denominators, bound * P_m * L is the
+    integer sum_t slack_t * L * P_t * prod_{i=t..m} q_i (P_t the product
+    of the first t p-primes), accumulated in one pass; `passed` is one
+    integer cross-multiplication.
     """
     if not 1 <= m <= path.k:
         raise IndexError(f"m = {m} out of range 1..{path.k}")
-    ratio = ratio_product(path.p_primes, path.q_primes, m)
-    drift = abs(path.sites[0].x * ratio - path.sites[m].x)
-    slack = path.step_edge_slack
-    bound = Fraction(0)
-    for t in range(1, m + 1):
-        tail = Fraction(prod(path.q_primes[t:m]), prod(path.p_primes[t:m]))
-        bound += path.q_primes[t - 1] * slack[t - 1] * tail
-    return RatioDriftCert(m, ratio, drift, bound)
+    slack = path.step_edge_slack[:m]
+    scale = lcm(*(s.denominator for s in slack))
+    pprod = qprod = 1
+    total = 0
+    for p, q, s in zip(path.p_primes, path.q_primes, slack):
+        pprod *= p
+        qprod *= q
+        total = q * (total + s.numerator * (scale // s.denominator) * pprod)
+    x0, xm = path.sites[0].x, path.sites[m].x
+    n0, d0 = x0.numerator, x0.denominator
+    nm, dm = xm.numerator, xm.denominator
+    drift = abs(n0 * qprod * dm - nm * pprod * d0)  # over pprod * d0 * dm
+    return RatioDriftCert(
+        m,
+        Fraction(qprod, pprod),
+        Fraction(drift, pprod * d0 * dm),
+        Fraction(total, pprod * scale),
+        drift * scale <= total * d0 * dm,
+    )
 
 
 @dataclass(frozen=True)
@@ -357,10 +373,7 @@ class AnchorCert:
     m: int
     actual: Fraction
     bound: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.actual <= self.bound
+    passed: bool
 
     def to_row(self) -> dict:
         return {
@@ -372,41 +385,21 @@ class AnchorCert:
         }
 
 
-def _check_pyramid_matches(path: Path, py: Pyramid) -> None:
+def _pyramid_eps(path: Path, py: Pyramid) -> Fraction:
+    """The pyramid's one tolerance, which the closed-form bounds assume;
+    they hold for no other, nor for a pyramid over other primes."""
     if py.p_primes != path.p_primes or py.q_primes != path.q_primes:
         raise PathError("pyramid primes do not match the path")
-
-
-def _uniform_eps(py: Pyramid) -> Fraction:
-    """The tolerance the closed-form bounds assume; they hold for no other."""
     eps = py.uniform_eps
     if eps is None:
         raise PrePathError("verification needs uniform tolerances")
     return eps
 
 
-def _column_bound(
-    eps: Fraction, path: Path, first: int, last: int
-) -> tuple[int, int]:
-    """sum_{t=first..last} predicted_gap(t) * prod_{i=first..t-1} q_i, as an
-    unreduced pair (numerator, denominator); (0, 1) when first > last.
-
-    Every predicted_gap(t) denominator in the range divides
-        common = prod_{i<=h(last)} p_i * prod_{h(first)<=i<last} q_i,
-    h(t) = floor((t-1)/2) + 1, so the terms are summed over that one
-    denominator with a running q-product.
-    """
-    if first > last:
-        return 0, 1
-    ps, qs = path.p_primes, path.q_primes
-    common = gap_denominator(last, ps, qs) * prod(
-        qs[(first - 1) // 2 : (last - 1) // 2]
-    )
-    total, run = 0, 1
-    for t in range(first, last + 1):
-        total += run * (common // gap_denominator(t, ps, qs))
-        run *= qs[t - 1]
-    return eps.numerator * total, eps.denominator * common
+def _cert(j: int, m: int, gap: tuple[int, int], num: int, den: int) -> AnchorCert:
+    """The certificate for the distance g/D of `gap` against num/den."""
+    g, d = gap
+    return AnchorCert(j, m, Fraction(g, d), Fraction(num, den), g * den <= num * d)
 
 
 def anchor_bound_certificate(path: Path, py: Pyramid, j: int, m: int) -> AnchorCert:
@@ -414,17 +407,17 @@ def anchor_bound_certificate(path: Path, py: Pyramid, j: int, m: int) -> AnchorC
 
     actual = ||(prod_{i=m..j-1} q_i) * col[j] - col[m]|| and the bound is
     the recursion  sum_{t=m..j-1} predicted_gap(t) * prod_{i=m..t-1} q_i,
-    evaluated exactly.  The pyramid must have uniform tolerances.
+    read off the pyramid's column sums in O(1).  The pyramid must have
+    uniform tolerances.
     """
-    _check_pyramid_matches(path, py)
     k = path.k
     if not (1 <= m < j <= k + 1):
         raise IndexError(f"need 1 <= m < j <= {k + 1}, got (j, m) = ({j}, {m})")
-    eps = _uniform_eps(py)
-    col = py.anchor_column
-    mult = prod(path.q_primes[m - 1 : j - 1])
-    actual = Fraction(*scaled_gap(mult, col[j - 1], 1, col[m - 1]))
-    return AnchorCert(j, m, actual, Fraction(*_column_bound(eps, path, m, j - 1)))
+    eps = _pyramid_eps(path, py)
+    pre_q, sums, col = py.q_prefix, py.column_sums, py.anchor_column
+    gap = scaled_gap(pre_q[j - 1] // pre_q[m - 1], col[j - 1], 1, col[m - 1])
+    return _cert(j, m, gap, eps.numerator * (sums[j - 1] - sums[m - 1]),
+                 eps.denominator * py.column_den * pre_q[m - 1])
 
 
 def top_anchor_certificate(path: Path, py: Pyramid, j: int) -> AnchorCert:
@@ -438,27 +431,31 @@ def top_anchor_certificate(path: Path, py: Pyramid, j: int) -> AnchorCert:
         sum_{t<j} pside_bound(j-t, t) * prod_{i=t+1..j-1} p_i
             + prod_{i<j} p_i * sum_{t=j..k} predicted_gap(t) * prod_{i=j..t-1} q_i.
 
-    Every pside_bound(j-t, t) divides a tolerance by q_{j-1}; the sums are
-    taken over integers and one Fraction is built.  The pyramid must have
-    uniform tolerances.
+    pside_bound(j-t, t) is the step-(j-t) tolerance of entry t over
+    q_{j-1}; under one tolerance eps its denominator is eps's times
+    P_{t+a} / P_t * Q_{j-2} / Q_{j-2-b} (P_i, Q_i the prefix products,
+    a = floor((j-t)/2), b = floor((j-t-1)/2)), so the bound is
+
+        eps * (sum_t P_{j-1} / P_{t+a} * Q_{j-2-b} * P_H
+               + P_{j-1} * (column_sums[k] - column_sums[j-1]))
+            / (P_H * Q_{j-1}),
+
+    read off the pyramid's tables with one integer sum.  The pyramid must
+    have uniform tolerances.
     """
-    _check_pyramid_matches(path, py)
     k = path.k
     if not 1 <= j <= k + 1:
         raise IndexError(f"j = {j} out of range 1..{k + 1}")
-    eps = _uniform_eps(py)
-    pprod = prod(path.p_primes[: j - 1])
-    qprod = prod(path.q_primes[j - 1 :])
-    actual = Fraction(*scaled_gap(pprod * qprod, py.top, 1, py.layers[0][j - 1]))
-    dn, dd, run = 0, 1, 1
-    for t in range(j - 1, 0, -1):
-        e = py.step_eps[j - t - 1][t - 1]
-        dn, dd = dn * e.denominator + e.numerator * run * dd, dd * e.denominator
-        run *= path.p_primes[t - 1]
-    if j > 1:
-        dd *= path.q_primes[j - 2]
-    fn, fd = _column_bound(eps, path, j, k)
-    return AnchorCert(j, 0, actual, Fraction(dn * fd + pprod * fn * dd, dd * fd))
+    eps = _pyramid_eps(path, py)
+    pre_p, pre_q, sums = py.p_prefix, py.q_prefix, py.column_sums
+    down = sum(pre_p[j - 1] // pre_p[t + (j - t) // 2] * pre_q[j - 2 - (j - t - 1) // 2]
+               for t in range(1, j))
+    den = py.column_den
+    gap = scaled_gap(pre_p[j - 1] * (pre_q[k] // pre_q[j - 1]), py.top,
+                     1, py.layers[0][j - 1])
+    return _cert(j, 0, gap,
+                 eps.numerator * (down * den + pre_p[j - 1] * (sums[k] - sums[j - 1])),
+                 eps.denominator * den * pre_q[j - 1])
 
 
 def top_anchor_actuals(path: Path, top, j: int) -> Fraction:

@@ -11,16 +11,27 @@ hypothesis bounds are carried along explicitly; `predicted_gap` is the
 closed form of the anchor-column bound and `verify_pyramid` checks the
 constructed pyramid against it row by row, in exact arithmetic.
 
-Each hypothesis is decided once: `PrePath` decides the first layer's, and
-each later layer's are the previous merges' post-conditions (same gap, same
-bound), which `merge_two` decides; `layer_step` only merges.
+Where each decision lives:
+- `PrePath` decides the primes (distinct, prime, not dividing Q) and the
+  first layer's hypotheses, once.  Each later layer's hypotheses are the
+  previous merges' post-conditions (same gap, same bound).
+- `_merge` is the one merge kernel.  On integer numerators and
+  denominators it decides the premise ||p1*a1 - p2*a2|| < eps1 + eps2,
+  takes the lift shift from `torus.nearest_lift`, forms the weighted
+  combination over one denominator (one gcd), decides both
+  post-conditions and builds one TorusPoint.  `build_pyramid` sends all
+  k(k+1)/2 merges of a pyramid to it with integer tolerance pairs;
+  `merge_two` first checks its primes and tolerances, `layer_step` its
+  slice lengths and tolerances.
+- A `Pyramid` holds its tolerance tables, prefix products and
+  anchor-column sums; `verify_pyramid` and the certificates in
+  `pathgraph` read them and decide every row by one integer
+  cross-multiplication.  The tables are built once per pyramid and live
+  as long as it does.
 
-Every inequality here is decided on integers: a torus distance comes from
-`torus.scaled_gap` as a pair (g, D) and is compared with a tolerance by
-`torus.below`.  `merge_two` takes the closest lift pair from
-`torus.lift_shifts` and forms the weighted combination over one integer
-denominator, so each merged point costs one gcd; a Fraction is built for a
-distance only where a report or an error message shows it.
+A torus distance comes from `torus.scaled_gap` or `torus.residue_gap` as a
+pair (g, D); a Fraction is built for a distance only where a report or an
+error message shows it.
 """
 from __future__ import annotations
 
@@ -35,8 +46,10 @@ from .torus import (
     TorusPoint,
     as_fraction,
     below,
+    check_lift_primes,
     frac_to_str,
-    lift_shifts,
+    nearest_lift,
+    residue_gap,
     scaled_gap,
 )
 
@@ -47,6 +60,52 @@ class PrePathError(ValueError):
 
 class HypothesisViolation(PrePathError):
     """Input distance at or above the tolerance the merge step requires."""
+
+
+def _merge(
+    a1: TorusPoint, a2: TorusPoint, p1: int, p2: int, e1: int, f1: int, e2: int, f2: int
+) -> TorusPoint:
+    """The merge kernel: `merge_two` with eps1 = e1/f1 and eps2 = e2/f2 given
+    as positive integer pairs, not necessarily in lowest terms, and with the
+    primes taken as checked.
+
+    x = (p2*a2 - p1*a1)*d1*d2 reduced into [-M/2, M/2] by `nearest_lift`
+    is s, so |s|/(d1*d2) is the premise's gap; alpha is built over one
+    integer denominator and reduced by one gcd, and both post-conditions
+    are decided on its numerator and denominator.
+    """
+    x1, x2 = a1.value, a2.value
+    n1, d1 = x1.numerator, x1.denominator
+    n2, d2 = x2.numerator, x2.denominator
+    modulus = a1.modulus
+    q = modulus.q
+    d = d1 * d2
+    k1, _k2, s = nearest_lift(p2 * n2 * d1 - p1 * n1 * d2, q * d, p1, p2)
+    # eps1 : eps2 = w1 : w2, and eps1 + eps2 = w / (f1 * f2)
+    w1, w2 = e1 * f2, e2 * f1
+    w = w1 + w2
+    if abs(s) * f1 * f2 >= w * d:
+        raise HypothesisViolation(
+            f"||{p1}*a1 - {p2}*a2|| = {Fraction(abs(s), d)} >= "
+            f"eps1 + eps2 = {Fraction(w, f1 * f2)}"
+        )
+    # b1 = (a2 + k1*Q)/p1 and b1 - b2 = s/(p1*p2*d1*d2), over one denominator
+    den = w * p1 * p2 * d
+    alpha = Fraction(((n2 + k1 * q * d2) * w * p2 * d1 - w2 * s) % (q * den), den)
+    na, da = alpha.numerator, alpha.denominator
+    g, gd = residue_gap(p2 * na * d1 - n1 * da, da * d1, q)
+    if g * f1 * p1 >= e1 * gd:
+        raise AssertionError(
+            f"merge output: ||{p2}*alpha - a1|| = {Fraction(g, gd)} "
+            f">= eps1/{p1}"
+        )
+    g, gd = residue_gap(p1 * na * d2 - n2 * da, da * d2, q)
+    if g * f2 * p2 >= e2 * gd:
+        raise AssertionError(
+            f"merge output: ||{p1}*alpha - a2|| = {Fraction(g, gd)} "
+            f">= eps2/{p2}"
+        )
+    return TorusPoint.canonical(alpha, modulus)
 
 
 def merge_two(
@@ -65,40 +124,37 @@ def merge_two(
 
     built as the closest lift pair (b1, b2) followed by the convex
     combination b1 - eps2/(eps1 + eps2) * (b1 - b2) of its aligned reals.
-    Both output inequalities are re-checked before returning; a failure
-    would mean a construction bug, not bad input, and raises AssertionError.
+    The primes must be distinct primes not dividing Q.  Both output
+    inequalities are re-checked before returning; a failure would mean a
+    construction bug, not bad input, and raises AssertionError.
     """
     eps1, eps2 = as_fraction(eps1), as_fraction(eps2)
-    e1, f1 = eps1.numerator, eps1.denominator
-    e2, f2 = eps2.numerator, eps2.denominator
-    if e1 <= 0 or e2 <= 0:
+    if eps1 <= 0 or eps2 <= 0:
         raise PrePathError("tolerances must be positive")
-    # eps1 : eps2 = w1 : w2, and eps1 + eps2 = (w1 + w2) / (f1 * f2)
-    w1, w2 = e1 * f2, e2 * f1
-    g, d = scaled_gap(p1, a1, p2, a2)
-    if g * f1 * f2 >= (w1 + w2) * d:
-        raise HypothesisViolation(
-            f"||{p1}*a1 - {p2}*a2|| = {Fraction(g, d)} >= eps1 + eps2 = {eps1 + eps2}"
-        )
-    k1, _k2, s = lift_shifts(a1, a2, p1, p2)
-    q = a1.modulus.q
-    x1, x2 = a1.value, a2.value
-    d1, d2 = x1.denominator, x2.denominator
-    # b1 = (a2 + k1*Q)/p1 and b1 - b2 = s/(p1*p2*d1*d2), over one denominator
-    den = (w1 + w2) * p1 * p2 * d1 * d2
-    num = (x2.numerator + k1 * q * d2) * (w1 + w2) * p2 * d1 - w2 * s
-    alpha = TorusPoint.canonical(Fraction(num % (q * den), den), a1.modulus)
-    g, d = scaled_gap(p2, alpha, 1, a1)
-    if g * f1 * p1 >= e1 * d:
-        raise AssertionError(
-            f"merge output: ||{p2}*alpha - a1|| = {Fraction(g, d)} >= eps1/{p1}"
-        )
-    g, d = scaled_gap(p1, alpha, 1, a2)
-    if g * f2 * p2 >= e2 * d:
-        raise AssertionError(
-            f"merge output: ||{p1}*alpha - a2|| = {Fraction(g, d)} >= eps2/{p2}"
-        )
-    return alpha
+    a1._check_same(a2)
+    check_lift_primes(a1.modulus.q, p1, p2)
+    return _merge(a1, a2, p1, p2, eps1.numerator, eps1.denominator,
+                  eps2.numerator, eps2.denominator)
+
+
+def _merge_layer(
+    top: tuple[TorusPoint, ...],
+    p_primes: tuple[int, ...],
+    q_primes: tuple[int, ...],
+    eps: list[tuple[int, int]],
+    eps_prime: list[tuple[int, int]],
+) -> tuple[TorusPoint, ...]:
+    """Entry j is `_merge` on (top[j], top[j+1]) with primes (p_j, q_j) and
+    tolerances (eps_prime[j], eps[j]) as integer pairs; a failing premise
+    names its 1-based index."""
+    out = []
+    for j, ((e2, f2), (e1, f1)) in enumerate(zip(eps, eps_prime)):
+        try:
+            out.append(_merge(top[j], top[j + 1], p_primes[j], q_primes[j],
+                              e1, f1, e2, f2))
+        except HypothesisViolation as exc:
+            raise HypothesisViolation(f"merge failed at index {j + 1}: {exc}") from exc
+    return tuple(out)
 
 
 def layer_step(
@@ -121,29 +177,24 @@ def layer_step(
         ||p_j * new[j] - top[j+1]|| < eps[j] / q_j
         ||q_j * new[j] - top[j]  || < eps_prime[j] / p_j.
 
-    Each entry is merge_two on (top[j], top[j+1]) with primes (p_j, q_j)
-    and weights (eps_prime[j], eps[j]).  The hypotheses are the caller's
-    and are not re-checked, because each is already decided once: at the
-    first layer `PrePath` decides them on its mid anchors; at a later layer
-    mid[j] is entry j+1 of the layer before `top`, and they are the
-    previous merges' post-conditions.  They imply each merge premise by the
-    triangle inequality, which `merge_two` decides; a failure names its
-    index.
+    Each entry is the merge of (top[j], top[j+1]) with primes (p_j, q_j)
+    and weights (eps_prime[j], eps[j]).  The hypotheses and the primes
+    (distinct, prime, not dividing Q) are the caller's and are not
+    re-checked, because each is already decided once: `PrePath` decides
+    the primes and the first layer's hypotheses on its mid anchors; at a
+    later layer mid[j] is entry j+1 of the layer before `top`, and they
+    are the previous merges' post-conditions.  They imply each merge
+    premise by the triangle inequality, which the merge decides; a failure
+    names its index.
     """
     m = len(p_primes)
     if not (len(q_primes) == len(eps) == len(eps_prime) == m and len(top) == m + 1):
         raise PrePathError("inconsistent slice lengths")
-    out = []
-    for j in range(m):
-        try:
-            out.append(
-                merge_two(
-                    top[j], top[j + 1], p_primes[j], q_primes[j], eps_prime[j], eps[j]
-                )
-            )
-        except HypothesisViolation as exc:
-            raise HypothesisViolation(f"merge failed at index {j + 1}: {exc}") from exc
-    return tuple(out)
+    tols = [as_fraction(e) for e in (*eps, *eps_prime)]
+    if any(e <= 0 for e in tols):
+        raise PrePathError("tolerances must be positive")
+    pairs = [(e.numerator, e.denominator) for e in tols]
+    return _merge_layer(top, p_primes, q_primes, pairs[:m], pairs[m:])
 
 
 @dataclass(frozen=True)
@@ -209,33 +260,52 @@ class PrePath:
 
     @property
     def uniform_eps(self) -> Fraction | None:
-        vals = set(self.eps) | set(self.eps_prime)
-        return next(iter(vals)) if len(vals) == 1 else None
+        """The one tolerance, or None when the tolerances differ."""
+        e = self.eps[0]
+        same = all(x is e or x == e for x in self.eps + self.eps_prime)
+        return e if same else None
 
 
 @dataclass(frozen=True)
 class Pyramid:
-    """The triangular array built by iterating layer_step.
+    """The triangular array built by iterating the layer merge, with the
+    integer tables its bounds are read from.
 
     layers[0] is the pre-path's top anchor tuple; layer s has k+1-s
-    entries.  step_eps/step_eps_prime record the hypothesis tolerances in
-    force at each step, so every bound downstream is auditable without
-    re-deriving the recursion; the merge at step s+1 pairs p_primes[:m]
-    with q_primes[s:s+m], m = k - s.
+    entries.  The merge at step s+1 pairs p_primes[:m] with
+    q_primes[s:s+m], m = k - s, under the tolerances eps_table[s] and
+    eps_prime_table[s]: each is a pre-path tolerance n/d written as the
+    pair (n, d * an integer product), the exact recursion of
+    `build_pyramid`, so every bound downstream is auditable without
+    re-deriving it (`step_eps` and `step_eps_prime` are the same tables as
+    Fractions).
+
+    p_prefix[i] and q_prefix[i] are the products of the first i primes.
+    With h(t) = floor((t-1)/2) + 1 and H = h(k), column_sums[t] is
+    sum_{u<=t} q_prefix[h(u)-1] * p_prefix[H] / p_prefix[h(u)], a whole
+    number, so that for a uniform tolerance eps
+
+        sum_{t=first..last} predicted_gap(t) * prod_{i=first..t-1} q_i
+            = eps * (column_sums[last] - column_sums[first-1])
+                  / (p_prefix[H] * q_prefix[first-1]).
     """
 
     modulus: Modulus
     p_primes: tuple[int, ...]
     q_primes: tuple[int, ...]
     layers: tuple[tuple[TorusPoint, ...], ...]
-    step_eps: tuple[tuple[Fraction, ...], ...]
-    step_eps_prime: tuple[tuple[Fraction, ...], ...]
+    eps_table: tuple[tuple[tuple[int, int], ...], ...]
+    eps_prime_table: tuple[tuple[tuple[int, int], ...], ...]
+    uniform_eps: Fraction | None
+    p_prefix: tuple[int, ...]
+    q_prefix: tuple[int, ...]
+    column_sums: tuple[int, ...]
 
     @property
     def k(self) -> int:
         return len(self.layers) - 1
 
-    @property
+    @cached_property
     def anchor_column(self) -> tuple[TorusPoint, ...]:
         return tuple(layer[0] for layer in self.layers)
 
@@ -243,22 +313,19 @@ class Pyramid:
     def top(self) -> TorusPoint:
         return self.layers[-1][0]
 
+    @property
+    def column_den(self) -> int:
+        """p_prefix[H], the denominator of column_sums."""
+        return self.p_prefix[(self.k - 1) // 2 + 1]
+
     @cached_property
-    def uniform_eps(self) -> Fraction | None:
-        """The pre-path's one tolerance, or None when its tolerances differ."""
-        vals = set(self.step_eps[0]) | set(self.step_eps_prime[0])
-        return next(iter(vals)) if len(vals) == 1 else None
+    def step_eps(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(*e) for e in row) for row in self.eps_table)
 
-    def qside_bound(self, step: int, entry: int) -> Fraction:
-        """Bound on ||q_{step+entry-1} * layers[step][entry-1] -
-        layers[step-1][entry-1]||; 1-based step and entry."""
-        return self.step_eps_prime[step - 1][entry - 1] / self.p_primes[entry - 1]
-
-    def pside_bound(self, step: int, entry: int) -> Fraction:
-        """Bound on ||p_entry * layers[step][entry-1] - layers[step-1][entry]||;
-        1-based step and entry."""
-        return (
-            self.step_eps[step - 1][entry - 1] / self.q_primes[step + entry - 2]
+    @cached_property
+    def step_eps_prime(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(
+            tuple(Fraction(*e) for e in row) for row in self.eps_prime_table
         )
 
     def to_json(self) -> dict:
@@ -273,7 +340,7 @@ class Pyramid:
 
 
 def build_pyramid(pp: PrePath) -> Pyramid:
-    """Iterate layer_step to the apex, tracking tolerances exactly.
+    """Run all k(k+1)/2 merges to the apex, tracking tolerances exactly.
 
     Step s consumes primes p_1..p_{k+1-s} and q_s..q_k.  The hypotheses of
     step s+1 are step s's merge post-conditions, relative to the interior
@@ -282,44 +349,47 @@ def build_pyramid(pp: PrePath) -> Pyramid:
         eps'[s+1][i] = eps[s][i] / q_{s+i-1}
         eps [s+1][i] = eps'[s][i+1] / p_{i+1}
 
-    The construction is deterministic (closest_lift_pair ties included),
-    so identical pre-paths give identical triangles.
+    kept as integer pairs whose denominators pick up one prime per step.
+    The primes and the first layer's hypotheses are `PrePath`'s, decided
+    once, so every merge goes straight to the integer kernel.  The
+    construction is deterministic (lift ties included), so identical
+    pre-paths give identical triangles.
     """
     k = pp.k
+    ps, qs = pp.p_primes, pp.q_primes
+    eps = [(e.numerator, e.denominator) for e in pp.eps]
+    eps_prime = [(e.numerator, e.denominator) for e in pp.eps_prime]
     layers = [pp.top_anchors]
-    cur_eps = list(pp.eps)
-    cur_eps_prime = list(pp.eps_prime)
-    step_eps, step_eps_prime = [], []
-    for s in range(1, k + 1):
-        m = k + 1 - s
-        ps = pp.p_primes[:m]
-        qs = pp.q_primes[s - 1 : s - 1 + m]
-        step_eps.append(tuple(cur_eps[:m]))
-        step_eps_prime.append(tuple(cur_eps_prime[:m]))
-        new_layer = layer_step(layers[-1], ps, qs, step_eps[-1], step_eps_prime[-1])
-        next_eps = [cur_eps_prime[i + 1] / pp.p_primes[i + 1] for i in range(m - 1)]
-        next_eps_prime = [cur_eps[i] / qs[i] for i in range(m - 1)]
-        cur_eps, cur_eps_prime = next_eps, next_eps_prime
-        layers.append(new_layer)
+    eps_table, eps_prime_table = [], []
+    for s in range(k):
+        eps_table.append(tuple(eps))
+        eps_prime_table.append(tuple(eps_prime))
+        layers.append(_merge_layer(layers[-1], ps, qs[s:], eps, eps_prime))
+        eps, eps_prime = (
+            [(n, d * p) for (n, d), p in zip(eps_prime[1:], ps[1:])],
+            [(n, d * q) for (n, d), q in zip(eps[:-1], qs[s:])],
+        )
+    p_prefix, q_prefix = [1], [1]
+    for p, q in zip(ps, qs):
+        p_prefix.append(p_prefix[-1] * p)
+        q_prefix.append(q_prefix[-1] * q)
+    top_p = p_prefix[(k - 1) // 2 + 1]
+    column_sums = [0]
+    for t in range(1, k + 1):
+        h = (t - 1) // 2 + 1
+        column_sums.append(column_sums[-1] + q_prefix[h - 1] * (top_p // p_prefix[h]))
     return Pyramid(
         modulus=pp.modulus,
-        p_primes=pp.p_primes,
-        q_primes=pp.q_primes,
+        p_primes=ps,
+        q_primes=qs,
         layers=tuple(layers),
-        step_eps=tuple(step_eps),
-        step_eps_prime=tuple(step_eps_prime),
+        eps_table=tuple(eps_table),
+        eps_prime_table=tuple(eps_prime_table),
+        uniform_eps=pp.uniform_eps,
+        p_prefix=tuple(p_prefix),
+        q_prefix=tuple(q_prefix),
+        column_sums=tuple(column_sums),
     )
-
-
-def gap_denominator(
-    j: int, p_primes: tuple[int, ...], q_primes: tuple[int, ...]
-) -> int:
-    """eps / predicted_gap(j, eps, ...): with h = floor((j-1)/2) + 1 it is
-
-        prod_{i=1}^{h} p_i * prod_{i=h}^{j-1} q_i.
-    """
-    h = (j - 1) // 2 + 1
-    return prod(p_primes[:h]) * prod(q_primes[h - 1 : j - 1])
 
 
 def predicted_gap(
@@ -335,11 +405,14 @@ def predicted_gap(
 
     for 1 <= j <= k; this is exactly what the tolerance recursion yields
     for the first column, so the constructed pyramid must beat it strictly.
+    With h = floor((j-1)/2) + 1 the denominator is
+    prod_{i<=h} p_i * prod_{h<=i<j} q_i.
     """
     k = len(p_primes)
     if not 1 <= j <= k:
         raise IndexError(f"j = {j} out of range 1..{k}")
-    return as_fraction(eps) / gap_denominator(j, p_primes, q_primes)
+    h = (j - 1) // 2 + 1
+    return as_fraction(eps) / (prod(p_primes[:h]) * prod(q_primes[h - 1 : j - 1]))
 
 
 @dataclass(frozen=True)
@@ -362,27 +435,29 @@ class GapRow:
 class BoundReport:
     rows: tuple[GapRow, ...]
 
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
 
 def verify_pyramid(pp: PrePath, py: Pyramid) -> BoundReport:
     """Exact per-row comparison of anchor-column gaps with predicted_gap.
 
-    Requires a uniform-tolerance pre-path and a pyramid built from it.  A
-    failing row signals a construction bug; failures are report rows, not
-    exceptions.
+    Requires a uniform-tolerance pre-path and a pyramid built from it.
+    predicted_gap(j) = eps * q_prefix[h-1] / (p_prefix[h] * q_prefix[j-1])
+    is read off the pyramid's prefix tables, and each row's strict `<` is
+    one integer cross-multiplication.  A failing row signals a
+    construction bug; failures are report rows, not exceptions.
     """
     eps = pp.uniform_eps
     if eps is None:
         raise PrePathError("verification needs uniform tolerances")
-    if py.layers[0] != pp.top_anchors:
+    if (py.layers[0], py.p_primes, py.q_primes) != (
+        pp.top_anchors, pp.p_primes, pp.q_primes
+    ):
         raise PrePathError("pyramid does not start from this pre-path")
-    col = py.anchor_column
+    e, f = eps.numerator, eps.denominator
+    col, pre_p, pre_q = py.anchor_column, py.p_prefix, py.q_prefix
     rows = []
     for j in range(1, pp.k + 1):
-        gap = scaled_gap(pp.q_primes[j - 1], col[j], 1, col[j - 1])
-        pred = predicted_gap(j, eps, pp.p_primes, pp.q_primes)
-        rows.append(GapRow(j, Fraction(*gap), pred, below(gap, pred)))
+        g, d = scaled_gap(pp.q_primes[j - 1], col[j], 1, col[j - 1])
+        h = (j - 1) // 2 + 1
+        pn, pd = e * pre_q[h - 1], f * pre_p[h] * pre_q[j - 1]
+        rows.append(GapRow(j, Fraction(g, d), Fraction(pn, pd), g * pd < pn * d))
     return BoundReport(tuple(rows))

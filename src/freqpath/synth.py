@@ -625,6 +625,25 @@ def _slack_is_exact(a: Site, b: Site, p: int, q: int, slack: Fraction) -> bool:
             == slack.numerator * d1 * d2 * p * q)
 
 
+def _planted_within(truth: GroundTruth, sites, bound: Fraction) -> bool:
+    """Whether every site's alpha is within `bound` of truth.planted_alpha,
+    decided on integers: with alpha = na/da, x = nx/dx, t* = nt/dt and
+    residue a, alpha - (a*carrier/q* + t*/x) is N/D over the one
+    denominator D = da*q**dt*nx (nx > 0), so the test is |N| * b_den <=
+    b_num * D."""
+    q, carrier = truth.q_star, truth.carrier
+    nt, dt = truth.t_star.numerator, truth.t_star.denominator
+    b_num, b_den = bound.numerator, bound.denominator
+    for i, site in enumerate(sites):
+        na, da = site.alpha.numerator, site.alpha.denominator
+        nx, dx = site.x.numerator, site.x.denominator
+        a = truth.a_map.get(i, 0)
+        dev = (na * q - a * carrier * da) * dt * nx - nt * dx * da * q
+        if abs(dev) * b_den > b_num * da * q * dt * nx:
+            return False
+    return True
+
+
 def audit_instance(inst: Instance) -> AuditReport:
     """Re-verify every instance invariant with exact arithmetic."""
     params = inst.params
@@ -650,6 +669,7 @@ def audit_instance(inst: Instance) -> AuditReport:
     )
     pool_w = params.witness_primes()
     min_w = params.min_witness()
+    s_num, s_den = params.s_edge.numerator, params.s_edge.denominator
     bad_edge = ""
     for e in inst.edges:
         if not (0 <= e.i < len(cfg.sites) and 0 <= e.j < len(cfg.sites)):
@@ -662,7 +682,7 @@ def audit_instance(inst: Instance) -> AuditReport:
         if not _slack_is_exact(*step, e.slack):
             bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) stored slack is not exact"
             break
-        if e.slack > params.s_edge:
+        if e.slack.numerator * s_den > s_num * e.slack.denominator:
             bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) physical slack {e.slack}"
             break
         witness = edge_witness(*step, pool_w, params.eps_edge)
@@ -683,14 +703,8 @@ def audit_instance(inst: Instance) -> AuditReport:
             "residue_range",
             all(0 <= a < truth.q_star for a in truth.a_map.values()),
         )
-        bound = params.noise_level * params.eps_edge
-        planted_ok = True
-        for i, site in enumerate(cfg.sites):
-            ideal = truth.planted_alpha(i, site.x)
-            if abs(site.alpha - ideal) > bound:
-                planted_ok = False
-                break
-        check("planted_consistency", planted_ok)
+        check("planted_consistency", _planted_within(
+            truth, cfg.sites, params.noise_level * params.eps_edge))
     return AuditReport(tuple(checks))
 
 

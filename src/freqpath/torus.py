@@ -9,13 +9,15 @@ decided exactly.
 The arithmetic is decided on the integers n and d.  One norm test serves
 the whole package: `residue_gap(N, D, Q)` is ||N/D||_Q as an unreduced
 pair (g, D), and `below((g, D), eps)` decides `g/D < eps` by one
-cross-multiplication (only `pyramid.merge_two` cross-multiplies inline,
-against bounds it never reduces).  `scaled_gap` feeds it ||c1*a - c2*b||_Q
-over D = d_a*d_b; `lift_shifts` returns the closest lift pair as integer
-lift indices and its aligned gap over p1*p2*D.  A Fraction (one gcd) and a
-TorusPoint are built only for a value that is handed out, and a point
-whose residue is canonical by construction (`TorusPoint.canonical`) skips
-the range check that guards points built by outside callers.
+cross-multiplication (the pyramid kernel and the certificates
+cross-multiply inline, against bounds they keep as integer pairs).
+`scaled_gap` feeds it ||c1*a - c2*b||_Q over D = d_a*d_b; `nearest_lift`
+returns the closest lift pair as integer lift indices and its aligned gap
+over p1*p2*D, leaving the prime checks (`check_lift_primes`) to callers.
+`reduce_ratio` reduces n/d by the one integer n mod Q*d.  A Fraction (one
+gcd) and a TorusPoint are built only for a value that is handed out, and a
+point whose residue is canonical by construction (`TorusPoint.canonical`)
+skips the range check that guards points built by outside callers.
 
 Q = 1 is a legal modulus; the "p does not divide Q" condition on prime
 lifts is vacuous there.
@@ -151,10 +153,13 @@ def reduce_mod(x: Rational, modulus: Modulus | int) -> TorusPoint:
 
     For x = n/d in lowest terms it is (n mod Q*d)/d, again in lowest terms.
     """
-    modulus = _as_modulus(modulus)
     x = as_fraction(x)
-    d = x.denominator
-    return TorusPoint.canonical(Fraction(x.numerator % (modulus.q * d), d), modulus)
+    return reduce_ratio(x.numerator, x.denominator, _as_modulus(modulus))
+
+
+def reduce_ratio(n: int, d: int, modulus: Modulus) -> TorusPoint:
+    """n/d mod Q for d > 0, by the one integer reduction n mod Q*d."""
+    return TorusPoint.canonical(Fraction(n % (modulus.q * d), d), modulus)
 
 
 def torus_norm(x: TorusPoint) -> Fraction:
@@ -214,46 +219,40 @@ def lift_roots(alpha: TorusPoint, p: int) -> list[TorusPoint]:
     return [TorusPoint(base + k * step, alpha.modulus) for k in range(p)]
 
 
-def lift_shifts(
-    a1: TorusPoint, a2: TorusPoint, p1: int, p2: int
-) -> tuple[int, int, int]:
-    """The closest lift pair of `closest_lift_pair` in integers: (k1, k2, s).
-
-    The pair is b1 = (a2 + k1*Q)/p1 and b2 = (a1 + k2*Q)/p2.  With
-    a1 = n1/d1 and a2 = n2/d2, s/(p1*p2*d1*d2) is b1 - b2 taken in
-    [-Q/(2*p1*p2), Q/(2*p1*p2)], so |s| measures the torus gap.
-
-    Lifts of a2 by p1 and of a1 by p2 differ by (p2*a2 - p1*a1 + c*Q)/(p1*p2)
-    as the integer c ranges over all residues mod p1*p2 (CRT), so the gap
-    is minimised at the c that reduces x = (p2*a2 - p1*a1)*d1*d2 into
-    (-M/2, M/2], M = Q*d1*d2.  Two values of c tie exactly when that residue
-    sits at M/2; b1 grows with k1, so the smaller k1 gives the
-    lexicographically smaller pair.  The primes are checked as
-    `closest_lift_pair` documents.
-    """
+def check_lift_primes(q: int, p1: int, p2: int) -> None:
+    """Raise TorusError unless p1, p2 are distinct primes not dividing q."""
     if p1 == p2:
         raise TorusError("the two primes must be distinct")
-    a1._check_same(a2)
-    q = a1.modulus.q
     for p in (p1, p2):
         if not is_prime(p):
             raise TorusError(f"{p} is not prime")
         if q % p == 0:
             raise TorusError(f"prime {p} divides the modulus {q}")
-    x1, x2 = a1.value, a2.value
-    d1, d2 = x1.denominator, x2.denominator
-    m = q * d1 * d2
-    x = p2 * x2.numerator * d1 - p1 * x1.numerator * d2
+
+
+def nearest_lift(x: int, m: int, p1: int, p2: int) -> tuple[int, int, int]:
+    """The closest lift pair of `closest_lift_pair` in integers: (k1, k2, s),
+    with no check on the primes.
+
+    With a1 = n1/d1 and a2 = n2/d2, x = (p2*a2 - p1*a1)*d1*d2 and
+    M = Q*d1*d2, the pair is b1 = (a2 + k1*Q)/p1 and b2 = (a1 + k2*Q)/p2,
+    and s/(p1*p2*d1*d2) is b1 - b2 taken in [-Q/(2*p1*p2), Q/(2*p1*p2)],
+    so |s| measures the torus gap.
+
+    Lifts of a2 by p1 and of a1 by p2 differ by (p2*a2 - p1*a1 + c*Q)/(p1*p2)
+    as the integer c ranges over all residues mod p1*p2 (CRT), so the gap
+    is minimised at the c that reduces x into (-M/2, M/2].  Two values of c
+    tie exactly when that residue sits at M/2; b1 grows with k1, so the
+    smaller k1 gives the lexicographically smaller pair.
+    """
     w = x % m
-    gaps = (w,) if 2 * w < m else (w - m,) if 2 * w > m else (w, w - m)
     inv_p2 = pow(p2, -1, p1)
     best = None
-    for s in gaps:
+    for s in (w,) if 2 * w < m else (w - m,) if 2 * w > m else (w, w - m):
         c = (s - x) // m  # exact: s = x + c*M
         k1 = c * inv_p2 % p1
-        k2 = (k1 * p2 - c) // p1 % p2
         if best is None or k1 < best[0]:
-            best = (k1, k2, s)
+            best = (k1, (k1 * p2 - c) // p1 % p2, s)
     return best
 
 
@@ -267,8 +266,14 @@ def closest_lift_pair(
     canonical representatives, so the result is deterministic.  The primes
     must be distinct primes that do not divide Q.
     """
-    k1, k2, _s = lift_shifts(a1, a2, p1, p2)
+    a1._check_same(a2)
     q = a1.modulus.q
+    check_lift_primes(q, p1, p2)
+    x1, x2 = a1.value, a2.value
+    d1, d2 = x1.denominator, x2.denominator
+    k1, k2, _s = nearest_lift(
+        p2 * x2.numerator * d1 - p1 * x1.numerator * d2, q * d1 * d2, p1, p2
+    )
     return (
         TorusPoint.canonical((a2.value + k1 * q) / p1, a1.modulus),
         TorusPoint.canonical((a1.value + k2 * q) / p2, a1.modulus),

@@ -12,7 +12,8 @@ split walks are matched against an enumerator that rebuilds the adjacency
 on every call, and the integer separation check against sorted Fractions.
 Generation decides on integer-scaled values; its Fraction references are
 the witness check (`ref_edge_witness`) and site placement
-(`ref_place_sites`).
+(`ref_place_sites`), and the audit's planted and physical checks have
+theirs (`ref_planted_consistency`, `ref_slacks_within`).
 Tests freeze hand-derived constants where the setup is small enough to
 work out by hand.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
@@ -39,7 +41,13 @@ from freqpath.pathgraph import (
     Site,
 )
 from freqpath.primes import primes_in_range, prod
-from freqpath.pyramid import HypothesisViolation, PrePath, Pyramid, predicted_gap
+from freqpath.pyramid import (
+    BoundReport,
+    HypothesisViolation,
+    PrePath,
+    Pyramid,
+    predicted_gap,
+)
 from freqpath.synth import InfeasibleParamsError, _route_pair_candidates
 from freqpath.torus import (
     Modulus,
@@ -160,7 +168,18 @@ def ref_merge_two(a1, a2, p1, p2, eps1, eps2) -> TorusPoint:
     return alpha
 
 
-def ref_build_pyramid(pp: PrePath) -> Pyramid:
+@dataclass(frozen=True)
+class RefPyramid:
+    """The layers and both tolerance tables of a pyramid, as Fractions."""
+
+    p_primes: tuple[int, ...]
+    q_primes: tuple[int, ...]
+    layers: tuple[tuple[TorusPoint, ...], ...]
+    step_eps: tuple[tuple[Fraction, ...], ...]
+    step_eps_prime: tuple[tuple[Fraction, ...], ...]
+
+
+def ref_build_pyramid(pp: PrePath) -> RefPyramid:
     """build_pyramid in Fraction arithmetic, checking every layer hypothesis
     with torus_norm before merging."""
     k = pp.k
@@ -189,8 +208,26 @@ def ref_build_pyramid(pp: PrePath) -> Pyramid:
             [cur_eps_prime[i + 1] / pp.p_primes[i + 1] for i in range(m - 1)],
             [cur_eps[i] / qs[i] for i in range(m - 1)],
         )
-    return Pyramid(pp.modulus, pp.p_primes, pp.q_primes, tuple(layers),
-                   tuple(step_eps), tuple(step_eps_prime))
+    return RefPyramid(pp.p_primes, pp.q_primes, tuple(layers),
+                      tuple(step_eps), tuple(step_eps_prime))
+
+
+def qside_bound(py, step: int, entry: int) -> Fraction:
+    """Bound on ||q_{step+entry-1} * layers[step][entry-1] -
+    layers[step-1][entry-1]||, read off the Fraction tolerance tables;
+    1-based step and entry."""
+    return py.step_eps_prime[step - 1][entry - 1] / py.p_primes[entry - 1]
+
+
+def pside_bound(py, step: int, entry: int) -> Fraction:
+    """Bound on ||p_entry * layers[step][entry-1] - layers[step-1][entry]||,
+    read off the Fraction tolerance tables; 1-based step and entry."""
+    return py.step_eps[step - 1][entry - 1] / py.q_primes[step + entry - 2]
+
+
+def all_passed(report: BoundReport) -> bool:
+    """Whether every row of a verify_pyramid report passed."""
+    return all(r.passed for r in report.rows)
 
 
 def ref_anchor_bound(py: Pyramid, j: int, m: int) -> tuple[Fraction, Fraction]:
@@ -207,7 +244,8 @@ def ref_anchor_bound(py: Pyramid, j: int, m: int) -> tuple[Fraction, Fraction]:
 
 
 def ref_top_anchor(py: Pyramid, j: int) -> tuple[Fraction, Fraction]:
-    """(actual, bound) of top_anchor_certificate, one Fraction per term."""
+    """(actual, bound) of top_anchor_certificate, one Fraction per term, the
+    p-side bounds read off the pyramid's Fraction tolerance tables."""
     k = py.k
     pprod = prod(py.p_primes[: j - 1])
     qprod = prod(py.q_primes[j - 1 :])
@@ -220,8 +258,28 @@ def ref_top_anchor(py: Pyramid, j: int) -> tuple[Fraction, Fraction]:
         )
     b_dwn = Fraction(0)
     for t in range(1, j):
-        b_dwn += py.pside_bound(j - t, t) * prod(py.p_primes[t : j - 1])
+        b_dwn += pside_bound(py, j - t, t) * prod(py.p_primes[t : j - 1])
     return actual, b_dwn + pprod * b_fwd
+
+
+def ratio_product(
+    p_primes: tuple[int, ...], q_primes: tuple[int, ...], m: int
+) -> Fraction:
+    """prod_{i<=m} q_i / p_i as an exact rational."""
+    return Fraction(prod(q_primes[:m]), prod(p_primes[:m]))
+
+
+def ref_ratio_drift(path: Path, m: int) -> tuple[Fraction, Fraction, Fraction, bool]:
+    """(ratio, drift, bound, passed) of ratio_drift_certificate in Fraction
+    arithmetic: the bound adds, for each step t, q_t times its edge slack
+    times the Fraction tail prod_{i=t+1..m} q_i/p_i."""
+    ratio = ratio_product(path.p_primes, path.q_primes, m)
+    drift = abs(path.sites[0].x * ratio - path.sites[m].x)
+    bound = Fraction(0)
+    for t in range(1, m + 1):
+        tail = Fraction(prod(path.q_primes[t:m]), prod(path.p_primes[t:m]))
+        bound += path.q_primes[t - 1] * path.edges[t - 1].slack * tail
+    return ratio, drift, bound, drift <= bound
 
 
 def ref_validate_path_modulus(path: Path, modulus: Modulus, eps_edge: Fraction) -> None:
@@ -250,6 +308,20 @@ def ref_edge_witness(
     the Fraction p*alpha_a - q*alpha_b modulo w is strictly below eps_edge."""
     rel = p * a.alpha - q * b.alpha
     return frozenset(w for w in witness_pool if norm_mod(rel, w) < eps_edge)
+
+
+def ref_planted_consistency(inst) -> bool:
+    """The audit's planted_consistency in Fraction arithmetic: every site's
+    alpha lies within noise_level * eps_edge of truth.planted_alpha."""
+    bound = inst.params.noise_level * inst.params.eps_edge
+    return all(abs(s.alpha - inst.truth.planted_alpha(i, s.x)) <= bound
+               for i, s in enumerate(inst.cfg.sites))
+
+
+def ref_slacks_within(inst) -> bool:
+    """The audit's physical check in Fraction arithmetic: every stored edge
+    slack is at most s_edge."""
+    return all(e.slack <= inst.params.s_edge for e in inst.edges)
 
 
 def _ref_try_place(placed: list[Fraction], x: Fraction, lo, hi, sep) -> bool:

@@ -17,6 +17,7 @@ from fractions import Fraction as F
 from math import factorial
 
 from conftest import (
+    all_passed,
     brute_min_degree_subset,
     planted_prepath,
     rand_coprime_primes,
@@ -81,7 +82,7 @@ def test_criterion_02_layer_gap_bounds():
         k = rng.randint(1, 8)
         pp = planted_prepath(rng, k, F(1, rng.randint(10, 200)))
         rep = verify_pyramid(pp, build_pyramid(pp))
-        assert rep.all_passed
+        assert all_passed(rep)
         all_rows += len(rep.rows)
     report(2, True, time.time() - t0, 60,
            f"1000 pre-paths, {all_rows} gap rows, all strictly below the bound")

@@ -8,6 +8,7 @@ close.
 """
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -21,15 +22,21 @@ from conftest import (
     brute_closest_lift_pair,
     path_over,
     planted_prepath,
+    qside_bound,
     ref_anchor_bound,
     ref_build_pyramid,
     ref_closest_lift_pair,
     ref_merge_two,
+    ref_ratio_drift,
     ref_reduce_mod,
     ref_top_anchor,
 )
 from freqpath.pathgraph import (
+    Edge,
+    Path,
+    Site,
     anchor_bound_certificate,
+    ratio_drift_certificate,
     top_anchor_actuals,
     top_anchor_certificate,
 )
@@ -195,19 +202,88 @@ class TestPyramid:
             actual = torus_norm(col[j].scale(pp.q_primes[j - 1]) - col[j - 1])
             assert row.actual == actual
             assert row.passed == (actual < row.predicted)
-            assert row.predicted == py.qside_bound(j, 1)
+            assert row.predicted == qside_bound(py, j, 1)
+
+
+def assert_certificates_match_reference(path, py) -> None:
+    """Every anchor and apex row equals its Fraction reference, and each
+    `passed` is the Fraction comparison actual <= bound."""
+    k = path.k
+    for j in range(2, k + 2):
+        for m in range(1, j):
+            cert = anchor_bound_certificate(path, py, j, m)
+            assert (cert.actual, cert.bound) == ref_anchor_bound(py, j, m)
+            assert cert.passed == (cert.actual <= cert.bound)
+    for j in range(1, k + 2):
+        cert = top_anchor_certificate(path, py, j)
+        assert (cert.actual, cert.bound) == ref_top_anchor(py, j)
+        assert cert.passed == (cert.actual <= cert.bound)
+        assert top_anchor_actuals(path, py.top, j) == cert.actual
+
+
+@st.composite
+def drift_paths(draw):
+    """A walk of length 1..6 over random positions; each stored slack is
+    the exact step deviation times a factor in [0, 2], often exactly 1, so
+    drift <= bound fails for some draws and holds for others, with
+    equality when every factor is 1 and the deviations share a sign."""
+    k = draw(st.integers(1, 6))
+    primes = draw(st.lists(st.sampled_from(SMALL_PRIMES), min_size=2 * k,
+                           max_size=2 * k, unique=True))
+    xs = draw(st.lists(st.builds(F, st.integers(1, 10**9), st.integers(1, 10**4)),
+                       min_size=k + 1, max_size=k + 1))
+    factor = st.one_of(st.just(F(1)), st.builds(F, st.integers(0, 2000), st.just(1000)))
+    factors = draw(st.lists(factor, min_size=k, max_size=k))
+    edges = tuple(
+        Edge(t, t + 1, p, q, frozenset({2}), abs(xs[t] / p - xs[t + 1] / q) * c)
+        for t, (p, q, c) in enumerate(zip(primes[:k], primes[k:], factors))
+    )
+    return Path(tuple(Site(x, 0) for x in xs), edges)
 
 
 class TestCertificates:
     @given(prepaths(uniform=True))
     def test_rows_match_reference(self, pp):
+        assert_certificates_match_reference(path_over(pp), build_pyramid(pp))
+
+    @given(prepaths(uniform=True), st.builds(F, st.integers(1, 999), st.just(1000)))
+    def test_rows_match_reference_on_moved_layers(self, pp, share):
+        # every layer above the base moved by share*Q: the rows that now
+        # fail are decided as the Fraction comparison decides them
+        py = build_pyramid(pp)
+        shift = share * pp.modulus.q
+        moved = tuple(tuple(reduce_mod(a.value + shift, pp.modulus) for a in layer)
+                      for layer in py.layers[1:])
+        py = dataclasses.replace(py, layers=py.layers[:1] + moved)
+        assert_certificates_match_reference(path_over(pp), py)
+
+    def test_distance_at_the_bound(self, rng):
+        # anchor and apex rows pass at equality (<=), layer-gap rows do not
+        # (<): the apex of a length-1 pyramid is moved to exactly the bound
+        # of each row, then 10^-12 past it
+        eps = F(1, 20)
+        pp = planted_prepath(rng, 1, eps, Modulus(1, ()))
         path, py = path_over(pp), build_pyramid(pp)
-        k = pp.k
-        for j in range(2, k + 2):
-            for m in range(1, j):
-                cert = anchor_bound_certificate(path, py, j, m)
-                assert (cert.actual, cert.bound) == ref_anchor_bound(py, j, m)
-        for j in range(1, k + 2):
-            cert = top_anchor_certificate(path, py, j)
-            assert (cert.actual, cert.bound) == ref_top_anchor(py, j)
-            assert top_anchor_actuals(path, py.top, j) == cert.actual
+        (p1,), (q1,) = pp.p_primes, pp.q_primes
+        base = py.layers[0]
+
+        def with_apex(anchor, mult, gap):
+            # the apex a with mult * a - anchor = gap
+            apex = reduce_mod((anchor.value + gap) / mult, pp.modulus)
+            return dataclasses.replace(py, layers=(base, (apex,)))
+
+        for extra, ok in ((F(0), True), (F(1, 10**12), False)):
+            cert = anchor_bound_certificate(path, with_apex(base[0], q1, eps / p1 + extra), 2, 1)
+            assert (cert.actual, cert.bound, cert.passed) == (eps / p1 + extra, eps / p1, ok)
+            cert = top_anchor_certificate(path, with_apex(base[1], p1, eps / q1 + extra), 2)
+            assert (cert.actual, cert.bound, cert.passed) == (eps / q1 + extra, eps / q1, ok)
+        row, = verify_pyramid(pp, with_apex(base[0], q1, eps / p1)).rows
+        assert (row.actual, row.predicted, row.passed) == (eps / p1, eps / p1, False)
+
+    @given(drift_paths())
+    def test_ratio_drift_matches_reference(self, path):
+        for m in range(1, path.k + 1):
+            cert = ratio_drift_certificate(path, m)
+            ref = ref_ratio_drift(path, m)
+            assert (cert.ratio, cert.drift, cert.bound, cert.passed) == ref
+            assert cert.passed == (cert.drift <= cert.bound)

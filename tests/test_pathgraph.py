@@ -2,9 +2,10 @@
 counting checks."""
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction as F
-
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from conftest import (
     brute_min_degree_subset,
     path_over,
     planted_prepath,
+    ratio_product,
     ref_edge_witness,
     ref_enumerate_split_paths,
     ref_separation_error,
@@ -41,14 +43,19 @@ from freqpath.pathgraph import (
     path_prepath,
     peel_regular,
     ratio_drift_certificate,
-    ratio_product,
     route_count_gate_max_k,
     top_anchor_actuals,
     top_anchor_certificate,
     validate_path_modulus,
 )
 from freqpath.primes import prod
-from freqpath.pyramid import HypothesisViolation, PrePath, PrePathError, build_pyramid
+from freqpath.pyramid import (
+    HypothesisViolation,
+    PrePath,
+    PrePathError,
+    build_pyramid,
+    verify_pyramid,
+)
 from freqpath.synth import Params, gen_instance
 from freqpath.torus import Modulus
 from test_e2e import e2e_params
@@ -296,6 +303,45 @@ class TestAnchorCertificates:
                     bound = top_anchor_certificate(path, pyr, j).bound
                     assert top_anchor_actuals(path, py.top, j) <= bound
                     assert top_anchor_actuals(path, pyi.top, j) <= bound
+
+
+# sha256 of every certificate row of the first split path of each length
+# 1..8 of acceptance criterion 3's chain instance at seed 0, as made by the
+# Fraction-per-term certificates
+PINNED_CERTIFICATES = {
+    1: "9d3a36e454ab846eadeff59e338fd8f786b5df3bce8c81ac5220be0092417b88",
+    2: "cd7e5e57f751a5633757429410370fdf6f3da1b506fbea09b277fbea33dc165e",
+    3: "83aafecff87b1654dd57fea1db0b404f4d083380c1f102930a3215a985a79ea8",
+    4: "4d646117cb049b3756fbb2dca8c0e8b34edaf4bd8777f769bd3092f98f59fcf8",
+    5: "01c6987487f342c04c33e322fe60099438bdc43fda6c3d1a0577909e59ed6cbf",
+    6: "d940c1f01583a89a9f9b8e0742e7d17ff2604e9cd0bc9c4daccf35435338d42c",
+    7: "bf4d77c2c99dbe4de792005a28cb2fc64d20459461f5459ec0dfffa559a8d330",
+    8: "0c666314b5464d6ea1e77fb356ae566b191fc26221c5b5c961d0ea07c4341736",
+}
+
+
+class TestPinnedCertificates:
+    """Certificate rows are pinned byte for byte: verify rows, drift for
+    every m, anchor for every (j, m) and apex for every j."""
+
+    def test_rows_of_one_path_per_length(self):
+        inst = chain_instance(0, chains=6)
+        walks = SplitWalks(inst.cfg, inst.edges)
+        eps = inst.params.eps_edge
+        for k, digest in PINNED_CERTIFICATES.items():
+            path = next(p for start in range(len(inst.cfg.sites))
+                        for p in walks.walks(start, k, limit=1).paths)
+            pp = path_prepath(path, eps)
+            py = build_pyramid(pp)
+            rows = [r.to_json() for r in verify_pyramid(pp, py).rows]
+            rows += [ratio_drift_certificate(path, m).to_row()
+                     for m in range(1, k + 1)]
+            rows += [anchor_bound_certificate(path, py, j, m).to_row()
+                     for j in range(2, k + 2) for m in range(1, j)]
+            rows += [top_anchor_certificate(path, py, j).to_row()
+                     for j in range(1, k + 2)]
+            text = json.dumps(rows, sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, k
 
 
 class TestStepRelations:

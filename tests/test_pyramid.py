@@ -13,11 +13,15 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
+    all_passed,
     planted_prepath,
+    pside_bound,
+    qside_bound,
     rand_coprime_primes,
     rand_fraction,
     rand_modulus,
     rand_signed,
+    ref_merge_two,
 )
 from freqpath import pyramid as pyramid_module
 from freqpath.primes import prod
@@ -95,13 +99,13 @@ class TestMergeTwo:
             from freqpath.torus import reduce_mod
 
             assert sys.flags.optimize >= 1
-            true_lift = pyramid.lift_shifts
+            true_lift = pyramid.nearest_lift
 
-            def wrong_lift(a1, a2, p1, p2):
-                k1, k2, s = true_lift(a1, a2, p1, p2)
+            def wrong_lift(x, m, p1, p2):
+                k1, k2, s = true_lift(x, m, p1, p2)
                 return (k1 + 1) % p1, k2, s
 
-            pyramid.lift_shifts = wrong_lift
+            pyramid.nearest_lift = wrong_lift
             a1, a2 = reduce_mod(F(3, 10), 1), reduce_mod(F(21, 100), 1)
             try:
                 pyramid.merge_two(a1, a2, 2, 3, F(1, 50), F(1, 50))
@@ -136,12 +140,23 @@ class TestLayerStep:
             layer_step(tops, (2, 5), (3, 7), eps, eps)
 
     def test_exact_reference_side(self, rng):
-        # mids equal to p_j * top_j exactly: the p-side hypothesis is exact
-        pp = planted_prepath(rng, 3, F(1, 40))
-        for j in range(3):
-            mid = reduce_mod(pp.p_primes[j] * pp.top_anchors[j].value, pp.modulus)
-            assert (
-                torus_norm(pp.top_anchors[j].scale(pp.p_primes[j]) - mid) == 0
+        # mids equal to p_j * top_j exactly, as path_prepath builds them: the
+        # p-side hypothesis is exact, the pre-path is valid, and each entry
+        # of the layer is the Fraction reference merge of its two anchors
+        for _ in range(20):
+            k = rng.randint(1, 5)
+            pp = planted_prepath(rng, k, F(1, 40))
+            mids = tuple(reduce_mod(p * a.value, pp.modulus)
+                         for p, a in zip(pp.p_primes, pp.top_anchors))
+            exact = PrePath(pp.modulus, pp.top_anchors, mids, pp.p_primes,
+                            pp.q_primes, pp.eps, pp.eps_prime)
+            tops = exact.top_anchors
+            out = layer_step(tops, exact.p_primes, exact.q_primes, exact.eps,
+                             exact.eps_prime)
+            assert out == tuple(
+                ref_merge_two(tops[j], tops[j + 1], exact.p_primes[j],
+                              exact.q_primes[j], exact.eps_prime[j], exact.eps[j])
+                for j in range(k)
             )
 
     def test_output_inequalities_random_slices(self, rng):
@@ -232,7 +247,7 @@ class TestBuildPyramid:
             PrePath(m, tops, mids, (2,), (3,), (F(1, 10),), (F(1, 10),))
         eps = (F(1, 10) + F(1, 10**9),)
         ok = PrePath(m, tops, mids, (2,), (3,), eps, eps)
-        assert verify_pyramid(ok, build_pyramid(ok)).all_passed
+        assert all_passed(verify_pyramid(ok, build_pyramid(ok)))
 
     def test_propagates_failing_index(self, rng):
         pp = planted_prepath(rng, 3, F(1, 30))
@@ -273,11 +288,11 @@ class TestPredictedGap:
                     q_gap = torus_norm(
                         new.scale(pp.q_primes[s + i - 2]) - py.layers[s - 1][i - 1]
                     )
-                    assert q_gap < py.qside_bound(s, i)
+                    assert q_gap < qside_bound(py, s, i)
                     p_gap = torus_norm(
                         new.scale(pp.p_primes[i - 1]) - py.layers[s - 1][i]
                     )
-                    assert p_gap < py.pside_bound(s, i)
+                    assert p_gap < pside_bound(py, s, i)
 
     def test_matches_tolerance_recursion(self, rng):
         # the closed form equals the recursion's first-column bound
@@ -287,7 +302,7 @@ class TestPredictedGap:
             pp = planted_prepath(rng, k, eps)
             py = build_pyramid(pp)
             for j in range(1, k + 1):
-                assert py.qside_bound(j, 1) == predicted_gap(
+                assert qside_bound(py, j, 1) == predicted_gap(
                     j, eps, pp.p_primes, pp.q_primes
                 )
 
@@ -300,7 +315,7 @@ class TestVerifyPyramid:
     def test_worked_single_step(self, rng):
         pp = planted_prepath(rng, 1, F(1, 20))
         report = verify_pyramid(pp, build_pyramid(pp))
-        assert report.all_passed and len(report.rows) == 1
+        assert all_passed(report) and len(report.rows) == 1
         assert report.rows[0].predicted == F(1, 20) / pp.p_primes[0]
 
     def test_random_prepaths(self, rng):
@@ -308,7 +323,7 @@ class TestVerifyPyramid:
             k = rng.randint(1, 8)
             pp = planted_prepath(rng, k, F(1, rng.randint(10, 200)))
             report = verify_pyramid(pp, build_pyramid(pp))
-            assert report.all_passed
+            assert all_passed(report)
 
     def test_eps_scaling(self, rng):
         pp = planted_prepath(rng, 3, F(1, 60))

@@ -17,9 +17,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import brute_physical_candidates, brute_route_pair_candidates, ref_place_sites
+from conftest import (
+    brute_physical_candidates,
+    brute_route_pair_candidates,
+    ref_place_sites,
+    ref_planted_consistency,
+    ref_slacks_within,
+)
 import freqpath
-from freqpath.pathgraph import Edge
+from freqpath.pathgraph import Configuration, Edge, Site
 from freqpath.synth import (
     InfeasibleParamsError,
     Instance,
@@ -339,6 +345,40 @@ class TestAudit:
                 c.name == "edges" and not c.passed and "not exact" in c.detail
                 for c in report.checks
             )
+
+    def test_physical_slack_at_the_bound(self):
+        # s_edge equal to the largest stored slack passes, 10^-15 below it
+        # fails; the integer check agrees with the Fraction reference
+        inst = gen_instance(small_params(site_count=200), t_star=F(10**5))
+        top = max(e.slack for e in inst.edges)
+        for s_edge, ok in ((top, True), (top - F(1, 10**15), False)):
+            params = dataclasses.replace(inst.params, s_edge=s_edge)
+            tampered = Instance(inst.cfg, inst.edges, inst.truth, params)
+            edges = next(c for c in audit_instance(tampered).checks
+                         if c.name == "edges")
+            assert edges.passed == ok == ref_slacks_within(tampered)
+            assert ok or "physical slack" in edges.detail
+
+    def test_planted_consistency_at_the_bound(self):
+        # a site moved exactly noise_level * eps_edge off its planted alpha
+        # passes, 10^-15 further fails, on either side; the integer check
+        # agrees with the Fraction reference each time
+        params = web_params(noise_level=F(1, 100))
+        inst = gen_instance(params, mode="rational", t_star=F(10**5), q_star=6)
+        bound = params.noise_level * params.eps_edge
+        tiny = F(1, 10**15)
+        sites = list(inst.cfg.sites)
+        for i in (0, len(sites) - 1):
+            ideal = inst.truth.planted_alpha(i, sites[i].x)
+            for delta, ok in ((bound, True), (-bound, True),
+                              (bound + tiny, False), (-bound - tiny, False)):
+                moved = sites[:i] + [Site(sites[i].x, ideal + delta)] + sites[i + 1:]
+                cfg = Configuration(tuple(moved), inst.cfg.separation,
+                                    inst.cfg.split_p1, inst.cfg.split_p2)
+                tampered = Instance(cfg, inst.edges, inst.truth, params)
+                planted = next(c for c in audit_instance(tampered).checks
+                               if c.name == "planted_consistency")
+                assert planted.passed == ok == ref_planted_consistency(tampered)
 
     def test_corrupted_witness_fails(self):
         inst = gen_instance(small_params(site_count=200), t_star=F(10**5))
