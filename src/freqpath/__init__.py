@@ -9,7 +9,6 @@ from .torus import (  # noqa: F401
     TorusPoint,
     closest_lift_pair,
     combine_moduli,
-    lift_roots,
     norm_mod,
     reduce_mod,
     torus_norm,

@@ -10,6 +10,8 @@ implicit constants replaced by exact telescoped sums.
 Split walks come from a `SplitWalks`, which holds one instance's split
 adjacency: a command that walks from every start site (`census`,
 `verify-bounds`) builds it once per instance and walks each start from it.
+A walk is a tuple of edges; `census` reads ends and primes off them, and a
+`Path` is built only for a walk that is certified or paired.
 
 The certificates decide `passed` by one integer cross-multiplication and
 build Fractions only for the values a row shows.  `path_prepath` reduces
@@ -39,7 +41,6 @@ from .torus import (
     as_fraction,
     below,
     frac_to_str,
-    reduce_mod,
     reduce_ratio,
     residue_gap,
     scaled_gap,
@@ -295,22 +296,16 @@ def path_prepath(
 
     The j-th reference anchor is taken to be exactly p_j * alpha_j, so the
     p-side hypothesis is exact and one uniform tolerance serves both
-    inequalities.
+    inequalities.  The primes are distinct (a `Path` checks that) and are
+    taken as primes, as an instance's split-pool labels are, so
+    `PrePath.exact_p_side` decides only what remains.
     """
-    eps = as_fraction(eps)
     q = modulus if modulus is not None else path.modulus
     alphas = [(s.alpha.numerator, s.alpha.denominator) for s in path.sites]
-    return PrePath(
-        modulus=q,
-        top_anchors=tuple(reduce_ratio(n, d, q) for n, d in alphas),
-        mid_anchors=tuple(
-            reduce_ratio(p * n, d, q) for p, (n, d) in zip(path.p_primes, alphas)
-        ),
-        p_primes=path.p_primes,
-        q_primes=path.q_primes,
-        eps=(eps,) * path.k,
-        eps_prime=(eps,) * path.k,
-    )
+    tops = tuple(reduce_ratio(n, d, q) for n, d in alphas)
+    mids = tuple(reduce_ratio(p * n, d, q) for p, (n, d) in zip(path.p_primes, alphas))
+    return PrePath.exact_p_side(q, tops, mids, path.p_primes, path.q_primes,
+                                as_fraction(eps))
 
 
 @dataclass(frozen=True)
@@ -458,12 +453,7 @@ def top_anchor_certificate(path: Path, py: Pyramid, j: int) -> AnchorCert:
                  eps.denominator * den * pre_q[j - 1])
 
 
-def top_anchor_actuals(path: Path, top, j: int) -> Fraction:
-    """The j-th apex-to-base distance for an arbitrary candidate apex."""
-    pprod = prod(path.p_primes[: j - 1])
-    qprod = prod(path.q_primes[j - 1 :])
-    base = reduce_mod(path.sites[j - 1].alpha, top.modulus)
-    return Fraction(*scaled_gap(pprod * qprod, top, 1, base))
+Walk = tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
@@ -480,63 +470,50 @@ class SplitWalks:
     ascending edge index, so every walk's output order is deterministic.
     """
 
-    def __init__(
-        self, cfg: Configuration, edges: list[Edge] | tuple[Edge, ...]
-    ) -> None:
-        self.cfg = cfg
+    def __init__(self, cfg: Configuration, edges: Iterable[Edge]) -> None:
         self.out_edges: dict[int, list[Edge]] = {}
         for e in edges:
             if e.p in cfg.split_p1 and e.q in cfg.split_p2:
                 self.out_edges.setdefault(e.i, []).append(e)
 
-    def walks(self, start: int, k: int, limit: int = 10000) -> PathEnumeration:
-        """Depth-first enumeration of split walks of length k from `start`.
+    def walks(self, start: int, k: int, limit: int = 10000) -> tuple[list[Walk], bool]:
+        """The split walks of length k from `start`, depth first, and whether
+        the enumeration was truncated.
 
         Edges are traversed in their stored orientation only; the 2k primes
         along a walk must be globally distinct.  Enumeration stops at
-        `limit` with the truncation flag raised.
+        `limit` walks with the truncation flag raised.
         """
         if k < 1:
             raise PathError("path length must be at least 1")
-        cfg, out_edges = self.cfg, self.out_edges
-        results: list[Path] = []
-        truncated = limit == 0
+        out_edges = self.out_edges
+        found: list[Walk] = []
 
-        def walk(u: int, used: set[int], acc: list[Edge]) -> bool:
-            nonlocal truncated
-            if len(acc) == k:
-                if len(results) >= limit:
-                    truncated = True
-                    return False
-                results.append(build_path(cfg, acc))
-                return True
+        def walk(u: int, used: frozenset[int], acc: Walk) -> bool:
             for e in out_edges.get(u, ()):
                 if e.p in used or e.q in used:
                     continue
-                used.update((e.p, e.q))
-                acc.append(e)
-                ok = walk(e.j, used, acc)
-                acc.pop()
-                used.difference_update((e.p, e.q))
-                if not ok:
+                nxt = acc + (e,)
+                if len(nxt) < k:
+                    if not walk(e.j, used | {e.p, e.q}, nxt):
+                        return False
+                elif len(found) < limit:
+                    found.append(nxt)
+                else:
                     return False
             return True
 
-        if limit > 0:
-            walk(start, set(), [])
-        return PathEnumeration(tuple(results), truncated)
+        if limit < 1:
+            return found, limit == 0
+        return found, not walk(start, frozenset(), ())
 
 
-def enumerate_split_paths(
-    cfg: Configuration,
-    edges: list[Edge] | tuple[Edge, ...],
-    start: int,
-    k: int,
-    limit: int = 10000,
-) -> PathEnumeration:
-    """Split walks of length k from site `start`, from an adjacency built for
-    this one call; see `SplitWalks.walks`."""
-    return SplitWalks(cfg, edges).walks(start, k, limit)
+def enumerate_split_paths(cfg: Configuration, edges: list[Edge] | tuple[Edge, ...],
+                          start: int, k: int, limit: int = 10000) -> PathEnumeration:
+    """Split walks of length k from site `start` as Paths, from an adjacency
+    built for this one call; see `SplitWalks.walks`."""
+    found, truncated = SplitWalks(cfg, edges).walks(start, k, limit)
+    return PathEnumeration(tuple(build_path(cfg, w) for w in found), truncated)
 
 
 def peel_regular(
@@ -705,70 +682,55 @@ class CensusReport:
 
 
 def collision_census(
-    paths: list[Path] | tuple[Path, ...],
-    x_scale: int,
-    h_scale: int,
-    p_scale: int,
-    b_ratio: Rational = 1,
+    walks: list[Walk] | tuple[Walk, ...], gate_max_k: int, p_scale: int
 ) -> CensusReport:
-    """Same-endpoint statistics for a family of equal-length paths.
+    """Same-endpoint statistics for equal-length split walks (edge tuples)
+    sharing their initial site, grouped by end site index, rows ascending
+    (ascending in x for a loaded instance, whose sites ascend).
 
-    All paths must share the initial site and length k.  Per endpoint the
-    path count is compared with the (2k)! budget whenever the length gate
-    holds (outside the gate the budget is unproven and only flagged).  For
-    every same-endpoint pair with different prime multisets the product
-    ratio prod(q_i * p'_i) / prod(p_i * q'_i) must differ from 1 by at
-    least (2P)^(-2k); that inequality is decided in exact integers and a
-    failure counts as a violation.
+    Per endpoint the walk count is compared with the (2k)! budget when
+    1 <= k <= gate_max_k, the scale's route-count gate
+    (`Params.route_gate_k`); outside it the budget is unproven and only
+    flagged.  For every same-endpoint pair with different prime sets the
+    product ratio prod(q_i * p'_i) / prod(p_i * q'_i) must differ from 1 by
+    at least (2P)^(-2k), P = p_scale, decided in exact integers; a failure
+    counts as a violation.
     """
-    if not paths:
+    if not walks:
         raise PathError("census needs at least one path")
-    k = paths[0].k
-    x0 = paths[0].initial
-    for ell in paths:
-        if ell.k != k:
+    k = len(walks[0])
+    x0 = walks[0][0].i
+    for w in walks:
+        if len(w) != k:
             raise PathError("census paths must have equal length")
-        if ell.initial != x0:
+        if w[0].i != x0:
             raise PathError("census paths must share the initial site")
-    gate_max = route_count_gate_max_k(x_scale, h_scale, 2 * p_scale, b_ratio)
-    gate_ok = 1 <= k <= gate_max
+    gate_ok = 1 <= k <= gate_max_k
     budget = factorial(2 * k)
-    groups: dict[tuple, list[Path]] = {}
-    for ell in paths:
-        key = (ell.end.x, ell.end.alpha)
-        groups.setdefault(key, []).append(ell)
+    groups: dict[int, list[Walk]] = {}
+    for w in walks:
+        groups.setdefault(w[-1].j, []).append(w)
     rows = []
     share_endpoint = share_prime = diff_multiset = violations = 0
     two_p_pow = (2 * p_scale) ** (2 * k)
-    for _key, group in sorted(groups.items()):
-        rows.append(
-            EndpointCensusRow(
-                group[0].site_indices[-1],
-                len(group),
-                budget,
-                len(group) <= budget if gate_ok else None,
-            )
-        )
-        for ell1, ell2 in itertools.combinations(group, 2):
+    for end in sorted(groups):
+        group = groups[end]
+        rows.append(EndpointCensusRow(
+            end, len(group), budget, len(group) <= budget if gate_ok else None))
+        if len(group) < 2:
+            continue
+        # per walk: its prime set and the products of its p- and q-primes
+        keyed = [(frozenset(e.p for e in w) | {e.q for e in w},
+                  prod(e.p for e in w), prod(e.q for e in w)) for w in group]
+        for (s1, p1, q1), (s2, p2, q2) in itertools.combinations(keyed, 2):
             share_endpoint += 1
-            s1 = set(ell1.p_primes + ell1.q_primes)
-            s2 = set(ell2.p_primes + ell2.q_primes)
-            if s1 & s2:
+            if not s1.isdisjoint(s2):
                 share_prime += 1
-            if sorted(s1) != sorted(s2):
+            if s1 != s2:
                 diff_multiset += 1
-                num = prod(ell1.q_primes) * prod(ell2.p_primes)
-                den = prod(ell1.p_primes) * prod(ell2.q_primes)
+                num, den = q1 * p2, p1 * q2
                 # |num/den - 1| >= (2P)^(-2k)  <=>  |num - den| * (2P)^(2k) >= den
                 if abs(num - den) * two_p_pow < den:
                     violations += 1
-    return CensusReport(
-        k=k,
-        gate_applicable=gate_ok,
-        gate_max_k=gate_max,
-        rows=tuple(rows),
-        pairs_sharing_endpoint=share_endpoint,
-        pairs_sharing_prime=share_prime,
-        different_multiset_pairs=diff_multiset,
-        ratio_gap_violations=violations,
-    )
+    return CensusReport(k, gate_ok, gate_max_k, tuple(rows), share_endpoint,
+                        share_prime, diff_multiset, violations)

@@ -14,6 +14,10 @@ on integer-scaled values: sites on the common grid 1/S of every position
 they can take, candidate distances over the lcm of the site denominators,
 and each witness norm on the numerator of p*alpha_i - q*alpha_j over
 d_i*d_j.  A Fraction is built only for a value the instance holds.
+
+An instance file is read in one pass that accepts only what
+`instance_to_json` writes: canonical "num/den" rationals, integer fields
+that are ints, sites ascending in x and no edge listed twice.
 """
 from __future__ import annotations
 
@@ -42,6 +46,7 @@ from .torus import (
     MALFORMED,
     Rational,
     as_fraction,
+    decided,
     fields_to_json,
     frac_to_str,
     str_to_frac,
@@ -104,10 +109,13 @@ class Params:
         for name in ("eps_edge", "s_edge", "witness_density", "noise_level",
                      "B_ratio", "c_cal"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        for name in ("X", "H", "K", "P", "P_prime", "site_count"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ParamsError(f"{name} must be a positive integer, got {v!r}")
+        for name in ("X", "H", "K", "P", "P_prime", "site_count", "seed", "d_min",
+                     "k_max", "web_pair_targets", "web_diamonds", "web_chains",
+                     "web_chain_len"):
+            if type(v := getattr(self, name)) is not int:
+                raise ParamsError(f"{name} must be an integer, got {v!r}")
+        if min(self.X, self.H, self.K, self.P, self.P_prime, self.site_count) < 1:
+            raise ParamsError("X, H, K, P, P_prime and site_count must be positive")
         if self.P * self.P_prime != self.K:
             raise ParamsError(
                 f"P * P' must equal K: {self.P} * {self.P_prime} != {self.K}"
@@ -126,8 +134,8 @@ class Params:
             raise ParamsError("need d_min >= 0 and k_max >= 1")
         if self.B_ratio <= 0 or self.c_cal <= 0:
             raise ParamsError("B_ratio and c_cal must be positive")
-        if self.edge_count is not None and self.edge_count < 0:
-            raise ParamsError("edge_count must be None or nonnegative")
+        if (n := self.edge_count) is not None and (type(n) is not int or n < 0):
+            raise ParamsError("edge_count must be None or a nonnegative integer")
         if self.placement not in ("uniform", "web"):
             raise ParamsError(f"unknown placement {self.placement!r}")
         if not self.edge_primes():
@@ -211,6 +219,9 @@ class GroundTruth:
         object.__setattr__(self, "t_star", as_fraction(self.t_star))
         if self.mode not in ("archimedean", "rational"):
             raise ParamsError(f"unknown truth mode {self.mode!r}")
+        entries = [v for item in self.a_map.items() for v in item]
+        if not all(type(v) is int for v in (self.q_star, self.carrier, *entries)):
+            raise ParamsError("q_star, carrier and every a_map entry must be integers")
         if self.q_star < 1 or self.carrier < 1:
             raise ParamsError("q_star and carrier must be positive")
         if self.mode == "archimedean" and self.q_star != 1:
@@ -234,13 +245,9 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GroundTruth":
-        return cls(
-            mode=doc["mode"],
-            t_star=str_to_frac(doc["t_star"]),
-            q_star=doc["q_star"],
-            carrier=doc["carrier"],
-            a_map={int(k): v for k, v in doc["a_map"].items()},
-        )
+        return cls(mode=doc["mode"], t_star=str_to_frac(doc["t_star"]),
+                   q_star=doc["q_star"], carrier=doc["carrier"],
+                   a_map={int(k): v for k, v in doc["a_map"].items()})
 
 
 @dataclass(frozen=True)
@@ -733,12 +740,28 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _fraction(text: str) -> Fraction:
+    """The value of a file's "num/den" written as `frac_to_str` writes it:
+    n and d print back to the text, d > 0 and gcd(n, d) = 1."""
+    num, den = text.split("/")
+    n, d = int(num), int(den)
+    if f"{n}/{d}" != text or d < 1 or gcd(n, d) != 1:
+        raise InstanceError(f"{text!r} is not a canonical num/den in lowest terms")
+    return Fraction(n, d) if d > 1 else Fraction(n)
+
+
 def instance_from_json(text: str) -> Instance:
-    """Read an instance; raise InstanceError naming what no generated instance
-    holds: text that is not JSON, another schema, a missing key, a value of
-    the wrong type, a rational that is not "num/den", a partition other than
-    the params' split, or an edge with a site index out of range, primes not
-    split-oriented, a witness outside the witness pool or an inexact slack."""
+    """Read an instance in the one form `instance_to_json` writes: after
+    `json.loads`, one pass parses each site and edge rational once, decides
+    every check on integers and builds each value once (params and truth
+    are decided by writing them back).  InstanceError names what no
+    generated instance holds: not JSON, another schema, a missing key, a
+    wrong type (a bool or float for an integer too), a rational not written
+    as `frac_to_str` writes it, a partition other than the params' split,
+    sites not ascending in x or closer than the separation, an a_map key
+    not a site index in decimal, or an edge with a site index out of range,
+    primes not split-oriented, a witness set empty or outside the pool, an
+    inexact slack or the (i, j, p, q) of an earlier edge."""
     try:
         return _instance_from_doc(json.loads(text))
     except InstanceError:
@@ -753,39 +776,64 @@ def _instance_from_doc(doc: dict) -> Instance:
         raise InstanceError(f"unsupported schema {doc['schema']!r}")
     params = Params.from_json(doc["params"])
     truth = GroundTruth.from_json(doc["truth"]) if doc["truth"] else None
+    # decided by writing them back: "+5/1", "2/4" or an a_map key "01" differ
+    if params.to_json() != doc["params"] or truth and truth.to_json() != doc["truth"]:
+        raise InstanceError("params or truth not in the form instance_to_json writes")
     split = params.split_partition()
     if [set(half) for half in doc["partition"]] != [set(half) for half in split]:
         raise InstanceError(f"partition is not the params' split {list(split)}")
-    cfg = Configuration(
-        sites=tuple(
-            Site(str_to_frac(s["x"]), str_to_frac(s["alpha"])) for s in doc["sites"]
-        ),
-        separation=params.separation,
-        split_p1=split[0],
-        split_p2=split[1],
-    )
-    edges = tuple(
-        Edge(
-            e["i"],
-            e["j"],
-            e["p"],
-            e["q"],
-            frozenset(e["witness"]),
-            str_to_frac(e["slack"]),
-        )
-        for e in doc["edges"]
-    )
-    sites, pool_w = range(len(cfg.sites)), set(params.witness_primes())
-    for e in edges:
-        where = f"edge ({e.i},{e.j},{e.p},{e.q})"
-        if not all(type(v) is int for v in (e.i, e.j, e.p, e.q, *e.witness)):
-            raise InstanceError(f"{where}: a non-integer index, prime or witness")
-        if e.i not in sites or e.j not in sites:
-            raise InstanceError(f"{where}: site index out of range")
-        if e.p not in cfg.split_p1 or e.q not in cfg.split_p2:
-            raise InstanceError(f"{where}: not split-oriented")
-        if not e.witness <= pool_w:
-            raise InstanceError(f"{where}: witness outside the pool {sorted(pool_w)}")
-        if not _slack_is_exact(cfg.sites[e.i], cfg.sites[e.j], e.p, e.q, e.slack):
-            raise InstanceError(f"{where}: stored slack is not exact")
-    return Instance(cfg=cfg, edges=edges, truth=truth, params=params)
+    sep = params.separation
+    sep_n, sep_d = sep.numerator, sep.denominator
+    sites: list[Site] = []
+    xs: list[tuple[int, int]] = []  # each x as (numerator, denominator)
+    n0, d0 = 0, 1
+    for s in doc["sites"]:
+        x = _fraction(s["x"])
+        n, d = x.numerator, x.denominator
+        # (x - x_prev) * d * d0 on integers, x_prev = 0 before the first site
+        gap = n * d0 - n0 * d
+        if gap <= 0:
+            raise InstanceError(f"sites do not ascend in x from 0 at site {len(xs)}")
+        if xs and gap * sep_d < sep_n * d * d0:
+            raise InstanceError(f"sites {len(xs) - 1} and {len(xs)} are closer "
+                                f"than the separation {sep}")
+        sites.append(decided(Site, x=x, alpha=_fraction(s["alpha"])))
+        xs.append((n, d))
+        n0, d0 = n, d
+    n_sites = len(sites)
+    if truth is not None and not all(0 <= i < n_sites for i in truth.a_map):
+        raise InstanceError("an a_map key is not a site index")
+    p1, p2 = frozenset(split[0]), frozenset(split[1])
+    pool_w = frozenset(params.witness_primes())
+    seen: set[tuple[int, int, int, int]] = set()
+    edges: list[Edge] = []
+
+    def refused(why: str) -> InstanceError:
+        return InstanceError(f"edge ({i},{j},{p},{q}): {why}")
+
+    for e in doc["edges"]:
+        key = i, j, p, q = e["i"], e["j"], e["p"], e["q"]
+        witness = e["witness"]
+        if not type(i) is type(j) is type(p) is type(q) is int or (
+            set(map(type, witness)) != {int}
+        ):
+            raise refused("a non-integer index or prime, or no integer witnesses")
+        if not (0 <= i < n_sites and 0 <= j < n_sites) or i == j:
+            raise refused("site index out of range or repeated")
+        if p not in p1 or q not in p2:
+            raise refused("not split-oriented")
+        witness = frozenset(witness)
+        if not witness <= pool_w:
+            raise refused(f"witness outside the pool {sorted(pool_w)}")
+        if key in seen:
+            raise refused("listed twice")
+        seen.add(key)
+        # the exact |x_i/p - x_j/q| must be the stored text, canonically written
+        (n1, d1), (n2, d2) = xs[i], xs[j]
+        slack = Fraction(abs(n1 * d2 * q - n2 * d1 * p), d1 * d2 * p * q)
+        if frac_to_str(slack) != e["slack"]:
+            raise refused("stored slack is not exact")
+        edges.append(decided(Edge, i=i, j=j, p=p, q=q, witness=witness, slack=slack))
+    cfg = decided(Configuration, sites=tuple(sites), separation=sep, split_p1=p1,
+                  split_p2=p2)
+    return Instance(cfg, tuple(edges), truth, params)

@@ -64,6 +64,16 @@ MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError,
              ZeroDivisionError)
 
 
+def decided(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields`, set one by
+    one as `__init__` sets them (which keeps instances compact), without its
+    `__post_init__`: for values the caller has converted and decided valid."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def str_to_frac(s: str) -> Fraction:
     if "/" in s:
         num, den = s.split("/")
@@ -100,9 +110,6 @@ class Modulus:
     def as_fraction(self) -> Fraction:
         return Fraction(self.q)
 
-    def __str__(self) -> str:
-        return str(self.q)
-
 
 def _as_modulus(m: Modulus | int) -> Modulus:
     return m if isinstance(m, Modulus) else Modulus(m)
@@ -130,10 +137,6 @@ class TorusPoint:
     def scale(self, c: Rational) -> "TorusPoint":
         return reduce_mod(as_fraction(c) * self.value, self.modulus)
 
-    def __add__(self, other: "TorusPoint") -> "TorusPoint":
-        self._check_same(other)
-        return reduce_mod(self.value + other.value, self.modulus)
-
     def __sub__(self, other: "TorusPoint") -> "TorusPoint":
         self._check_same(other)
         return reduce_mod(self.value - other.value, self.modulus)
@@ -143,9 +146,6 @@ class TorusPoint:
             raise TorusError(
                 f"modulus mismatch: {self.modulus.q} vs {other.modulus.q}"
             )
-
-    def __str__(self) -> str:
-        return f"{frac_to_str(self.value)} mod {self.modulus.q}"
 
 
 def reduce_mod(x: Rational, modulus: Modulus | int) -> TorusPoint:
@@ -201,22 +201,6 @@ def scaled_gap(c1: int, a: TorusPoint, c2: int, b: TorusPoint) -> tuple[int, int
     x, y = a.value, b.value
     d1, d2 = x.denominator, y.denominator
     return residue_gap(c1 * x.numerator * d2 - c2 * y.numerator * d1, d1 * d2, q)
-
-
-def lift_roots(alpha: TorusPoint, p: int) -> list[TorusPoint]:
-    """The p solutions beta of p*beta = alpha (mod Q), ascending.
-
-    They are alpha/p + k*Q/p for k = 0..p-1; requires p prime and p not
-    dividing Q (automatic for Q = 1).
-    """
-    q = alpha.modulus.q
-    if not is_prime(p):
-        raise TorusError(f"{p} is not prime")
-    if q % p == 0:
-        raise TorusError(f"prime {p} divides the modulus {q}")
-    step = Fraction(q, p)
-    base = alpha.value / p
-    return [TorusPoint(base + k * step, alpha.modulus) for k in range(p)]
 
 
 def check_lift_primes(q: int, p1: int, p2: int) -> None:

@@ -40,7 +40,7 @@ from freqpath.pathgraph import (
     PathError,
     Site,
 )
-from freqpath.primes import primes_in_range, prod
+from freqpath.primes import is_prime, primes_in_range, prod
 from freqpath.pyramid import (
     BoundReport,
     HypothesisViolation,
@@ -51,12 +51,13 @@ from freqpath.pyramid import (
 from freqpath.synth import InfeasibleParamsError, _route_pair_candidates
 from freqpath.torus import (
     Modulus,
+    TorusError,
     TorusPoint,
     as_fraction,
     combine_moduli,
-    lift_roots,
     norm_mod,
     reduce_mod,
+    scaled_gap,
     torus_norm,
 )
 
@@ -89,6 +90,22 @@ def rand_modulus(rng: random.Random) -> Modulus:
 def rand_coprime_primes(rng: random.Random, n: int, modulus: Modulus) -> list[int]:
     pool = [p for p in SMALL_PRIMES if modulus.q % p != 0]
     return rng.sample(pool, n)
+
+
+def lift_roots(alpha: TorusPoint, p: int) -> list[TorusPoint]:
+    """The p solutions beta of p*beta = alpha (mod Q), ascending.
+
+    They are alpha/p + k*Q/p for k = 0..p-1; requires p prime and p not
+    dividing Q (automatic for Q = 1).
+    """
+    q = alpha.modulus.q
+    if not is_prime(p):
+        raise TorusError(f"{p} is not prime")
+    if q % p == 0:
+        raise TorusError(f"prime {p} divides the modulus {q}")
+    step = Fraction(q, p)
+    base = alpha.value / p
+    return [TorusPoint(base + k * step, alpha.modulus) for k in range(p)]
 
 
 def brute_closest_lift_pair(
@@ -212,17 +229,27 @@ def ref_build_pyramid(pp: PrePath) -> RefPyramid:
                       tuple(step_eps), tuple(step_eps_prime))
 
 
-def qside_bound(py, step: int, entry: int) -> Fraction:
+def step_eps(py: Pyramid) -> tuple[tuple[Fraction, ...], ...]:
+    """The pyramid's eps_table, each integer pair as a Fraction."""
+    return tuple(tuple(Fraction(*e) for e in row) for row in py.eps_table)
+
+
+def step_eps_prime(py: Pyramid) -> tuple[tuple[Fraction, ...], ...]:
+    """The pyramid's eps_prime_table, each integer pair as a Fraction."""
+    return tuple(tuple(Fraction(*e) for e in row) for row in py.eps_prime_table)
+
+
+def qside_bound(py: Pyramid, step: int, entry: int) -> Fraction:
     """Bound on ||q_{step+entry-1} * layers[step][entry-1] -
     layers[step-1][entry-1]||, read off the Fraction tolerance tables;
     1-based step and entry."""
-    return py.step_eps_prime[step - 1][entry - 1] / py.p_primes[entry - 1]
+    return step_eps_prime(py)[step - 1][entry - 1] / py.p_primes[entry - 1]
 
 
-def pside_bound(py, step: int, entry: int) -> Fraction:
+def pside_bound(py: Pyramid, step: int, entry: int) -> Fraction:
     """Bound on ||p_entry * layers[step][entry-1] - layers[step-1][entry]||,
     read off the Fraction tolerance tables; 1-based step and entry."""
-    return py.step_eps[step - 1][entry - 1] / py.q_primes[step + entry - 2]
+    return step_eps(py)[step - 1][entry - 1] / py.q_primes[step + entry - 2]
 
 
 def all_passed(report: BoundReport) -> bool:
@@ -232,7 +259,7 @@ def all_passed(report: BoundReport) -> bool:
 
 def ref_anchor_bound(py: Pyramid, j: int, m: int) -> tuple[Fraction, Fraction]:
     """(actual, bound) of anchor_bound_certificate, one Fraction per term."""
-    eps = py.step_eps[0][0]
+    eps = step_eps(py)[0][0]
     col = py.anchor_column
     actual = torus_norm(col[j - 1].scale(prod(py.q_primes[m - 1 : j - 1])) - col[m - 1])
     bound = Fraction(0)
@@ -250,7 +277,7 @@ def ref_top_anchor(py: Pyramid, j: int) -> tuple[Fraction, Fraction]:
     pprod = prod(py.p_primes[: j - 1])
     qprod = prod(py.q_primes[j - 1 :])
     actual = torus_norm(py.top.scale(pprod * qprod) - py.layers[0][j - 1])
-    eps = py.step_eps[0][0]
+    eps = step_eps(py)[0][0]
     b_fwd = Fraction(0)
     for t in range(j, k + 1):
         b_fwd += predicted_gap(t, eps, py.p_primes, py.q_primes) * prod(
@@ -260,6 +287,14 @@ def ref_top_anchor(py: Pyramid, j: int) -> tuple[Fraction, Fraction]:
     for t in range(1, j):
         b_dwn += pside_bound(py, j - t, t) * prod(py.p_primes[t : j - 1])
     return actual, b_dwn + pprod * b_fwd
+
+
+def top_anchor_actuals(path: Path, top: TorusPoint, j: int) -> Fraction:
+    """The j-th apex-to-base distance for an arbitrary candidate apex."""
+    pprod = prod(path.p_primes[: j - 1])
+    qprod = prod(path.q_primes[j - 1 :])
+    base = reduce_mod(path.sites[j - 1].alpha, top.modulus)
+    return Fraction(*scaled_gap(pprod * qprod, top, 1, base))
 
 
 def ratio_product(

@@ -192,7 +192,7 @@ def test_criterion_06_route_census_inside_gate():
             if not enum.paths:
                 continue
             rep = collision_census(
-                list(enum.paths), params.X, params.H, params.P, params.B_ratio
+                [path.edges for path in enum.paths], params.route_gate_k(), params.P
             )
             assert rep.gate_applicable
             assert all(r.count <= factorial(4) for r in rep.rows)

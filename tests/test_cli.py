@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from freqpath import cli
 from freqpath.cli import main
 from freqpath.pathgraph import SplitWalks
 from freqpath.synth import Params
@@ -197,9 +198,9 @@ def test_verify_bounds_stops_at_its_limit(tmp_path, params_file, monkeypatch):
     walks = SplitWalks.walks
 
     def counting(self, *args, **kwargs):
-        enum = walks(self, *args, **kwargs)
-        built.append(len(enum.paths))
-        return enum
+        found, truncated = walks(self, *args, **kwargs)
+        built.append(len(found))
+        return found, truncated
 
     monkeypatch.setattr(SplitWalks, "walks", counting)
     instance = synth_dir(tmp_path, params_file, "inst") / "instance.json"
@@ -376,3 +377,99 @@ def test_malformed_instance_is_refused(tmp_path, recorded_k3, command, corrupt):
     err = json.loads((out / f"{command}_error.json").read_text())["error"]
     assert err["type"] == "InstanceError"
     assert [f.name for f in out.iterdir()] == [f"{command}_error.json"]
+
+
+def _first_a_map_key(doc: dict) -> str:
+    return next(iter(doc["truth"]["a_map"]))
+
+
+def _double_edges(doc: dict) -> None:
+    doc["edges"] += doc["edges"]
+
+
+def _swap_first_sites(doc: dict) -> None:
+    sites = doc["sites"]
+    sites[0], sites[1] = sites[1], sites[0]
+
+
+def _scale_terms(text: str) -> str:
+    num, den = text.split("/")
+    return f"{2 * int(num)}/{2 * int(den)}"
+
+
+@pytest.mark.parametrize(
+    "corrupt, reason",
+    [
+        (lambda d: d["sites"][0].update(x="+" + d["sites"][0]["x"]),
+         "not a canonical num/den"),
+        (lambda d: d["sites"][0].update(alpha=" " + d["sites"][0]["alpha"]),
+         "not a canonical num/den"),
+        (lambda d: d["truth"].update(t_star=_scale_terms(d["truth"]["t_star"])),
+         "the form instance_to_json writes"),
+        (lambda d: d["params"].update(seed=True), "seed must be an integer"),
+        (lambda d: d["params"].update(d_min=True), "d_min must be an integer"),
+        (lambda d: d["truth"].update(q_star=6.0), "must be integers"),
+        (lambda d: d["truth"]["a_map"].update({_first_a_map_key(d): True}),
+         "must be integers"),
+        (_swap_first_sites, "do not ascend in x"),
+        (_double_edges, "listed twice"),
+        (lambda d: d["truth"]["a_map"].update({"-1": 1}), "not a site index"),
+        (lambda d: d["truth"]["a_map"].update({"99999": 1}), "not a site index"),
+        (lambda d: d["truth"]["a_map"].update({" 1": 1}),
+         "the form instance_to_json writes"),
+    ],
+    ids=["rational_leading_plus", "rational_spaces", "rational_not_lowest_terms",
+         "seed_bool", "d_min_bool", "q_star_float", "a_map_value_bool",
+         "sites_not_ascending", "edges_listed_twice", "a_map_key_negative",
+         "a_map_key_beyond_sites", "a_map_key_with_space"],
+)
+def test_non_canonical_instance_is_refused(tmp_path, recorded_k3, corrupt, reason):
+    # each of these files holds the values of a generated instance, written
+    # in a form instance_to_json never writes
+    inst, _recovery = recorded_k3
+    doc = json.loads(inst.read_text())
+    corrupt(doc)
+    bad = tmp_path / "instance.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["audit", "--out", str(out), "--instance", str(bad)]) == 2
+    err = json.loads((out / "audit_error.json").read_text())["error"]
+    assert err["type"] == "InstanceError" and reason in err["message"]
+    assert [f.name for f in out.iterdir()] == ["audit_error.json"]
+
+
+def test_one_parser_serves_every_call(tmp_path, params_file, monkeypatch):
+    # all six commands twice in one process, the first synth with --edges and
+    # the second without: every file matches a run with a fresh parser per call
+    def pipeline(root: Path, each_call) -> dict[str, bytes]:
+        codes = []
+        for name, extra in (("edges", ["--edges", "120"]), ("all", [])):
+            out = root / name
+            inst = str(out / "instance.json")
+            for argv in (
+                ["synth", "--out", str(out), "--params", str(params_file), "--mode",
+                 "rational", "--t-star", "100000/1", "--q-star", "6", "--blind", *extra],
+                ["audit", "--out", str(out), "--instance", inst],
+                ["verify-bounds", "--out", str(out), "--instance", inst, "--format", "csv"],
+                ["census", "--out", str(out), "--instance", inst],
+                ["recover", "--out", str(out), "--instance", str(out / "instance_blind.json")],
+                ["score", "--out", str(out), "--instance", inst, "--recovery",
+                 str(out / "recovery.json"), "--k", "2"],
+            ):
+                each_call()
+                codes.append(main(argv))
+        files = {str(f.relative_to(root)): f.read_bytes().replace(str(root).encode(), b"")
+                 for f in sorted(root.rglob("*")) if f.is_file()}
+        return {**files, "exit codes": bytes(codes)}
+
+    shared = pipeline(tmp_path / "shared", lambda: None)
+    fresh = pipeline(tmp_path / "fresh",
+                     lambda: monkeypatch.setattr(cli, "PARSER", cli.build_parser()))
+    assert shared == fresh
+    reports = ("synth_report.json", "audit_report.json", "verify_report.json",
+               "census_report.json", "recovery.json", "score.json")
+    assert all(f"{name}/{report}" in shared for name in ("edges", "all")
+               for report in reports)
+    edges = json.loads(shared["edges/instance.json"])
+    assert edges["params"]["edge_count"] == 120 and len(edges["edges"]) == 120
+    assert json.loads(shared["all/instance.json"])["params"]["edge_count"] is None

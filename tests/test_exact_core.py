@@ -30,6 +30,9 @@ from conftest import (
     ref_ratio_drift,
     ref_reduce_mod,
     ref_top_anchor,
+    step_eps,
+    step_eps_prime,
+    top_anchor_actuals,
 )
 from freqpath.pathgraph import (
     Edge,
@@ -37,7 +40,6 @@ from freqpath.pathgraph import (
     Site,
     anchor_bound_certificate,
     ratio_drift_certificate,
-    top_anchor_actuals,
     top_anchor_certificate,
 )
 from freqpath.primes import prod
@@ -120,8 +122,8 @@ def prepaths(draw, uniform: bool):
 def assert_same_pyramid(pp: PrePath) -> None:
     py, ref = build_pyramid(pp), ref_build_pyramid(pp)
     assert py.layers == ref.layers
-    assert py.step_eps == ref.step_eps
-    assert py.step_eps_prime == ref.step_eps_prime
+    assert step_eps(py) == ref.step_eps
+    assert step_eps_prime(py) == ref.step_eps_prime
 
 
 class TestReduceMod:

@@ -22,6 +22,7 @@ from conftest import (
     ref_enumerate_split_paths,
     ref_separation_error,
     ref_validate_path_modulus,
+    top_anchor_actuals,
     walk_path,
 )
 from freqpath.pathgraph import (
@@ -34,6 +35,7 @@ from freqpath.pathgraph import (
     Site,
     SplitWalks,
     anchor_bound_certificate,
+    build_path,
     collision_census,
     concat_paths,
     count_close_products,
@@ -44,7 +46,6 @@ from freqpath.pathgraph import (
     peel_regular,
     ratio_drift_certificate,
     route_count_gate_max_k,
-    top_anchor_actuals,
     top_anchor_certificate,
     validate_path_modulus,
 )
@@ -329,8 +330,8 @@ class TestPinnedCertificates:
         walks = SplitWalks(inst.cfg, inst.edges)
         eps = inst.params.eps_edge
         for k, digest in PINNED_CERTIFICATES.items():
-            path = next(p for start in range(len(inst.cfg.sites))
-                        for p in walks.walks(start, k, limit=1).paths)
+            path = next(build_path(inst.cfg, w) for start in range(len(inst.cfg.sites))
+                        for w in walks.walks(start, k, limit=1)[0])
             pp = path_prepath(path, eps)
             py = build_pyramid(pp)
             rows = [r.to_json() for r in verify_pyramid(pp, py).rows]
@@ -521,11 +522,11 @@ class TestEnumeration:
                                 q_star=q_star)
         walks = SplitWalks(inst.cfg, inst.edges)
         for start, k in itertools.product(range(len(inst.cfg.sites)), (1, 2, 3)):
-            for limit in (0, 1, 8):
-                assert walks.walks(start, k, limit) == ref_enumerate_split_paths(
-                    inst.cfg, inst.edges, start, k, limit)
-            assert walks.walks(start, k) == ref_enumerate_split_paths(
-                inst.cfg, inst.edges, start, k)
+            for limit in (0, 1, 8, 10000):
+                ref = ref_enumerate_split_paths(inst.cfg, inst.edges, start, k, limit)
+                found, truncated = walks.walks(start, k, limit)
+                assert (found, truncated) == ([p.edges for p in ref.paths], ref.truncated)
+            assert enumerate_split_paths(inst.cfg, inst.edges, start, k) == ref
 
 
 class TestSeparation:
@@ -680,7 +681,8 @@ class TestCollisionCensus:
 
     def test_same_multiset_pair_is_not_a_violation(self):
         r1, r2 = self.diamond_paths()
-        rep = collision_census([r1, r2], x_scale=10**13, h_scale=10**3, p_scale=10)
+        rep = collision_census([r1.edges, r2.edges],
+                               route_count_gate_max_k(10**13, 10**3, 20, 1), p_scale=10)
         assert rep.gate_applicable  # k = 2 is inside the gate at this scale
         assert rep.pairs_sharing_endpoint == 1
         assert rep.different_multiset_pairs == 0
@@ -699,14 +701,16 @@ class TestCollisionCensus:
         num = prod(r1.q_primes) * prod(r2.p_primes)
         den = prod(r1.p_primes) * prod(r2.q_primes)
         assert abs(F(num, den) - 1) >= F(1, (2 * 20) ** 2)
-        rep = collision_census([r1, r2], x_scale=10**6, h_scale=10**3, p_scale=20)
+        rep = collision_census([r1.edges, r2.edges],
+                               route_count_gate_max_k(10**6, 10**3, 40, 1), p_scale=20)
         assert rep.different_multiset_pairs == 1
         assert rep.ratio_gap_violations == 0
         assert rep.pairs_sharing_prime == 0
 
     def test_outside_gate_is_flagged_not_asserted(self):
         r1, r2 = self.diamond_paths()
-        rep = collision_census([r1, r2], x_scale=10**6, h_scale=10**4, p_scale=10)
+        rep = collision_census([r1.edges, r2.edges],
+                               route_count_gate_max_k(10**6, 10**4, 20, 1), p_scale=10)
         assert not rep.gate_applicable
         assert all(r.budget_ok is None for r in rep.rows)
         assert rep.passed  # no violations; budget not asserted
@@ -715,7 +719,8 @@ class TestCollisionCensus:
         r1, _ = self.diamond_paths()
         short = simple_path([1000, 1182], [11], [13])
         with pytest.raises(PathError):
-            collision_census([r1, short], 10**6, 10**3, 10)
+            collision_census([r1.edges, short.edges],
+                             route_count_gate_max_k(10**6, 10**3, 20, 1), 10)
 
     def test_gate_values(self):
         # (2P)^(2k) * H * ceil(ln X) <= X with 2P = 20, H = 1e3, X = 1e13:

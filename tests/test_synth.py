@@ -257,6 +257,20 @@ class TestInstanceJson:
         text = instance_to_json(small_instance(seed, sites, kind, blind))
         assert instance_to_json(instance_from_json(text)) == text
 
+    @given(
+        seed=st.integers(0, 10**6),
+        sites=st.integers(20, 80),
+        mode=st.sampled_from(["archimedean", "rational"]),
+    )
+    def test_load_returns_the_generated_values(self, seed, sites, mode):
+        inst = gen_instance(small_params(site_count=sites, seed=seed), mode=mode,
+                            t_star=F(10**5), q_star=6)
+        text = instance_to_json(inst)
+        back = instance_from_json(text)
+        assert instance_to_json(back) == text
+        assert back.cfg.sites == inst.cfg.sites and back.edges == inst.edges
+        assert (back.truth, back.params) == (inst.truth, inst.params)
+
     @given(corruptions())
     def test_corrupted_field_is_refused(self, case):
         _what, corrupt = case

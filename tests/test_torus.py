@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     brute_closest_lift_pair,
+    lift_roots,
     rand_coprime_primes,
     rand_fraction,
     rand_modulus,
@@ -17,7 +18,6 @@ from freqpath.torus import (
     closest_lift_pair,
     combine_moduli,
     frac_to_str,
-    lift_roots,
     norm_mod,
     reduce_mod,
     scaled_gap,
