@@ -177,7 +177,9 @@ def cmd_census(args) -> int:
             continue
         rep = collision_census(found, gate, params.P)
         ok &= rep.passed
-        reports.append({"start": start, "truncated": truncated, **rep.to_json()})
+        reports.append(
+            {"start": start, "truncated": truncated, **rep.to_json()}
+        )
     _write_json(
         FsPath(args.out) / "census_report.json",
         {**_report_header(params), "census": reports, "pass": ok},

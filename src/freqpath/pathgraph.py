@@ -296,16 +296,22 @@ def path_prepath(
 
     The j-th reference anchor is taken to be exactly p_j * alpha_j, so the
     p-side hypothesis is exact and one uniform tolerance serves both
-    inequalities.  The primes are distinct (a `Path` checks that) and are
-    taken as primes, as an instance's split-pool labels are, so
-    `PrePath.exact_p_side` decides only what remains.
+    inequalities.
     """
+    eps = as_fraction(eps)
     q = modulus if modulus is not None else path.modulus
     alphas = [(s.alpha.numerator, s.alpha.denominator) for s in path.sites]
-    tops = tuple(reduce_ratio(n, d, q) for n, d in alphas)
-    mids = tuple(reduce_ratio(p * n, d, q) for p, (n, d) in zip(path.p_primes, alphas))
-    return PrePath.exact_p_side(q, tops, mids, path.p_primes, path.q_primes,
-                                as_fraction(eps))
+    return PrePath(
+        modulus=q,
+        top_anchors=tuple(reduce_ratio(n, d, q) for n, d in alphas),
+        mid_anchors=tuple(
+            reduce_ratio(p * n, d, q) for p, (n, d) in zip(path.p_primes, alphas)
+        ),
+        p_primes=path.p_primes,
+        q_primes=path.q_primes,
+        eps=(eps,) * path.k,
+        eps_prime=(eps,) * path.k,
+    )
 
 
 @dataclass(frozen=True)
@@ -470,7 +476,9 @@ class SplitWalks:
     ascending edge index, so every walk's output order is deterministic.
     """
 
-    def __init__(self, cfg: Configuration, edges: Iterable[Edge]) -> None:
+    def __init__(
+        self, cfg: Configuration, edges: list[Edge] | tuple[Edge, ...]
+    ) -> None:
         self.out_edges: dict[int, list[Edge]] = {}
         for e in edges:
             if e.p in cfg.split_p1 and e.q in cfg.split_p2:
@@ -508,8 +516,13 @@ class SplitWalks:
         return found, not walk(start, frozenset(), ())
 
 
-def enumerate_split_paths(cfg: Configuration, edges: list[Edge] | tuple[Edge, ...],
-                          start: int, k: int, limit: int = 10000) -> PathEnumeration:
+def enumerate_split_paths(
+    cfg: Configuration,
+    edges: list[Edge] | tuple[Edge, ...],
+    start: int,
+    k: int,
+    limit: int = 10000,
+) -> PathEnumeration:
     """Split walks of length k from site `start` as Paths, from an adjacency
     built for this one call; see `SplitWalks.walks`."""
     found, truncated = SplitWalks(cfg, edges).walks(start, k, limit)
@@ -715,8 +728,14 @@ def collision_census(
     two_p_pow = (2 * p_scale) ** (2 * k)
     for end in sorted(groups):
         group = groups[end]
-        rows.append(EndpointCensusRow(
-            end, len(group), budget, len(group) <= budget if gate_ok else None))
+        rows.append(
+            EndpointCensusRow(
+                end,
+                len(group),
+                budget,
+                len(group) <= budget if gate_ok else None,
+            )
+        )
         if len(group) < 2:
             continue
         # per walk: its prime set and the products of its p- and q-primes
@@ -732,5 +751,13 @@ def collision_census(
                 # |num/den - 1| >= (2P)^(-2k)  <=>  |num - den| * (2P)^(2k) >= den
                 if abs(num - den) * two_p_pow < den:
                     violations += 1
-    return CensusReport(k, gate_ok, gate_max_k, tuple(rows), share_endpoint,
-                        share_prime, diff_multiset, violations)
+    return CensusReport(
+        k=k,
+        gate_applicable=gate_ok,
+        gate_max_k=gate_max_k,
+        rows=tuple(rows),
+        pairs_sharing_endpoint=share_endpoint,
+        pairs_sharing_prime=share_prime,
+        different_multiset_pairs=diff_multiset,
+        ratio_gap_violations=violations,
+    )

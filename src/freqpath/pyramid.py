@@ -13,9 +13,8 @@ constructed pyramid against it row by row, in exact arithmetic.
 
 Where each decision lives:
 - `PrePath` decides the primes (distinct, prime, not dividing Q) and the
-  first layer's hypotheses, once; `PrePath.exact_p_side` (a path's) only
-  what its construction leaves open.  Each later layer's hypotheses are
-  the previous merges' post-conditions (same gap, same bound).
+  first layer's hypotheses, once.  Each later layer's hypotheses are the
+  previous merges' post-conditions (same gap, same bound).
 - `_merge` is the one merge kernel.  On integer numerators and
   denominators it decides the premise ||p1*a1 - p2*a2|| < eps1 + eps2,
   takes the lift shift from `torus.nearest_lift`, forms the weighted
@@ -48,7 +47,6 @@ from .torus import (
     as_fraction,
     below,
     check_lift_primes,
-    decided,
     frac_to_str,
     nearest_lift,
     residue_gap,
@@ -199,13 +197,6 @@ def layer_step(
     return _merge_layer(top, p_primes, q_primes, pairs[:m], pairs[m:])
 
 
-def _hypothesis(side: str, j: int, gap: tuple[int, int], eps: Fraction) -> None:
-    """Raise HypothesisViolation unless gap (g, D) at index j + 1 is below eps."""
-    if not below(gap, eps):
-        raise HypothesisViolation(
-            f"{side}-side hypothesis fails at index {j + 1}: {Fraction(*gap)} >= {eps}")
-
-
 @dataclass(frozen=True)
 class PrePath:
     """Anchors, primes and tolerances forming a valid length-k pre-path.
@@ -248,32 +239,20 @@ class PrePath:
         for pt in self.top_anchors + self.mid_anchors:
             if pt.modulus.q != self.modulus.q:
                 raise PrePathError("anchor modulus mismatch")
-        tops, mids = self.top_anchors, self.mid_anchors
         for j in range(k):
-            _hypothesis("q", j, scaled_gap(self.q_primes[j], tops[j + 1], 1, mids[j]),
-                        self.eps[j])
-            _hypothesis("p", j, scaled_gap(self.p_primes[j], tops[j], 1, mids[j]),
-                        self.eps_prime[j])
-
-    @classmethod
-    def exact_p_side(cls, modulus: Modulus, top_anchors, mid_anchors, p_primes,
-                     q_primes, eps: Fraction) -> "PrePath":
-        """The pre-path with one tolerance eps whose mid anchors are exactly
-        p_j * top[j] mod Q, over 2k distinct primes the caller has decided
-        prime (`path_prepath`'s).  The p-side hypotheses hold with gap 0, so
-        this decides eps > 0, that no prime divides Q and each q-side
-        hypothesis; a pre-path built any other way gets every check."""
-        if eps <= 0:
-            raise PrePathError("tolerances must be positive")
-        for p in p_primes + q_primes:
-            if modulus.q % p == 0:
-                raise PrePathError(f"prime {p} divides the modulus {modulus.q}")
-        for j, (q, top, mid) in enumerate(zip(q_primes, top_anchors[1:], mid_anchors)):
-            _hypothesis("q", j, scaled_gap(q, top, 1, mid), eps)
-        k = len(p_primes)
-        return decided(cls, modulus=modulus, top_anchors=top_anchors,
-                       mid_anchors=mid_anchors, p_primes=p_primes, q_primes=q_primes,
-                       eps=(eps,) * k, eps_prime=(eps,) * k)
+            mid = self.mid_anchors[j]
+            qn = scaled_gap(self.q_primes[j], self.top_anchors[j + 1], 1, mid)
+            if not below(qn, self.eps[j]):
+                raise HypothesisViolation(
+                    f"q-side hypothesis fails at index {j + 1}: "
+                    f"{Fraction(*qn)} >= {self.eps[j]}"
+                )
+            pn = scaled_gap(self.p_primes[j], self.top_anchors[j], 1, mid)
+            if not below(pn, self.eps_prime[j]):
+                raise HypothesisViolation(
+                    f"p-side hypothesis fails at index {j + 1}: "
+                    f"{Fraction(*pn)} >= {self.eps_prime[j]}"
+                )
 
     @property
     def k(self) -> int:

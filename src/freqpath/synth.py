@@ -46,7 +46,6 @@ from .torus import (
     MALFORMED,
     Rational,
     as_fraction,
-    decided,
     fields_to_json,
     frac_to_str,
     str_to_frac,
@@ -245,9 +244,13 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GroundTruth":
-        return cls(mode=doc["mode"], t_star=str_to_frac(doc["t_star"]),
-                   q_star=doc["q_star"], carrier=doc["carrier"],
-                   a_map={int(k): v for k, v in doc["a_map"].items()})
+        return cls(
+            mode=doc["mode"],
+            t_star=str_to_frac(doc["t_star"]),
+            q_star=doc["q_star"],
+            carrier=doc["carrier"],
+            a_map={int(k): v for k, v in doc["a_map"].items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -741,27 +744,29 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def _fraction(text: str) -> Fraction:
-    """The value of a file's "num/den" written as `frac_to_str` writes it:
-    n and d print back to the text, d > 0 and gcd(n, d) = 1."""
+    """The value of a file's "num/den", which must be written as `frac_to_str`
+    writes it: the integers print back to the text, and the Fraction keeps
+    the denominator, so it was positive and in lowest terms."""
     num, den = text.split("/")
     n, d = int(num), int(den)
-    if f"{n}/{d}" != text or d < 1 or gcd(n, d) != 1:
+    x = Fraction(n, d)
+    if f"{n}/{d}" != text or x.denominator != d:
         raise InstanceError(f"{text!r} is not a canonical num/den in lowest terms")
-    return Fraction(n, d) if d > 1 else Fraction(n)
+    return x
 
 
 def instance_from_json(text: str) -> Instance:
     """Read an instance in the one form `instance_to_json` writes: after
-    `json.loads`, one pass parses each site and edge rational once, decides
-    every check on integers and builds each value once (params and truth
-    are decided by writing them back).  InstanceError names what no
-    generated instance holds: not JSON, another schema, a missing key, a
-    wrong type (a bool or float for an integer too), a rational not written
-    as `frac_to_str` writes it, a partition other than the params' split,
-    sites not ascending in x or closer than the separation, an a_map key
-    not a site index in decimal, or an edge with a site index out of range,
-    primes not split-oriented, a witness set empty or outside the pool, an
-    inexact slack or the (i, j, p, q) of an earlier edge."""
+    `json.loads`, each site and edge rational is parsed once (`_fraction`)
+    and each Site, Edge and Configuration is built once by its constructor;
+    params and truth are decided by writing them back.  InstanceError names
+    what no generated instance holds: not JSON, another schema, a missing
+    key, a wrong type (a bool or float for an integer too), a rational not
+    written as `frac_to_str` writes it, a partition other than the params'
+    split, sites not ascending in x or closer than the separation, an a_map
+    key not a site index in decimal, or an edge with a site index out of
+    range, primes not split-oriented, a witness set empty or outside the
+    pool, an inexact slack or the (i, j, p, q) of an earlier edge."""
     try:
         return _instance_from_doc(json.loads(text))
     except InstanceError:
@@ -782,58 +787,48 @@ def _instance_from_doc(doc: dict) -> Instance:
     split = params.split_partition()
     if [set(half) for half in doc["partition"]] != [set(half) for half in split]:
         raise InstanceError(f"partition is not the params' split {list(split)}")
-    sep = params.separation
-    sep_n, sep_d = sep.numerator, sep.denominator
-    sites: list[Site] = []
-    xs: list[tuple[int, int]] = []  # each x as (numerator, denominator)
-    n0, d0 = 0, 1
-    for s in doc["sites"]:
-        x = _fraction(s["x"])
-        n, d = x.numerator, x.denominator
-        # (x - x_prev) * d * d0 on integers, x_prev = 0 before the first site
-        gap = n * d0 - n0 * d
-        if gap <= 0:
-            raise InstanceError(f"sites do not ascend in x from 0 at site {len(xs)}")
-        if xs and gap * sep_d < sep_n * d * d0:
-            raise InstanceError(f"sites {len(xs) - 1} and {len(xs)} are closer "
-                                f"than the separation {sep}")
-        sites.append(decided(Site, x=x, alpha=_fraction(s["alpha"])))
-        xs.append((n, d))
-        n0, d0 = n, d
-    n_sites = len(sites)
-    if truth is not None and not all(0 <= i < n_sites for i in truth.a_map):
+    sites = tuple(
+        Site(_fraction(s["x"]), _fraction(s["alpha"])) for s in doc["sites"]
+    )
+    # ascending, so site index order is x order (census rows rely on it)
+    for n in range(1, len(sites)):
+        if sites[n - 1].x >= sites[n].x:
+            raise InstanceError(f"sites do not ascend in x at site {n}")
+    cfg = Configuration(
+        sites=sites,
+        separation=params.separation,
+        split_p1=split[0],
+        split_p2=split[1],
+    )
+    if truth is not None and not all(0 <= i < len(sites) for i in truth.a_map):
         raise InstanceError("an a_map key is not a site index")
-    p1, p2 = frozenset(split[0]), frozenset(split[1])
-    pool_w = frozenset(params.witness_primes())
+    edges = tuple(
+        Edge(
+            e["i"],
+            e["j"],
+            e["p"],
+            e["q"],
+            frozenset(e["witness"]),
+            _fraction(e["slack"]),
+        )
+        for e in doc["edges"]
+    )
+    indices, pool_w = range(len(sites)), set(params.witness_primes())
     seen: set[tuple[int, int, int, int]] = set()
-    edges: list[Edge] = []
-
-    def refused(why: str) -> InstanceError:
-        return InstanceError(f"edge ({i},{j},{p},{q}): {why}")
-
-    for e in doc["edges"]:
-        key = i, j, p, q = e["i"], e["j"], e["p"], e["q"]
-        witness = e["witness"]
-        if not type(i) is type(j) is type(p) is type(q) is int or (
-            set(map(type, witness)) != {int}
-        ):
-            raise refused("a non-integer index or prime, or no integer witnesses")
-        if not (0 <= i < n_sites and 0 <= j < n_sites) or i == j:
-            raise refused("site index out of range or repeated")
-        if p not in p1 or q not in p2:
-            raise refused("not split-oriented")
-        witness = frozenset(witness)
-        if not witness <= pool_w:
-            raise refused(f"witness outside the pool {sorted(pool_w)}")
+    for e in edges:
+        key = (e.i, e.j, e.p, e.q)
+        where = f"edge ({e.i},{e.j},{e.p},{e.q})"
+        if not all(type(v) is int for v in (*key, *e.witness)):
+            raise InstanceError(f"{where}: a non-integer index, prime or witness")
+        if e.i not in indices or e.j not in indices:
+            raise InstanceError(f"{where}: site index out of range")
+        if e.p not in cfg.split_p1 or e.q not in cfg.split_p2:
+            raise InstanceError(f"{where}: not split-oriented")
+        if not e.witness <= pool_w:
+            raise InstanceError(f"{where}: witness outside the pool {sorted(pool_w)}")
         if key in seen:
-            raise refused("listed twice")
+            raise InstanceError(f"{where}: listed twice")
         seen.add(key)
-        # the exact |x_i/p - x_j/q| must be the stored text, canonically written
-        (n1, d1), (n2, d2) = xs[i], xs[j]
-        slack = Fraction(abs(n1 * d2 * q - n2 * d1 * p), d1 * d2 * p * q)
-        if frac_to_str(slack) != e["slack"]:
-            raise refused("stored slack is not exact")
-        edges.append(decided(Edge, i=i, j=j, p=p, q=q, witness=witness, slack=slack))
-    cfg = decided(Configuration, sites=tuple(sites), separation=sep, split_p1=p1,
-                  split_p2=p2)
-    return Instance(cfg, tuple(edges), truth, params)
+        if not _slack_is_exact(sites[e.i], sites[e.j], e.p, e.q, e.slack):
+            raise InstanceError(f"{where}: stored slack is not exact")
+    return Instance(cfg=cfg, edges=edges, truth=truth, params=params)

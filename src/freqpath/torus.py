@@ -64,16 +64,6 @@ MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError,
              ZeroDivisionError)
 
 
-def decided(cls, **fields):
-    """An instance of the frozen dataclass `cls` holding `fields`, set one by
-    one as `__init__` sets them (which keeps instances compact), without its
-    `__post_init__`: for values the caller has converted and decided valid."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def str_to_frac(s: str) -> Fraction:
     if "/" in s:
         num, den = s.split("/")

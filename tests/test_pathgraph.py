@@ -360,6 +360,15 @@ class TestStepRelations:
         assert witness == {5, 7}
         path_prepath(walk_path((a, b), (101,), (157,), (witness,)), wider)
 
+    @pytest.mark.parametrize("p, q", [(9, 15), (4, 9), (101, 161)])
+    def test_composite_primes_are_refused(self, p, q):
+        # a Path checks only that its primes are distinct, so a hand-built
+        # walk over composite labels reaches path_prepath, which refuses it
+        a, b = Site(F(1000), F(0)), Site(F(1555), F(0))
+        ell = walk_path((a, b), (p,), (q,), ({7},))
+        with pytest.raises(PrePathError, match="is not prime"):
+            path_prepath(ell, F(1, 8))
+
     @pytest.mark.parametrize(
         "rel, want",
         [
