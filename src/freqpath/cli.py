@@ -25,10 +25,10 @@ from .pyramid import PrePathError, build_pyramid, verify_pyramid
 from .recover import RecordError, RecoverConfig, recover_instance, score_record
 from .synth import (
     Params,
+    _instance_doc,
     audit_instance,
     gen_instance,
     instance_from_json,
-    instance_to_json,
 )
 from .torus import fields_to_json, frac_to_str, str_to_frac
 
@@ -81,10 +81,10 @@ def cmd_synth(args) -> int:
     inst = gen_instance(
         params, mode=args.mode, t_star=str_to_frac(args.t_star), q_star=args.q_star
     )
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "instance.json").write_text(instance_to_json(inst))
+    doc = _instance_doc(inst)
+    _write_json(out / "instance.json", doc)
     if args.blind:
-        (out / "instance_blind.json").write_text(instance_to_json(inst.strip_truth()))
+        _write_json(out / "instance_blind.json", {**doc, "truth": None})
         _write_json(out / "truth.json", inst.truth.to_json())
     _write_json(
         out / "synth_report.json",
@@ -265,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-edge")
     p.add_argument("--sites", dest="site_count", type=int)
     p.add_argument("--edges", dest="edge_count", type=int)
-    p.add_argument("--d-min", type=int)
     p.add_argument("--placement", choices=("uniform", "web"))
     p.add_argument("--web-pair-targets", type=int)
     p.add_argument("--web-diamonds", type=int)
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--min-common-witness", type=int, default=1)
     p.add_argument("--tol-T", default=None)
-    p.add_argument("--d-min", type=int, default=None)
+    p.add_argument("--d-min", type=int, default=1)
     p.add_argument("--limit", type=int, default=20000)
 
     p = reader("score", "grade a recorded recovery against the truth",

@@ -30,10 +30,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm, log
+from math import factorial, lcm, log, prod
 from collections.abc import Iterable
 
-from .primes import primes_in_range, prod
+from .primes import primes_in_range
 from .pyramid import PrePath, PrePathError, Pyramid
 from .torus import (
     Modulus,
@@ -622,25 +622,18 @@ def count_close_products(
     )
 
 
-def route_count_gate_max_k(x_scale: int, h_scale: int, two_p: int, b_ratio) -> int:
-    """Largest k with (2P)^(2k) * H * B * ceil(ln X) <= X; 0 when none.
+def route_count_gate_max_k(x_scale: int, h_scale: int, two_p: int) -> int:
+    """Largest k with (2P)^(2k) * H * ceil(ln X) <= X; 0 when none.
 
     This is the length range in which the factorial route-count budget is
     provable; the logarithm is pinned to the integer ceiling of ln X so the
     gate itself is an exact integer comparison.
     """
-    b_ratio = as_fraction(b_ratio)
     if x_scale < 3 or h_scale < 1:
         return 0
     log_ceil = int(log(x_scale)) + 1
     k = 0
-    while (
-        Fraction(two_p ** (2 * (k + 1)))
-        * h_scale
-        * b_ratio
-        * log_ceil
-        <= x_scale
-    ):
+    while two_p ** (2 * (k + 1)) * h_scale * log_ceil <= x_scale:
         k += 1
     return k
 

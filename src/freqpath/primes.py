@@ -39,13 +39,6 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [n for n in range(lo, hi + 1) if sieve[n]]
 
 
-def prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
 def floor_nth_root(n: int, k: int) -> int:
     """Largest integer r with r**k <= n (n >= 0, k >= 1), in integers only."""
     if n < 0 or k < 1:

@@ -38,8 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
-from .primes import is_prime, prod
+from .primes import is_prime
 from .torus import (
     Modulus,
     Rational,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, prod
 
 from .pathgraph import (
     Path,
@@ -29,7 +29,7 @@ from .pathgraph import (
     top_anchor_certificate,
     validate_path_modulus,
 )
-from .primes import floor_nth_root, prod
+from .primes import floor_nth_root
 from .pyramid import PrePathError, build_pyramid
 from .synth import GroundTruth, Instance
 from .torus import MALFORMED, Modulus, as_fraction, frac_to_str, norm_mod, str_to_frac
@@ -56,14 +56,15 @@ class RecoverConfig:
     """Free dials of the recovery pipeline.
 
     tol_t defaults to x_hub / H^(3/4) with the root taken as an exact
-    integer floor.
+    integer floor.  d_min is the peeling degree of hub selection: a site
+    with at most d_min surviving neighbours is peeled.
     """
 
     k: int = 2
     min_common_witness: int = 1
     tol_t: Fraction | None = None
     path_limit: int = 20000
-    d_min: int | None = None  # peeling degree override; None uses the instance's
+    d_min: int = 1
 
     def default_tol_t(self, hub_x: Fraction, h_scale: int) -> Fraction:
         return hub_x / max(1, floor_nth_root(h_scale**3, 4))
@@ -81,15 +82,13 @@ class HubSelection:
     survival_count: int
 
 
-def select_hub(inst: Instance, d_min: int | None = None) -> HubSelection:
+def select_hub(inst: Instance, d_min: int = 1) -> HubSelection:
     """The site surviving witness-wise peeling most often; ties to smallest x."""
     if not inst.edges:
         raise EmptyGraphError("instance has no edges")
-    params = inst.params
-    degree = params.d_min if d_min is None else d_min
     scores = {i: 0 for i in range(len(inst.cfg.sites))}
-    for w in params.witness_primes():
-        for i in peel_regular(inst.cfg, inst.edges, degree, w):
+    for w in inst.params.witness_primes():
+        for i in peel_regular(inst.cfg, inst.edges, d_min, w):
             scores[i] += 1
     best = min(
         scores, key=lambda i: (-scores[i], inst.cfg.sites[i].x)

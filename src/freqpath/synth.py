@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, count, islice, repeat
-from math import exp, gcd, lcm, log, sqrt
+from math import exp, gcd, lcm, log, prod, sqrt
 from operator import add, getitem, le, sub
 
 from .pathgraph import (
@@ -41,7 +41,7 @@ from .pathgraph import (
     route_count_gate_max_k,
     scaled_positions,
 )
-from .primes import primes_in_range, prod
+from .primes import primes_in_range
 from .torus import (
     MALFORMED,
     Rational,
@@ -51,7 +51,7 @@ from .torus import (
     str_to_frac,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ParamsError(ValueError):
@@ -74,9 +74,8 @@ class Params:
     [X/(10K), 2X/K], separated by H/K) and the two prime pools [P, 2P]
     and [P', 2P'] with P * P' = K.  eps_edge and s_edge are the frequency
     and physical edge thresholds.  The remaining fields are free dials:
-    edge_count (None = keep every verifying candidate), witness_density
-    (minimum fraction of the witness pool an edge must carry),
-    noise_level (bounded rational jitter in units of eps_edge), placement
+    edge_count (None = keep every verifying candidate), noise_level
+    (bounded rational jitter in units of eps_edge), placement
     ("uniform", or "web" to seed multiplicative clusters that guarantee
     multi-step routes at desk scale), and the web_* knobs.  Under "web",
     site_count is a lower bound: planted cluster sites are never trimmed.
@@ -91,12 +90,7 @@ class Params:
     s_edge: Fraction
     site_count: int
     edge_count: int | None = None
-    witness_density: Fraction = Fraction(0)
     noise_level: Fraction = Fraction(0)
-    d_min: int = 1
-    k_max: int = 4
-    B_ratio: Fraction = Fraction(1)
-    c_cal: Fraction = Fraction(1)
     seed: int = 0
     placement: str = "uniform"
     web_pair_targets: int = 0
@@ -105,11 +99,10 @@ class Params:
     web_chain_len: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("eps_edge", "s_edge", "witness_density", "noise_level",
-                     "B_ratio", "c_cal"):
+        for name in ("eps_edge", "s_edge", "noise_level"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        for name in ("X", "H", "K", "P", "P_prime", "site_count", "seed", "d_min",
-                     "k_max", "web_pair_targets", "web_diamonds", "web_chains",
+        for name in ("X", "H", "K", "P", "P_prime", "site_count", "seed",
+                     "web_pair_targets", "web_diamonds", "web_chains",
                      "web_chain_len"):
             if type(v := getattr(self, name)) is not int:
                 raise ParamsError(f"{name} must be an integer, got {v!r}")
@@ -125,14 +118,8 @@ class Params:
             raise ParamsError(f"need 0 < eps_edge < 1/2, got {self.eps_edge}")
         if self.s_edge <= 0:
             raise ParamsError("s_edge must be positive")
-        if not 0 <= self.witness_density <= 1:
-            raise ParamsError("witness_density must lie in [0, 1]")
         if self.noise_level < 0:
             raise ParamsError("noise_level must be nonnegative")
-        if self.d_min < 0 or self.k_max < 1:
-            raise ParamsError("need d_min >= 0 and k_max >= 1")
-        if self.B_ratio <= 0 or self.c_cal <= 0:
-            raise ParamsError("B_ratio and c_cal must be positive")
         if (n := self.edge_count) is not None and (type(n) is not int or n < 0):
             raise ParamsError("edge_count must be None or a nonnegative integer")
         if self.placement not in ("uniform", "web"):
@@ -177,13 +164,8 @@ class Params:
         half = (len(ps) + 1) // 2
         return ps[:half], ps[half:]
 
-    def min_witness(self) -> int:
-        pool = len(self.witness_primes())
-        want = self.witness_density * pool
-        return max(1, -(-want.numerator // want.denominator))
-
     def route_gate_k(self) -> int:
-        return route_count_gate_max_k(self.X, self.H, 2 * self.P, self.B_ratio)
+        return route_count_gate_max_k(self.X, self.H, 2 * self.P)
 
     def gates(self) -> dict:
         """Which asymptotic hypotheses hold at this scale (report only)."""
@@ -581,14 +563,14 @@ def gen_instance(
     order = list(range(len(candidates)))
     if params.edge_count is not None:
         rng.shuffle(order)
-    min_w, eps = params.min_witness(), params.eps_edge
+    eps = params.eps_edge
     edges: list[Edge] = []
     for idx in order:
         if params.edge_count is not None and len(edges) >= params.edge_count:
             break
         i, j, p, q, slack = candidates[idx]
         witness = edge_witness(cfg.sites[i], cfg.sites[j], p, q, pool_w, eps)
-        if len(witness) < min_w:
+        if not witness:
             continue
         edges.append(Edge(i, j, p, q, witness, slack))
     if params.edge_count is not None and len(edges) < params.edge_count:
@@ -678,7 +660,6 @@ def audit_instance(inst: Instance) -> AuditReport:
         and cfg.split_p1 | cfg.split_p2 <= pool_pq,
     )
     pool_w = params.witness_primes()
-    min_w = params.min_witness()
     s_num, s_den = params.s_edge.numerator, params.s_edge.denominator
     bad_edge = ""
     for e in inst.edges:
@@ -699,9 +680,6 @@ def audit_instance(inst: Instance) -> AuditReport:
         if witness != e.witness:
             bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) witness mismatch"
             break
-        if len(witness) < min_w:
-            bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) witness below density"
-            break
     check("edges", not bad_edge, bad_edge)
     if inst.truth is not None:
         truth = inst.truth
@@ -719,7 +697,12 @@ def audit_instance(inst: Instance) -> AuditReport:
 
 
 def instance_to_json(inst: Instance) -> str:
-    doc = {
+    return json.dumps(_instance_doc(inst), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _instance_doc(inst: Instance) -> dict:
+    """The document `instance_to_json` writes, before it is dumped."""
+    return {
         "schema": SCHEMA_VERSION,
         "params": inst.params.to_json(),
         "truth": inst.truth.to_json() if inst.truth else None,
@@ -740,7 +723,6 @@ def instance_to_json(inst: Instance) -> str:
         ],
         "partition": [sorted(inst.cfg.split_p1), sorted(inst.cfg.split_p2)],
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _fraction(text: str) -> Fraction:
@@ -765,8 +747,9 @@ def instance_from_json(text: str) -> Instance:
     written as `frac_to_str` writes it, a partition other than the params'
     split, sites not ascending in x or closer than the separation, an a_map
     key not a site index in decimal, or an edge with a site index out of
-    range, primes not split-oriented, a witness set empty or outside the
-    pool, an inexact slack or the (i, j, p, q) of an earlier edge."""
+    range, primes not split-oriented, a witness list empty, outside the
+    pool or not sorted without repeats, an inexact slack or the (i, j, p, q)
+    of an earlier edge."""
     try:
         return _instance_from_doc(json.loads(text))
     except InstanceError:
@@ -815,7 +798,7 @@ def _instance_from_doc(doc: dict) -> Instance:
     )
     indices, pool_w = range(len(sites)), set(params.witness_primes())
     seen: set[tuple[int, int, int, int]] = set()
-    for e in edges:
+    for raw, e in zip(doc["edges"], edges):
         key = (e.i, e.j, e.p, e.q)
         where = f"edge ({e.i},{e.j},{e.p},{e.q})"
         if not all(type(v) is int for v in (*key, *e.witness)):
@@ -826,6 +809,8 @@ def _instance_from_doc(doc: dict) -> Instance:
             raise InstanceError(f"{where}: not split-oriented")
         if not e.witness <= pool_w:
             raise InstanceError(f"{where}: witness outside the pool {sorted(pool_w)}")
+        if raw["witness"] != sorted(e.witness):
+            raise InstanceError(f"{where}: witness not sorted without repeats")
         if key in seen:
             raise InstanceError(f"{where}: listed twice")
         seen.add(key)

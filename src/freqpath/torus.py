@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-from .primes import is_prime, prod
+from .primes import is_prime
 
 Rational = Fraction | int
 

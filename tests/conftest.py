@@ -27,7 +27,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, prod
 
 import pytest
 from hypothesis import settings
@@ -40,7 +40,7 @@ from freqpath.pathgraph import (
     PathError,
     Site,
 )
-from freqpath.primes import is_prime, primes_in_range, prod
+from freqpath.primes import is_prime, primes_in_range
 from freqpath.pyramid import (
     BoundReport,
     HypothesisViolation,

@@ -1,6 +1,7 @@
 """Batch front-end: subcommand round trips, determinism and exit codes."""
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from freqpath import cli
 from freqpath.cli import main
 from freqpath.pathgraph import SplitWalks
-from freqpath.synth import Params
+from freqpath.synth import Params, instance_from_json, instance_to_json
 
 
 WEB_PARAMS = dict(
@@ -36,13 +37,13 @@ WEB_PARAMS = dict(
 # because it records the path of its --recovery file
 PINNED_REPORTS = {
     "vb/verify_report.json":
-        "c7c19427d210ca609baa9f691acaf73be8116239ee483122607e497b1d027b48",
+        "49e833bdd33bdd3a7d4e93e8c84aceb452f21d2dd9e66c581dad24c20fda9e42",
     "vb/bound_certificates.csv":
         "75996fcd51bb3d6acd2268ea5e573b09dc615ba8ee17fa678a053d34e12589cd",
     "census/census_report.json":
-        "9f4f0fbc4429f20ff36e1c63567a82b1deb6a74c50c8a2c7ab421725e19803d0",
+        "34369c29ebae7636008e8495f809bbc24ac7d0cad17a35d56bdc429b770c4cdf",
     "rec/recovery.json":
-        "77a2635ec946747f68a02fb2f7ad31ad0f5b6256ac53b31c626d0f12e2db3c3f",
+        "09cfcaaffed514b0654e1d82611256ea2e04a40b7a0b708201951de06aa0fc47",
     "rec/targets.csv":
         "cd23c09b45a865dcf949c22e825ae6a403d116cf8e87ee30bc394d4023d80ea6",
 }
@@ -87,6 +88,9 @@ class TestSynth:
         out = synth_dir(tmp_path, params_file, "blind", "--blind")
         blind = json.loads((out / "instance_blind.json").read_text())
         assert blind["truth"] is None
+        inst = instance_from_json((out / "instance.json").read_text())
+        want = instance_to_json(inst.strip_truth())
+        assert (out / "instance_blind.json").read_text() == want
         truth = json.loads((out / "truth.json").read_text())
         assert truth["q_star"] == 6
         report = json.loads((out / "synth_report.json").read_text())
@@ -99,6 +103,15 @@ class TestSynth:
         want = {**WEB_PARAMS, "site_count": 150, "seed": 3, "web_chains": 1}
         assert report["params"] == Params.from_json(want).to_json()
         assert report["sites"] == 150
+
+    def test_generator_flags_are_params_fields(self):
+        # _params_from_args keeps only the flags named by a Params field, so
+        # any other generator flag would be dropped without a word
+        synth, = (a.choices["synth"] for a in cli.PARSER._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest for a in synth._actions
+                 if a.default is argparse.SUPPRESS and not a.required} - {"help"}
+        assert flags and flags <= set(Params.__dataclass_fields__)
 
     def test_bad_params_exit_code(self, tmp_path):
         out = tmp_path / "bad"
@@ -358,12 +371,13 @@ def _slack_off_by(edge: dict, delta: Fraction) -> None:
         lambda d: d.pop("partition"),
         lambda d: d["sites"][0].update(x="12.5"),
         lambda d: d["params"].update(eps_edge="1/2.0"),
-        lambda d: d.update(schema=2),
+        lambda d: d.update(schema=1),
+        lambda d: d["params"].update(k_max=4),
     ],
     ids=["site_index_out_of_range", "partition_outside_pool", "not_split_oriented",
          "witness_outside_pool", "slack_off_by_one", "slack_off_by_1e-9",
          "partition_deleted", "site_x_not_num_den", "eps_edge_not_num_den",
-         "schema_2"],
+         "schema_1", "params_removed_key"],
 )
 def test_malformed_instance_is_refused(tmp_path, recorded_k3, command, corrupt):
     inst, recovery = recorded_k3
@@ -407,20 +421,23 @@ def _scale_terms(text: str) -> str:
         (lambda d: d["truth"].update(t_star=_scale_terms(d["truth"]["t_star"])),
          "the form instance_to_json writes"),
         (lambda d: d["params"].update(seed=True), "seed must be an integer"),
-        (lambda d: d["params"].update(d_min=True), "d_min must be an integer"),
+        (lambda d: d["params"].update(web_chains=True), "web_chains must be an integer"),
         (lambda d: d["truth"].update(q_star=6.0), "must be integers"),
         (lambda d: d["truth"]["a_map"].update({_first_a_map_key(d): True}),
          "must be integers"),
         (_swap_first_sites, "do not ascend in x"),
         (_double_edges, "listed twice"),
+        (lambda d: d["edges"][0].update(witness=[7, 5]), "not sorted without repeats"),
+        (lambda d: d["edges"][0].update(witness=[5, 5, 7]), "not sorted without repeats"),
         (lambda d: d["truth"]["a_map"].update({"-1": 1}), "not a site index"),
         (lambda d: d["truth"]["a_map"].update({"99999": 1}), "not a site index"),
         (lambda d: d["truth"]["a_map"].update({" 1": 1}),
          "the form instance_to_json writes"),
     ],
     ids=["rational_leading_plus", "rational_spaces", "rational_not_lowest_terms",
-         "seed_bool", "d_min_bool", "q_star_float", "a_map_value_bool",
-         "sites_not_ascending", "edges_listed_twice", "a_map_key_negative",
+         "seed_bool", "web_chains_bool", "q_star_float", "a_map_value_bool",
+         "sites_not_ascending", "edges_listed_twice", "witness_descending",
+         "witness_repeated", "a_map_key_negative",
          "a_map_key_beyond_sites", "a_map_key_with_space"],
 )
 def test_non_canonical_instance_is_refused(tmp_path, recorded_k3, corrupt, reason):

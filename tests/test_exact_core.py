@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, prod
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,7 +42,6 @@ from freqpath.pathgraph import (
     ratio_drift_certificate,
     top_anchor_certificate,
 )
-from freqpath.primes import prod
 from freqpath.pyramid import PrePath, build_pyramid, merge_two, verify_pyramid
 from freqpath.torus import (
     Modulus,

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -49,7 +50,6 @@ from freqpath.pathgraph import (
     top_anchor_certificate,
     validate_path_modulus,
 )
-from freqpath.primes import prod
 from freqpath.pyramid import (
     HypothesisViolation,
     PrePath,
@@ -691,7 +691,7 @@ class TestCollisionCensus:
     def test_same_multiset_pair_is_not_a_violation(self):
         r1, r2 = self.diamond_paths()
         rep = collision_census([r1.edges, r2.edges],
-                               route_count_gate_max_k(10**13, 10**3, 20, 1), p_scale=10)
+                               route_count_gate_max_k(10**13, 10**3, 20), p_scale=10)
         assert rep.gate_applicable  # k = 2 is inside the gate at this scale
         assert rep.pairs_sharing_endpoint == 1
         assert rep.different_multiset_pairs == 0
@@ -711,7 +711,7 @@ class TestCollisionCensus:
         den = prod(r1.p_primes) * prod(r2.q_primes)
         assert abs(F(num, den) - 1) >= F(1, (2 * 20) ** 2)
         rep = collision_census([r1.edges, r2.edges],
-                               route_count_gate_max_k(10**6, 10**3, 40, 1), p_scale=20)
+                               route_count_gate_max_k(10**6, 10**3, 40), p_scale=20)
         assert rep.different_multiset_pairs == 1
         assert rep.ratio_gap_violations == 0
         assert rep.pairs_sharing_prime == 0
@@ -719,7 +719,7 @@ class TestCollisionCensus:
     def test_outside_gate_is_flagged_not_asserted(self):
         r1, r2 = self.diamond_paths()
         rep = collision_census([r1.edges, r2.edges],
-                               route_count_gate_max_k(10**6, 10**4, 20, 1), p_scale=10)
+                               route_count_gate_max_k(10**6, 10**4, 20), p_scale=10)
         assert not rep.gate_applicable
         assert all(r.budget_ok is None for r in rep.rows)
         assert rep.passed  # no violations; budget not asserted
@@ -729,10 +729,10 @@ class TestCollisionCensus:
         short = simple_path([1000, 1182], [11], [13])
         with pytest.raises(PathError):
             collision_census([r1.edges, short.edges],
-                             route_count_gate_max_k(10**6, 10**3, 20, 1), 10)
+                             route_count_gate_max_k(10**6, 10**3, 20), 10)
 
     def test_gate_values(self):
         # (2P)^(2k) * H * ceil(ln X) <= X with 2P = 20, H = 1e3, X = 1e13:
         # k = 3 gives 1.92e12 <= 1e13 while k = 4 gives 7.68e14 > 1e13
-        assert route_count_gate_max_k(10**13, 10**3, 20, 1) == 3
-        assert route_count_gate_max_k(10**8, 10**4, 40, 1) == 0
+        assert route_count_gate_max_k(10**13, 10**3, 20) == 3
+        assert route_count_gate_max_k(10**8, 10**4, 40) == 0

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -24,7 +25,6 @@ from conftest import (
     ref_merge_two,
 )
 from freqpath import pyramid as pyramid_module
-from freqpath.primes import prod
 from freqpath.pyramid import (
     HypothesisViolation,
     PrePath,

@@ -133,7 +133,7 @@ class TestSelectHub:
     def test_dense_core_beats_pendants(self):
         # triangle of mutually connected sites plus a pendant: only core
         # members survive peeling, so the hub must be a core site
-        params = fixture_params(site_count=4, d_min=1)
+        params = fixture_params(site_count=4)
         xs = [F(2 * 10**6), F(2 * 10**6) * F(179, 127), F(25 * 10**5), F(4 * 10**6)]
         xs_sites = tuple(Site(x, F(0)) for x in sorted(xs))
         cfg = Configuration(
@@ -247,7 +247,7 @@ class TestLocalEstimate:
 
 
 def make_estimate(target, x, q_factors, t_y, a=0, b=0, d=1) -> LocalEstimate:
-    from freqpath.primes import prod
+    from math import prod
 
     return LocalEstimate(
         target_index=target,

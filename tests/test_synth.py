@@ -603,14 +603,14 @@ def uniform_noisy_params() -> Params:
 # placement, candidates and witnesses in Fraction arithmetic; a change to
 # generation that moves one byte fails here
 PINNED = {
-    "e2e-0-archimedean": "6451d165d5ed0a47412951ec0619edae75e20897222ef724971b5f13f482067c",
-    "e2e-0-rational": "bd18982aa9392537b809272a5a2f342100e1ea5026493bd4caf730bcf718a31a",
-    "e2e-1-archimedean": "2bbfd02901036b177effc94a60e60399364850202664d8581f91e9d00cc23d03",
-    "e2e-1-rational": "ce0489c6aea42818a028587b20cd17b244d851df890defec846dd95ca7c254b2",
-    "e2e-2-archimedean": "d659880e15370234da42675198660ccbc6ce9daa9bae9998bf72f250b37813be",
-    "e2e-2-rational": "4dea3b1137c74474d8de8c82f48bd82d9edde76e450adcda2b28724a0d5e3283",
-    "chain-0": "24fef2e446e0ca4c7a1b2c24018a6c64f93a862c5c67d57faf2088b1bddecde7",
-    "uniform-noisy": "03760e2f2bd2af762d1b95cd1d7930c51cd0a70e4be7a83205f2ee81a1231eab",
+    "e2e-0-archimedean": "cd99e7621d1bf6f165894ad2964f5e49b2415551777aaff7a79e8566373911c3",
+    "e2e-0-rational": "d6a453d6bfebf68335b323e657cc498738a21e0f72569241731a2f61236cef79",
+    "e2e-1-archimedean": "44e7d209d52bc3cdb70fb629077c418992ea12bb5b2671ac3775c1a1929977c4",
+    "e2e-1-rational": "b856986f01f2ad150774fa66060d97faff6f52085430ca48115b0a3124c7f964",
+    "e2e-2-archimedean": "51463d7fac614df1f0b28b89805f17401e401c86ba60b339916639aedde6be38",
+    "e2e-2-rational": "280a3178c471767c4edd076563121bf3251d5d884fef81a284442affa33ca6c3",
+    "chain-0": "d0de0ce083d4c7da053cef29e5c340b906e57f73a7f65facdb4a8474dd4c8f20",
+    "uniform-noisy": "56c123cca49c590247c73568bcaee5967a93b385f337934a5ff09c80d8d68ef8",
 }
 
 
