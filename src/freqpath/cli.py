@@ -14,6 +14,7 @@ from pathlib import Path as FsPath
 
 from . import __version__
 from .pathgraph import (
+    PathError,
     SplitWalks,
     build_path,
     collision_census,
@@ -75,6 +76,15 @@ def _load_instance(path: str):
     return instance_from_json(FsPath(path).read_text())
 
 
+def _require_walks(args) -> None:
+    """Refuse a --k or --limit below 1: such a run walks nothing, and a
+    report over no walks would pass vacuously."""
+    for flag in ("k", "limit"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise PathError(f"--{flag} must be at least 1, got {value}")
+
+
 def cmd_synth(args) -> int:
     out = FsPath(args.out)
     params = _params_from_args(args)
@@ -104,6 +114,7 @@ def cmd_audit(args) -> int:
 def cmd_verify_bounds(args) -> int:
     """Pyramid bound rows plus drift and apex certificates over enumerated
     split paths of every length up to --k."""
+    _require_walks(args)
     inst = _load_instance(args.instance)
     eps = inst.params.eps_edge
     rows: list[dict] = []
@@ -164,6 +175,7 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_census(args) -> int:
+    _require_walks(args)
     inst = _load_instance(args.instance)
     params = inst.params
     reports = []
@@ -188,6 +200,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    _require_walks(args)
     inst = _load_instance(args.instance)
     rcfg = RecoverConfig(
         k=args.k,

@@ -9,9 +9,11 @@ implicit constants replaced by exact telescoped sums.
 
 Split walks come from a `SplitWalks`, which holds one instance's split
 adjacency: a command that walks from every start site (`census`,
-`verify-bounds`) builds it once per instance and walks each start from it.
-A walk is a tuple of edges; `census` reads ends and primes off them, and a
-`Path` is built only for a walk that is certified or paired.
+`verify-bounds`) builds it once per instance and walks each start from it,
+and `enumerate_split_paths` keeps the one it builds for a tuple of edges on
+the configuration.  A walk is a tuple of edges; `census` reads ends and
+primes off them, and a `Path` is built only for a walk that is certified or
+paired.
 
 The certificates decide `passed` by one integer cross-multiplication and
 build Fractions only for the values a row shows.  `path_prepath` reduces
@@ -490,10 +492,15 @@ class SplitWalks:
 
         Edges are traversed in their stored orientation only; the 2k primes
         along a walk must be globally distinct.  Enumeration stops at
-        `limit` walks with the truncation flag raised.
+        `limit` walks with the truncation flag raised, so a limit of 0 gives
+        no walks, truncated; a negative limit is refused.
         """
         if k < 1:
             raise PathError("path length must be at least 1")
+        if limit < 0:
+            raise PathError(f"walk limit must be at least 0, got {limit}")
+        if limit == 0:
+            return [], True
         out_edges = self.out_edges
         found: list[Walk] = []
 
@@ -511,9 +518,13 @@ class SplitWalks:
                     return False
             return True
 
-        if limit < 1:
-            return found, limit == 0
-        return found, not walk(start, frozenset(), ())
+        # `walk` refers to itself through its closure cell; deleting it
+        # breaks that cycle, so the call leaves nothing for the cyclic
+        # collector
+        try:
+            return found, not walk(start, frozenset(), ())
+        finally:
+            del walk
 
 
 def enumerate_split_paths(
@@ -523,9 +534,22 @@ def enumerate_split_paths(
     k: int,
     limit: int = 10000,
 ) -> PathEnumeration:
-    """Split walks of length k from site `start` as Paths, from an adjacency
-    built for this one call; see `SplitWalks.walks`."""
-    found, truncated = SplitWalks(cfg, edges).walks(start, k, limit)
+    """Split walks of length k from site `start` as Paths; see
+    `SplitWalks.walks`.
+
+    The adjacency built for a tuple of edges is kept on `cfg` and reused
+    while the same tuple (by identity) comes back, so a loop over every
+    start and every k builds it once.  A list of edges may change between
+    calls, so its adjacency is built for the one call.
+    """
+    if isinstance(edges, tuple):
+        cached = cfg.__dict__.get("_split_walks")
+        if cached is None or cached[0] is not edges:
+            cached = cfg.__dict__["_split_walks"] = (edges, SplitWalks(cfg, edges))
+        walks = cached[1]
+    else:
+        walks = SplitWalks(cfg, edges)
+    found, truncated = walks.walks(start, k, limit)
     return PathEnumeration(tuple(build_path(cfg, w) for w in found), truncated)
 
 

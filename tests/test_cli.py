@@ -349,6 +349,17 @@ def test_format_only_on_verify_bounds(tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["verify-bounds", "census", "recover"])
+@pytest.mark.parametrize("flag, value", [("--k", "0"), ("--limit", "0"), ("--limit", "-1")])
+def test_walk_flags_below_one_are_refused(tmp_path, recorded_k3, command, flag, value):
+    inst, _recovery = recorded_k3
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--instance", str(inst), flag, value]) == 2
+    err = json.loads((out / f"{command}_error.json").read_text())["error"]
+    assert err == {"type": "PathError", "message": f"{flag} must be at least 1, got {value}"}
+    assert [f.name for f in out.iterdir()] == [f"{command}_error.json"]
+
+
 def _swap_primes(edge: dict) -> None:
     edge.update(p=edge["q"], q=edge["p"])
 

@@ -2,6 +2,8 @@
 counting checks."""
 from __future__ import annotations
 
+import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -505,6 +507,60 @@ class TestEnumeration:
         edges = [make_edge(cfg, 0, 1, 11, 13)]
         enum = enumerate_split_paths(cfg, edges, 0, 1, limit=0)
         assert enum.paths == () and enum.truncated
+
+    def test_negative_limit_is_refused(self):
+        cfg = line_config()
+        walks = SplitWalks(cfg, [make_edge(cfg, 0, 1, 11, 13)])
+        with pytest.raises(PathError, match="limit"):
+            walks.walks(0, 1, limit=-1)
+
+    def test_walks_leave_no_cyclic_garbage(self):
+        inst = chain_instance(0)
+        walks = SplitWalks(inst.cfg, inst.edges)
+        gc.collect()
+        gc.disable()
+        try:
+            for start in range(len(inst.cfg.sites)):
+                walks.walks(start, 3, limit=8)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_one_adjacency_per_edge_tuple(self, monkeypatch):
+        built: list[tuple] = []
+
+        class Counting(SplitWalks):
+            def __init__(self, cfg, edges):
+                built.append((id(cfg), id(edges)))
+                super().__init__(cfg, edges)
+
+        monkeypatch.setattr("freqpath.pathgraph.SplitWalks", Counting)
+        inst = chain_instance(0)
+        halves = (inst.edges, inst.edges[::2])
+        cfgs = (inst.cfg, dataclasses.replace(inst.cfg))
+        for cfg, edges in itertools.product(cfgs, halves):
+            for start, k in itertools.product(range(len(cfg.sites)), (1, 2, 3)):
+                enumerate_split_paths(cfg, edges, start, k, limit=8)
+            # every start and every k walked from the one adjacency
+            assert built.count((id(cfg), id(edges))) == 1
+        assert len(built) == 4
+
+    def test_alternating_edge_tuples(self):
+        inst = chain_instance(0)
+        cfg, halves = inst.cfg, (inst.edges, inst.edges[1::2])
+        for start, k in itertools.product(range(len(cfg.sites)), (1, 2, 3)):
+            for edges in halves:
+                assert enumerate_split_paths(cfg, edges, start, k, 8) == \
+                    ref_enumerate_split_paths(cfg, edges, start, k, 8)
+
+    def test_mutated_edge_list(self):
+        cfg = line_config()
+        edges = [make_edge(cfg, 0, 1, 11, 13)]
+        assert enumerate_split_paths(cfg, edges, 0, 2).paths == ()
+        edges.append(make_edge(cfg, 1, 2, 23, 29))
+        enum = enumerate_split_paths(cfg, edges, 0, 2)
+        assert enum == ref_enumerate_split_paths(cfg, edges, 0, 2)
+        assert [p.site_indices for p in enum.paths] == [(0, 1, 2)]
 
     def test_length_beyond_diameter(self):
         cfg = line_config()
