@@ -540,16 +540,13 @@ def enumerate_split_paths(
     The adjacency built for a tuple of edges is kept on `cfg` and reused
     while the same tuple (by identity) comes back, so a loop over every
     start and every k builds it once.  A list of edges may change between
-    calls, so its adjacency is built for the one call.
+    calls, so each call copies it into a new tuple with its own adjacency.
     """
-    if isinstance(edges, tuple):
-        cached = cfg.__dict__.get("_split_walks")
-        if cached is None or cached[0] is not edges:
-            cached = cfg.__dict__["_split_walks"] = (edges, SplitWalks(cfg, edges))
-        walks = cached[1]
-    else:
-        walks = SplitWalks(cfg, edges)
-    found, truncated = walks.walks(start, k, limit)
+    edges = tuple(edges)
+    cached = cfg.__dict__.get("_split_walks")
+    if cached is None or cached[0] is not edges:
+        cached = cfg.__dict__["_split_walks"] = (edges, SplitWalks(cfg, edges))
+    found, truncated = cached[1].walks(start, k, limit)
     return PathEnumeration(tuple(build_path(cfg, w) for w in found), truncated)
 
 
@@ -596,37 +593,33 @@ class ProductCountReport:
     threshold: Fraction
     count: int
     bound: Fraction
-    c_cal: Fraction
 
     @property
     def passed(self) -> bool:
-        return self.count <= self.c_cal * self.bound
+        return self.count <= self.bound
 
 
 def count_close_products(
     r: int,
     p0: int,
     n_scale: Rational,
-    a_scale: Rational = 1,
-    c_cal: Rational = 1,
     budget: int = 10**7,
 ) -> ProductCountReport:
     """Exhaustive census of near-colliding prime products.
 
     Counts ordered 2r-tuples of primes from [p0, 2*p0] whose two r-fold
-    products differ by at most A*(2*p0)^r / N, and compares against the
-    calibrated bound  c_cal * A * (r!)^2 * (2*p0)^r * ((2*p0)^r / N + 1).
+    products differ by at most (2*p0)^r / N, and compares against the
+    bound  (r!)^2 * (2*p0)^r * ((2*p0)^r / N + 1).
     """
     if r < 1 or p0 < 3:
         raise ValueError("need r >= 1 and p0 >= 3")
     n_scale = as_fraction(n_scale)
-    a_scale = as_fraction(a_scale)
     ps = primes_in_range(p0, 2 * p0)
     if len(ps) ** (2 * r) > budget:
         raise ResourceBudgetError(
             f"{len(ps)}^{2 * r} ordered tuples exceed the budget {budget}"
         )
-    threshold = a_scale * Fraction((2 * p0) ** r) / n_scale
+    threshold = Fraction((2 * p0) ** r) / n_scale
     products = sorted(prod(t) for t in itertools.product(ps, repeat=r))
     count = 0
     for a in products:
@@ -635,15 +628,8 @@ def count_close_products(
         while hi < len(products) and products[hi] <= a + threshold:
             hi += 1
         count += hi - lo
-    bound = (
-        a_scale
-        * factorial(r) ** 2
-        * (2 * p0) ** r
-        * (Fraction((2 * p0) ** r) / n_scale + 1)
-    )
-    return ProductCountReport(
-        r, p0, n_scale, threshold, count, bound, as_fraction(c_cal)
-    )
+    bound = factorial(r) ** 2 * (2 * p0) ** r * (threshold + 1)
+    return ProductCountReport(r, p0, n_scale, threshold, count, bound)
 
 
 def route_count_gate_max_k(x_scale: int, h_scale: int, two_p: int) -> int:

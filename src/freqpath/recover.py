@@ -340,7 +340,6 @@ def _rationally_consistent(anchor: LocalEstimate, est: LocalEstimate) -> bool:
 def aggregate_global(
     estimates: list[LocalEstimate] | tuple[LocalEstimate, ...],
     tol_t: Fraction,
-    min_cluster: Fraction = Fraction(1, 2),
     targets_total: int | None = None,
 ) -> GlobalFrequency:
     """Anchor on the largest shared-witness mass and keep agreeing estimates.
@@ -350,7 +349,8 @@ def aggregate_global(
     estimate is accepted when |T - T_y| <= tol_t and its rational part is
     congruent to the anchor's modulo the gcd modulus.  The global modulus
     q is the most frequent denominator among accepted estimates; all tied
-    denominators are reported.
+    denominators are reported.  NoConsensusError when fewer than half of
+    the estimates are accepted.
     """
     estimates = tuple(estimates)
     if not estimates:
@@ -375,7 +375,7 @@ def aggregate_global(
         for e in estimates
         if abs(t_global - e.t_y) <= tol_t and _rationally_consistent(anchor, e)
     )
-    if len(accepted) < min_cluster * len(estimates):
+    if 2 * len(accepted) < len(estimates):
         raise NoConsensusError(
             f"largest cluster holds {len(accepted)} of {len(estimates)} estimates"
         )

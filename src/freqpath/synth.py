@@ -522,10 +522,10 @@ def gen_instance(
     when a requested edge_count cannot be met after exhausting every
     candidate (site, p, q) triple.
     """
-    if mode == "archimedean":
-        q_star = 1
-    elif mode != "rational":
+    if mode not in ("archimedean", "rational"):
         raise ParamsError(f"unknown mode {mode!r}")
+    if mode == "archimedean" and q_star != 1:
+        raise ParamsError("archimedean mode requires q_star = 1")
     pool_w = params.witness_primes()
     pool_pq = params.edge_primes()
     for p in pool_pq + pool_w:
@@ -744,12 +744,13 @@ def instance_from_json(text: str) -> Instance:
     params and truth are decided by writing them back.  InstanceError names
     what no generated instance holds: not JSON, another schema, a missing
     key, a wrong type (a bool or float for an integer too), a rational not
-    written as `frac_to_str` writes it, a partition other than the params'
-    split, sites not ascending in x or closer than the separation, an a_map
-    key not a site index in decimal, or an edge with a site index out of
-    range, primes not split-oriented, a witness list empty, outside the
-    pool or not sorted without repeats, an inexact slack or the (i, j, p, q)
-    of an earlier edge."""
+    written as `frac_to_str` writes it, a truth carrier other than the
+    witness-pool product, a partition other than the params' split, sites
+    not ascending in x or closer than the separation, an a_map key not a
+    site index in decimal, or an edge with a site index out of range, primes
+    not split-oriented, a witness list empty, outside the pool or not sorted
+    without repeats, an inexact slack or the (i, j, p, q) of an earlier
+    edge."""
     try:
         return _instance_from_doc(json.loads(text))
     except InstanceError:
@@ -767,6 +768,8 @@ def _instance_from_doc(doc: dict) -> Instance:
     # decided by writing them back: "+5/1", "2/4" or an a_map key "01" differ
     if params.to_json() != doc["params"] or truth and truth.to_json() != doc["truth"]:
         raise InstanceError("params or truth not in the form instance_to_json writes")
+    if truth and truth.carrier != (carrier := params.witness_carrier()):
+        raise InstanceError(f"truth carrier is not the witness-pool product {carrier}")
     split = params.split_partition()
     if [set(half) for half in doc["partition"]] != [set(half) for half in split]:
         raise InstanceError(f"partition is not the params' split {list(split)}")

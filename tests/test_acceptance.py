@@ -169,7 +169,7 @@ def test_criterion_05_product_counting_bound():
     for r in (1, 2, 3):
         for p0 in (3, 5, 10, 20):
             for n in (10, 10**3, 10**6):
-                rep = count_close_products(r, p0, n, a_scale=1, c_cal=1)
+                rep = count_close_products(r, p0, n)
                 assert rep.passed, (r, p0, n, rep.count, rep.bound)
                 combos += 1
     report(5, combos == 36, time.time() - t0, 120,

@@ -122,6 +122,16 @@ class TestSynth:
         err = json.loads((out / "synth_error.json").read_text())
         assert err["error"]["type"] == "ParamsError"
 
+    def test_archimedean_q_star_is_refused(self, tmp_path, params_file):
+        out = tmp_path / "arch"
+        rc = main(["synth", "--out", str(out), "--params", str(params_file),
+                   "--mode", "archimedean", "--q-star", "6"])
+        assert rc == 2
+        err = json.loads((out / "synth_error.json").read_text())["error"]
+        assert err["type"] == "ParamsError"
+        assert err["message"] == "archimedean mode requires q_star = 1"
+        assert [f.name for f in out.iterdir()] == ["synth_error.json"]
+
 
 class TestPipelineCommands:
     def test_audit_verify_census_recover_score(self, tmp_path, params_file):
@@ -444,12 +454,15 @@ def _scale_terms(text: str) -> str:
         (lambda d: d["truth"]["a_map"].update({"99999": 1}), "not a site index"),
         (lambda d: d["truth"]["a_map"].update({" 1": 1}),
          "the form instance_to_json writes"),
+        (lambda d: d["truth"].update(carrier=11 * d["truth"]["carrier"]),
+         "not the witness-pool product"),
     ],
     ids=["rational_leading_plus", "rational_spaces", "rational_not_lowest_terms",
          "seed_bool", "web_chains_bool", "q_star_float", "a_map_value_bool",
          "sites_not_ascending", "edges_listed_twice", "witness_descending",
          "witness_repeated", "a_map_key_negative",
-         "a_map_key_beyond_sites", "a_map_key_with_space"],
+         "a_map_key_beyond_sites", "a_map_key_with_space",
+         "carrier_not_pool_product"],
 )
 def test_non_canonical_instance_is_refused(tmp_path, recorded_k3, corrupt, reason):
     # each of these files holds the values of a generated instance, written

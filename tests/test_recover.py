@@ -307,7 +307,7 @@ class TestAggregate:
         anchor = make_estimate(0, 1000, (5, 7), 100, a=1, d=6)
         clash = make_estimate(1, 1001, (5, 7), 100, a=2, d=6)
         agree = make_estimate(2, 1002, (5, 7), 100, a=1, d=6)
-        gf = aggregate_global([anchor, agree, clash], tol_t=F(1), min_cluster=F(0))
+        gf = aggregate_global([anchor, agree, clash], tol_t=F(1))
         accepted_targets = {e.target_index for e in gf.accepted}
         assert accepted_targets == {0, 2}
 

@@ -264,7 +264,7 @@ class TestInstanceJson:
     )
     def test_load_returns_the_generated_values(self, seed, sites, mode):
         inst = gen_instance(small_params(site_count=sites, seed=seed), mode=mode,
-                            t_star=F(10**5), q_star=6)
+                            t_star=F(10**5), q_star=6 if mode == "rational" else 1)
         text = instance_to_json(inst)
         back = instance_from_json(text)
         assert instance_to_json(back) == text
@@ -338,6 +338,15 @@ class TestGeneratedInstances:
     def test_coprimality_enforced(self):
         with pytest.raises(ParamsError, match="shares a factor"):
             gen_instance(small_params(), mode="rational", q_star=23)
+
+    def test_archimedean_q_star_is_refused(self, monkeypatch):
+        # refused before any site is placed, never rewritten to 1
+        def place(*_args):
+            raise AssertionError("sites placed for a refused q_star")
+
+        monkeypatch.setattr("freqpath.synth._place_sites", place)
+        with pytest.raises(ParamsError, match="archimedean mode requires q_star = 1"):
+            gen_instance(small_params(), mode="archimedean", q_star=6)
 
     def test_infeasible_edge_count(self):
         with pytest.raises(InfeasibleParamsError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -25,3 +26,16 @@ def test_every_traced_name_is_a_function_of_its_module(monkeypatch):
                                 None))
     ]
     assert tracer.TRACED and not missing
+
+
+def test_package_binds_only_its_submodules():
+    # every public name has one home, its module: the tracer patches each
+    # namespace that binds a traced function, and the package binds none
+    import freqpath
+
+    for info in pkgutil.iter_modules(freqpath.__path__):
+        importlib.import_module(f"freqpath.{info.name}")
+    extra = {name for name, value in vars(freqpath).items()
+             if not name.startswith("__")
+             and getattr(value, "__name__", None) != f"freqpath.{name}"}
+    assert not extra
