@@ -137,8 +137,10 @@ class Edge:
 
     slack is the exact physical deviation |x_i/p - x_j/q|; witness is the
     nonempty set of primes w with ||p*alpha_i - q*alpha_j||_w < eps_edge,
-    the strict inequality every pre-path hypothesis needs.  The reverse
-    orientation (j, i, q, p) carries identical slack and witness.
+    the strict inequality every pre-path hypothesis needs.  Both are
+    functions of the sites, so an instance file does not hold them: the
+    loader derives them for each [i, j, p, q].  The reverse orientation
+    (j, i, q, p) carries identical slack and witness.
     """
 
     i: int

@@ -15,9 +15,13 @@ they can take, candidate distances over the lcm of the site denominators,
 and each witness norm on the numerator of p*alpha_i - q*alpha_j over
 d_i*d_j.  A Fraction is built only for a value the instance holds.
 
-An instance file is read in one pass that accepts only what
-`instance_to_json` writes: canonical "num/den" rationals, integer fields
-that are ints, sites ascending in x and no edge listed twice.
+An instance file holds only what it cannot derive: params, truth, sites and
+each edge as [i, j, p, q].  The loader reads it in one pass that accepts
+only what `instance_to_json` writes (canonical "num/den" rationals, integer
+fields that are ints, sites ascending in x, edges ascending) and derives
+the rest: the split from params, the truth's carrier from the witness pool,
+and each edge's slack and witness set from its sites, as the generator
+decides them.
 """
 from __future__ import annotations
 
@@ -51,7 +55,7 @@ from .torus import (
     str_to_frac,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ParamsError(ValueError):
@@ -216,21 +220,21 @@ class GroundTruth:
         return Fraction(a * self.carrier, self.q_star) + self.t_star / x
 
     def to_json(self) -> dict:
+        """Every field but the carrier, which the params fix."""
         return {
             "mode": self.mode,
             "t_star": frac_to_str(self.t_star),
             "q_star": self.q_star,
-            "carrier": self.carrier,
             "a_map": {str(k): v for k, v in sorted(self.a_map.items())},
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "GroundTruth":
+    def from_json(cls, doc: dict, carrier: int) -> "GroundTruth":
         return cls(
             mode=doc["mode"],
             t_star=str_to_frac(doc["t_star"]),
             q_star=doc["q_star"],
-            carrier=doc["carrier"],
+            carrier=carrier,
             a_map={int(k): v for k, v in doc["a_map"].items()},
         )
 
@@ -577,8 +581,7 @@ def gen_instance(
         raise InfeasibleParamsError(
             f"only {len(edges)} edges verify; {params.edge_count} requested"
         )
-    if params.edge_count is None:
-        edges.sort(key=lambda e: (e.i, e.j, e.p, e.q))
+    edges.sort(key=lambda e: (e.i, e.j, e.p, e.q))
     return Instance(cfg=cfg, edges=tuple(edges), truth=truth, params=params)
 
 
@@ -710,18 +713,7 @@ def _instance_doc(inst: Instance) -> dict:
             {"x": frac_to_str(s.x), "alpha": frac_to_str(s.alpha)}
             for s in inst.cfg.sites
         ],
-        "edges": [
-            {
-                "i": e.i,
-                "j": e.j,
-                "p": e.p,
-                "q": e.q,
-                "witness": sorted(e.witness),
-                "slack": frac_to_str(e.slack),
-            }
-            for e in inst.edges
-        ],
-        "partition": [sorted(inst.cfg.split_p1), sorted(inst.cfg.split_p2)],
+        "edges": [[e.i, e.j, e.p, e.q] for e in inst.edges],
     }
 
 
@@ -739,18 +731,18 @@ def _fraction(text: str) -> Fraction:
 
 def instance_from_json(text: str) -> Instance:
     """Read an instance in the one form `instance_to_json` writes: after
-    `json.loads`, each site and edge rational is parsed once (`_fraction`)
-    and each Site, Edge and Configuration is built once by its constructor;
-    params and truth are decided by writing them back.  InstanceError names
-    what no generated instance holds: not JSON, another schema, a missing
-    key, a wrong type (a bool or float for an integer too), a rational not
-    written as `frac_to_str` writes it, a truth carrier other than the
-    witness-pool product, a partition other than the params' split, sites
-    not ascending in x or closer than the separation, an a_map key not a
-    site index in decimal, or an edge with a site index out of range, primes
-    not split-oriented, a witness list empty, outside the pool or not sorted
-    without repeats, an inexact slack or the (i, j, p, q) of an earlier
-    edge."""
+    `json.loads`, each site rational is parsed once (`_fraction`) and each
+    Site, Edge and Configuration is built once by its constructor; params
+    and truth are decided by writing them back.  The split, the truth's
+    carrier and every edge's slack and witness set are derived, as
+    `gen_instance` decides them.  InstanceError names what no generated
+    instance holds: not JSON, another schema, a missing key, a wrong type
+    (a bool or float for an integer too), a rational not written as
+    `frac_to_str` writes it, sites not ascending in x or closer than the
+    separation, an a_map key not a site index in decimal, edges not
+    ascending, or an edge that is not four integers [i, j, p, q], has a
+    site index out of range, primes not split-oriented, a slack beyond
+    s_edge or no witness prime."""
     try:
         return _instance_from_doc(json.loads(text))
     except InstanceError:
@@ -764,15 +756,11 @@ def _instance_from_doc(doc: dict) -> Instance:
     if doc["schema"] != SCHEMA_VERSION:
         raise InstanceError(f"unsupported schema {doc['schema']!r}")
     params = Params.from_json(doc["params"])
-    truth = GroundTruth.from_json(doc["truth"]) if doc["truth"] else None
+    truth = (GroundTruth.from_json(doc["truth"], params.witness_carrier())
+             if doc["truth"] else None)
     # decided by writing them back: "+5/1", "2/4" or an a_map key "01" differ
     if params.to_json() != doc["params"] or truth and truth.to_json() != doc["truth"]:
         raise InstanceError("params or truth not in the form instance_to_json writes")
-    if truth and truth.carrier != (carrier := params.witness_carrier()):
-        raise InstanceError(f"truth carrier is not the witness-pool product {carrier}")
-    split = params.split_partition()
-    if [set(half) for half in doc["partition"]] != [set(half) for half in split]:
-        raise InstanceError(f"partition is not the params' split {list(split)}")
     sites = tuple(
         Site(_fraction(s["x"]), _fraction(s["alpha"])) for s in doc["sites"]
     )
@@ -780,6 +768,7 @@ def _instance_from_doc(doc: dict) -> Instance:
     for n in range(1, len(sites)):
         if sites[n - 1].x >= sites[n].x:
             raise InstanceError(f"sites do not ascend in x at site {n}")
+    split = params.split_partition()
     cfg = Configuration(
         sites=sites,
         separation=params.separation,
@@ -788,35 +777,30 @@ def _instance_from_doc(doc: dict) -> Instance:
     )
     if truth is not None and not all(0 <= i < len(sites) for i in truth.a_map):
         raise InstanceError("an a_map key is not a site index")
-    edges = tuple(
-        Edge(
-            e["i"],
-            e["j"],
-            e["p"],
-            e["q"],
-            frozenset(e["witness"]),
-            _fraction(e["slack"]),
-        )
-        for e in doc["edges"]
-    )
-    indices, pool_w = range(len(sites)), set(params.witness_primes())
-    seen: set[tuple[int, int, int, int]] = set()
-    for raw, e in zip(doc["edges"], edges):
-        key = (e.i, e.j, e.p, e.q)
-        where = f"edge ({e.i},{e.j},{e.p},{e.q})"
-        if not all(type(v) is int for v in (*key, *e.witness)):
-            raise InstanceError(f"{where}: a non-integer index, prime or witness")
-        if e.i not in indices or e.j not in indices:
+    # each slack and witness set is derived as gen_instance decides it: the
+    # slack |x_i/p - x_j/q| is d/(p*q*D) with d = |X_i*q - X_j*p| over the
+    # scaled positions X = x*D, and passes when d*s_den <= s_num*p*q*D
+    scale, xs = scaled_positions(s.x for s in sites)
+    s_num, s_den = params.s_edge.numerator, params.s_edge.denominator
+    pool_w, eps = params.witness_primes(), params.eps_edge
+    indices, rows, edges = range(len(sites)), doc["edges"], []
+    for n, row in enumerate(rows):
+        if type(row) is not list or len(row) != 4 or any(type(v) is not int for v in row):
+            raise InstanceError(f"edge {n} is not four integers [i, j, p, q]")
+        if n and rows[n - 1] >= row:
+            raise InstanceError(f"edges do not ascend at edge {n}")
+        i, j, p, q = row
+        where = f"edge ({i},{j},{p},{q})"
+        if i not in indices or j not in indices:
             raise InstanceError(f"{where}: site index out of range")
-        if e.p not in cfg.split_p1 or e.q not in cfg.split_p2:
+        if p not in cfg.split_p1 or q not in cfg.split_p2:
             raise InstanceError(f"{where}: not split-oriented")
-        if not e.witness <= pool_w:
-            raise InstanceError(f"{where}: witness outside the pool {sorted(pool_w)}")
-        if raw["witness"] != sorted(e.witness):
-            raise InstanceError(f"{where}: witness not sorted without repeats")
-        if key in seen:
-            raise InstanceError(f"{where}: listed twice")
-        seen.add(key)
-        if not _slack_is_exact(sites[e.i], sites[e.j], e.p, e.q, e.slack):
-            raise InstanceError(f"{where}: stored slack is not exact")
-    return Instance(cfg=cfg, edges=edges, truth=truth, params=params)
+        d, pq_scale = abs(xs[i] * q - xs[j] * p), p * q * scale
+        if d * s_den > s_num * pq_scale:
+            raise InstanceError(
+                f"{where}: physical slack {Fraction(d, pq_scale)} exceeds s_edge")
+        witness = edge_witness(sites[i], sites[j], p, q, pool_w, eps)
+        if not witness:
+            raise InstanceError(f"{where}: no witness prime")
+        edges.append(Edge(i, j, p, q, witness, Fraction(d, pq_scale)))
+    return Instance(cfg=cfg, edges=tuple(edges), truth=truth, params=params)

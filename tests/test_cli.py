@@ -370,37 +370,50 @@ def test_walk_flags_below_one_are_refused(tmp_path, recorded_k3, command, flag, 
     assert [f.name for f in out.iterdir()] == [f"{command}_error.json"]
 
 
-def _swap_primes(edge: dict) -> None:
-    edge.update(p=edge["q"], q=edge["p"])
+def _swap_primes(edge: list) -> None:
+    edge[2:] = edge[3], edge[2]
 
 
-def _slack_off_by(edge: dict, delta: Fraction) -> None:
-    slack = Fraction(edge["slack"]) + delta
-    edge.update(slack=f"{slack.numerator}/{slack.denominator}")
+def _move_beyond_s_edge(doc: dict) -> None:
+    """The last edge's far end moved to the first later site at a physical
+    slack beyond s_edge; the edges still ascend."""
+    s_edge = Fraction(doc["params"]["s_edge"])
+    xs = [Fraction(site["x"]) for site in doc["sites"]]
+    edge = doc["edges"][-1]
+    i, j, p, q = edge
+    edge[1] = next(k for k in range(j + 1, len(xs))
+                   if abs(xs[i] / p - xs[k] / q) > s_edge)
+
+
+def _shift_alpha_off_witness(doc: dict) -> None:
+    """alpha_i of the last edge moved by 1/(2p), so p*alpha_i - q*alpha_j
+    moves by 1/2 and lies at least 1/2 - eps_edge from every multiple of
+    every witness prime."""
+    i, _j, p, _q = doc["edges"][-1]
+    site = doc["sites"][i]
+    alpha = Fraction(site["alpha"]) + Fraction(1, 2 * p)
+    site["alpha"] = f"{alpha.numerator}/{alpha.denominator}"
 
 
 @pytest.mark.parametrize("command", ["audit", "verify-bounds", "census", "recover", "score"])
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, reason",
     [
-        lambda d: d["edges"][0].update(j=10**6),
-        lambda d: d.update(partition=[[2] + d["partition"][0][1:], d["partition"][1]]),
-        lambda d: _swap_primes(d["edges"][0]),
-        lambda d: d["edges"][0].update(witness=[3]),
-        lambda d: _slack_off_by(d["edges"][0], Fraction(1)),
-        lambda d: _slack_off_by(d["edges"][0], Fraction(1, 10**9)),
-        lambda d: d.pop("partition"),
-        lambda d: d["sites"][0].update(x="12.5"),
-        lambda d: d["params"].update(eps_edge="1/2.0"),
-        lambda d: d.update(schema=1),
-        lambda d: d["params"].update(k_max=4),
+        (lambda d: d["edges"][-1].__setitem__(1, 10**6), "site index out of range"),
+        (lambda d: _swap_primes(d["edges"][-1]), "not split-oriented"),
+        (_move_beyond_s_edge, "exceeds s_edge"),
+        (_shift_alpha_off_witness, "no witness prime"),
+        (lambda d: d["sites"][0].update(x="12.5"), "malformed instance file"),
+        (lambda d: d["params"].update(eps_edge="1/2.0"), "malformed instance file"),
+        (lambda d: d.update(schema=1), "unsupported schema 1"),
+        (lambda d: d.update(schema=2), "unsupported schema 2"),
+        (lambda d: d["params"].update(k_max=4), "malformed instance file"),
     ],
-    ids=["site_index_out_of_range", "partition_outside_pool", "not_split_oriented",
-         "witness_outside_pool", "slack_off_by_one", "slack_off_by_1e-9",
-         "partition_deleted", "site_x_not_num_den", "eps_edge_not_num_den",
-         "schema_1", "params_removed_key"],
+    ids=["site_index_out_of_range", "not_split_oriented", "slack_beyond_s_edge",
+         "witness_empty", "site_x_not_num_den", "eps_edge_not_num_den",
+         "schema_1", "schema_2", "params_removed_key"],
 )
-def test_malformed_instance_is_refused(tmp_path, recorded_k3, command, corrupt):
+def test_malformed_instance_is_refused(tmp_path, recorded_k3, command, corrupt, reason):
     inst, recovery = recorded_k3
     doc = json.loads(inst.read_text())
     corrupt(doc)
@@ -410,7 +423,7 @@ def test_malformed_instance_is_refused(tmp_path, recorded_k3, command, corrupt):
     extra = ["--recovery", str(recovery), "--k", "3"] if command == "score" else []
     assert main([command, "--out", str(out), "--instance", str(bad), *extra]) == 2
     err = json.loads((out / f"{command}_error.json").read_text())["error"]
-    assert err["type"] == "InstanceError"
+    assert err["type"] == "InstanceError" and reason in err["message"]
     assert [f.name for f in out.iterdir()] == [f"{command}_error.json"]
 
 
@@ -420,6 +433,11 @@ def _first_a_map_key(doc: dict) -> str:
 
 def _double_edges(doc: dict) -> None:
     doc["edges"] += doc["edges"]
+
+
+def _swap_first_edges(doc: dict) -> None:
+    edges = doc["edges"]
+    edges[0], edges[1] = edges[1], edges[0]
 
 
 def _swap_first_sites(doc: dict) -> None:
@@ -447,22 +465,21 @@ def _scale_terms(text: str) -> str:
         (lambda d: d["truth"]["a_map"].update({_first_a_map_key(d): True}),
          "must be integers"),
         (_swap_first_sites, "do not ascend in x"),
-        (_double_edges, "listed twice"),
-        (lambda d: d["edges"][0].update(witness=[7, 5]), "not sorted without repeats"),
-        (lambda d: d["edges"][0].update(witness=[5, 5, 7]), "not sorted without repeats"),
+        (_double_edges, "edges do not ascend"),
+        (_swap_first_edges, "edges do not ascend at edge 1"),
+        (lambda d: d["edges"].insert(1, d["edges"][0]), "edges do not ascend at edge 1"),
+        (lambda d: d["edges"].__setitem__(0, dict(zip("ijpq", d["edges"][0]))),
+         "not four integers"),
         (lambda d: d["truth"]["a_map"].update({"-1": 1}), "not a site index"),
         (lambda d: d["truth"]["a_map"].update({"99999": 1}), "not a site index"),
         (lambda d: d["truth"]["a_map"].update({" 1": 1}),
          "the form instance_to_json writes"),
-        (lambda d: d["truth"].update(carrier=11 * d["truth"]["carrier"]),
-         "not the witness-pool product"),
     ],
     ids=["rational_leading_plus", "rational_spaces", "rational_not_lowest_terms",
          "seed_bool", "web_chains_bool", "q_star_float", "a_map_value_bool",
-         "sites_not_ascending", "edges_listed_twice", "witness_descending",
-         "witness_repeated", "a_map_key_negative",
-         "a_map_key_beyond_sites", "a_map_key_with_space",
-         "carrier_not_pool_product"],
+         "sites_not_ascending", "edges_listed_twice", "edges_not_ascending",
+         "edge_repeated", "edge_as_dict", "a_map_key_negative",
+         "a_map_key_beyond_sites", "a_map_key_with_space"],
 )
 def test_non_canonical_instance_is_refused(tmp_path, recorded_k3, corrupt, reason):
     # each of these files holds the values of a generated instance, written
