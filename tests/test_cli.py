@@ -385,6 +385,15 @@ def _move_beyond_s_edge(doc: dict) -> None:
                    if abs(xs[i] / p - xs[k] / q) > s_edge)
 
 
+def _lower_s_edge_below_max_slack(doc: dict) -> None:
+    """s_edge set 1e-9 below the largest physical slack of any edge, so that
+    edge exceeds s_edge by a margin only exact arithmetic resolves."""
+    xs = [Fraction(site["x"]) for site in doc["sites"]]
+    widest = max(abs(xs[i] / p - xs[j] / q) for i, j, p, q in doc["edges"])
+    s_edge = widest - Fraction(1, 10**9)
+    doc["params"]["s_edge"] = f"{s_edge.numerator}/{s_edge.denominator}"
+
+
 def _shift_alpha_off_witness(doc: dict) -> None:
     """alpha_i of the last edge moved by 1/(2p), so p*alpha_i - q*alpha_j
     moves by 1/2 and lies at least 1/2 - eps_edge from every multiple of
@@ -402,6 +411,7 @@ def _shift_alpha_off_witness(doc: dict) -> None:
         (lambda d: d["edges"][-1].__setitem__(1, 10**6), "site index out of range"),
         (lambda d: _swap_primes(d["edges"][-1]), "not split-oriented"),
         (_move_beyond_s_edge, "exceeds s_edge"),
+        (_lower_s_edge_below_max_slack, "exceeds s_edge"),
         (_shift_alpha_off_witness, "no witness prime"),
         (lambda d: d["sites"][0].update(x="12.5"), "malformed instance file"),
         (lambda d: d["params"].update(eps_edge="1/2.0"), "malformed instance file"),
@@ -410,7 +420,7 @@ def _shift_alpha_off_witness(doc: dict) -> None:
         (lambda d: d["params"].update(k_max=4), "malformed instance file"),
     ],
     ids=["site_index_out_of_range", "not_split_oriented", "slack_beyond_s_edge",
-         "witness_empty", "site_x_not_num_den", "eps_edge_not_num_den",
+         "slack_beyond_s_edge_by_1e-9", "witness_empty", "site_x_not_num_den", "eps_edge_not_num_den",
          "schema_1", "schema_2", "params_removed_key"],
 )
 def test_malformed_instance_is_refused(tmp_path, recorded_k3, command, corrupt, reason):
