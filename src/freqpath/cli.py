@@ -31,7 +31,7 @@ from .synth import (
     gen_instance,
     instance_from_json,
 )
-from .torus import fields_to_json, frac_to_str, str_to_frac
+from .torus import fields_to_json, pair_to_str, str_to_frac
 
 
 def _report_header(params: Params) -> dict:
@@ -120,10 +120,11 @@ def cmd_verify_bounds(args) -> int:
     rows: list[dict] = []
 
     def row(path_id, kind, passed, j="", m="", actual=None, bound=None) -> bool:
+        # actual and bound are a certificate's pairs in lowest terms
         rows.append(
             {"path": path_id, "kind": kind, "j": j, "m": m,
-             "actual": "" if actual is None else frac_to_str(actual),
-             "bound": "" if bound is None else frac_to_str(bound), "pass": passed}
+             "actual": "" if actual is None else pair_to_str(actual),
+             "bound": "" if bound is None else pair_to_str(bound), "pass": passed}
         )
         return passed
 
@@ -150,14 +151,14 @@ def cmd_verify_bounds(args) -> int:
                 pyramids.append({"path": path_id, **py.to_json()})
             for r in verify_pyramid(pp, py).rows:
                 ok &= row(path_id, "layer_gap", r.passed, j=r.j,
-                          actual=r.actual, bound=r.predicted)
+                          actual=r.actual_pair, bound=r.predicted_pair)
             drift = ratio_drift_certificate(path, path.k)
             ok &= row(path_id, "ratio_drift", drift.passed, m=drift.m,
-                      actual=drift.drift, bound=drift.bound)
+                      actual=drift.drift_pair, bound=drift.bound_pair)
             for j in (1, path.k + 1):
                 cert = top_anchor_certificate(path, py, j)
                 ok &= row(path_id, "apex_anchor", cert.passed, j=cert.j,
-                          actual=cert.actual, bound=cert.bound)
+                          actual=cert.actual_pair, bound=cert.bound_pair)
     out = FsPath(args.out)
     if args.format == "csv":
         _write_csv(out / "bound_certificates.csv", rows)

@@ -16,33 +16,39 @@ primes off them, and a `Path` is built only for a walk that is certified or
 paired.
 
 The certificates decide `passed` by one integer cross-multiplication and
-build Fractions only for the values a row shows.  `path_prepath` reduces
-each anchor by one integer n mod Q*d.  `anchor_bound_certificate` reads
-its bound off the pyramid's column sums in O(1), and
-`top_anchor_certificate` reads the pyramid's prefix products.
-`ratio_drift_certificate` takes only the path: it sums its telescoped
-bound over one denominator in O(m).  Nothing is cached on a `Path`, since
-the same paths are certified again and again; every table belongs to one
-`Pyramid`.
+hold each value as a pair in lowest terms: a row writes the pairs as text,
+and `cert.actual` and the other values build a Fraction only when read.  A
+certificate is a plain `__slots__` class, not a frozen dataclass.
+`path_prepath` reduces each anchor on integers (n mod Q*d, and one gcd for
+the mid anchors) and builds one TorusPoint per anchor; `PrePath` then
+decides every pre-path condition.  `anchor_bound_certificate` reads its
+bound off the pyramid's column sums in O(1), and `top_anchor_certificate`
+reads the pyramid's prefix products.  `ratio_drift_certificate` takes only
+the path: it sums its telescoped bound over one denominator in O(m).  A
+`Path` derives its two prime tuples once, when it is built; every other
+table belongs to one `Pyramid`.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import factorial, lcm, log, prod
 from collections.abc import Iterable
+from typing import NamedTuple
 
 from .primes import primes_in_range
 from .pyramid import PrePath, PrePathError, Pyramid
 from .torus import (
     Modulus,
     Rational,
+    TorusPoint,
     as_fraction,
     below,
-    frac_to_str,
+    lowest_terms,
+    pair_property,
+    pair_to_str,
     reduce_ratio,
     residue_gap,
     scaled_gap,
@@ -190,11 +196,14 @@ class Path:
     sites[t] to sites[t+1] through (p_t, q_t) with its witness set and its
     stored slack |x_t/p_t - x_{t+1}/q_t|.  The primes, the site indices and
     the path modulus (the product of the common witness primes, possibly
-    trivial) are read off the edges.
+    trivial) are read off the edges; the two prime tuples once, at
+    construction.
     """
 
     sites: tuple[Site, ...]
     edges: tuple[Edge, ...]
+    p_primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    q_primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = self.k
@@ -208,7 +217,11 @@ class Path:
                     f"step {t + 1} ends at site {e.j} but step {t + 2} "
                     f"starts at site {f.i}"
                 )
-        allp = self.p_primes + self.q_primes
+        ps = tuple([e.p for e in self.edges])
+        qs = tuple([e.q for e in self.edges])
+        object.__setattr__(self, "p_primes", ps)
+        object.__setattr__(self, "q_primes", qs)
+        allp = ps + qs
         if len(set(allp)) != 2 * k:
             raise PrimeCollision(f"path primes must all be distinct: {allp}")
 
@@ -223,14 +236,6 @@ class Path:
     @property
     def end(self) -> Site:
         return self.sites[-1]
-
-    @cached_property
-    def p_primes(self) -> tuple[int, ...]:
-        return tuple(e.p for e in self.edges)
-
-    @cached_property
-    def q_primes(self) -> tuple[int, ...]:
-        return tuple(e.q for e in self.edges)
 
     @property
     def site_indices(self) -> tuple[int, ...]:
@@ -256,8 +261,8 @@ def build_path(cfg: Configuration, edges: list[Edge] | tuple[Edge, ...]) -> Path
     checks that they chain)."""
     if not edges:
         raise PathError("empty edge sequence")
-    idxs = (edges[0].i,) + tuple(e.j for e in edges)
-    return Path(tuple(cfg.sites[i] for i in idxs), tuple(edges))
+    sites = cfg.sites
+    return Path(tuple([sites[edges[0].i]] + [sites[e.j] for e in edges]), tuple(edges))
 
 
 def validate_path_modulus(path: Path, modulus: Modulus, eps_edge: Fraction) -> None:
@@ -303,13 +308,17 @@ def path_prepath(
     inequalities.
     """
     eps = as_fraction(eps)
-    q = modulus if modulus is not None else path.modulus
+    if modulus is None:
+        modulus = path.modulus
+    q = modulus.q
     alphas = [(s.alpha.numerator, s.alpha.denominator) for s in path.sites]
+    # alpha = n/d is in lowest terms, and so is (n mod Q*d)/d: only the mid
+    # anchors p*n/d need `reduce_ratio`'s gcd
     return PrePath(
-        modulus=q,
-        top_anchors=tuple(reduce_ratio(n, d, q) for n, d in alphas),
+        modulus=modulus,
+        top_anchors=tuple([TorusPoint.canonical(n % (q * d), d, modulus) for n, d in alphas]),
         mid_anchors=tuple(
-            reduce_ratio(p * n, d, q) for p, (n, d) in zip(path.p_primes, alphas)
+            [reduce_ratio(p * n, d, modulus) for p, (n, d) in zip(path.p_primes, alphas)]
         ),
         p_primes=path.p_primes,
         q_primes=path.q_primes,
@@ -318,20 +327,30 @@ def path_prepath(
     )
 
 
-@dataclass(frozen=True)
 class RatioDriftCert:
-    m: int
-    ratio: Fraction
-    drift: Fraction
-    bound: Fraction
-    passed: bool
+    """A `ratio_drift_certificate` row.  ratio, drift and bound are held as
+    pairs in lowest terms and read as Fractions, built when read."""
+
+    __slots__ = ("m", "ratio_pair", "drift_pair", "bound_pair", "passed")
+
+    def __init__(self, m: int, ratio_pair: tuple[int, int], drift_pair: tuple[int, int],
+                 bound_pair: tuple[int, int], passed: bool) -> None:
+        self.m = m
+        self.ratio_pair = ratio_pair
+        self.drift_pair = drift_pair
+        self.bound_pair = bound_pair
+        self.passed = passed
+
+    ratio = pair_property("ratio_pair")
+    drift = pair_property("drift_pair")
+    bound = pair_property("bound_pair")
 
     def to_row(self) -> dict:
         return {
             "m": self.m,
-            "ratio": frac_to_str(self.ratio),
-            "drift": frac_to_str(self.drift),
-            "bound": frac_to_str(self.bound),
+            "ratio": pair_to_str(self.ratio_pair),
+            "drift": pair_to_str(self.drift_pair),
+            "bound": pair_to_str(self.bound_pair),
             "pass": self.passed,
         }
 
@@ -351,41 +370,51 @@ def ratio_drift_certificate(path: Path, m: int) -> RatioDriftCert:
     """
     if not 1 <= m <= path.k:
         raise IndexError(f"m = {m} out of range 1..{path.k}")
-    slack = path.step_edge_slack[:m]
-    scale = lcm(*(s.denominator for s in slack))
+    slack = [(e.slack.numerator, e.slack.denominator) for e in path.edges[:m]]
+    scale = lcm(*(d for _n, d in slack))
     pprod = qprod = 1
     total = 0
-    for p, q, s in zip(path.p_primes, path.q_primes, slack):
+    for p, q, (n, d) in zip(path.p_primes, path.q_primes, slack):
         pprod *= p
         qprod *= q
-        total = q * (total + s.numerator * (scale // s.denominator) * pprod)
+        total = q * (total + n * (scale // d) * pprod)
     x0, xm = path.sites[0].x, path.sites[m].x
     n0, d0 = x0.numerator, x0.denominator
     nm, dm = xm.numerator, xm.denominator
     drift = abs(n0 * qprod * dm - nm * pprod * d0)  # over pprod * d0 * dm
     return RatioDriftCert(
         m,
-        Fraction(qprod, pprod),
-        Fraction(drift, pprod * d0 * dm),
-        Fraction(total, pprod * scale),
+        lowest_terms(qprod, pprod),
+        lowest_terms(drift, pprod * d0 * dm),
+        lowest_terms(total, pprod * scale),
         drift * scale <= total * d0 * dm,
     )
 
 
-@dataclass(frozen=True)
 class AnchorCert:
-    j: int
-    m: int
-    actual: Fraction
-    bound: Fraction
-    passed: bool
+    """An anchor or apex certificate row.  actual and bound are held as
+    pairs in lowest terms and read as Fractions, built when read."""
+
+    __slots__ = ("j", "m", "actual_pair", "bound_pair", "passed")
+
+    def __init__(self, j: int, m: int, gap: tuple[int, int], num: int, den: int) -> None:
+        """The row for the distance g/D of `gap` against the bound num/den."""
+        g, d = gap
+        self.j = j
+        self.m = m
+        self.actual_pair = lowest_terms(g, d)
+        self.bound_pair = lowest_terms(num, den)
+        self.passed = g * den <= num * d
+
+    actual = pair_property("actual_pair")
+    bound = pair_property("bound_pair")
 
     def to_row(self) -> dict:
         return {
             "j": self.j,
             "m": self.m,
-            "actual": frac_to_str(self.actual),
-            "bound": frac_to_str(self.bound),
+            "actual": pair_to_str(self.actual_pair),
+            "bound": pair_to_str(self.bound_pair),
             "pass": self.passed,
         }
 
@@ -399,12 +428,6 @@ def _pyramid_eps(path: Path, py: Pyramid) -> Fraction:
     if eps is None:
         raise PrePathError("verification needs uniform tolerances")
     return eps
-
-
-def _cert(j: int, m: int, gap: tuple[int, int], num: int, den: int) -> AnchorCert:
-    """The certificate for the distance g/D of `gap` against num/den."""
-    g, d = gap
-    return AnchorCert(j, m, Fraction(g, d), Fraction(num, den), g * den <= num * d)
 
 
 def anchor_bound_certificate(path: Path, py: Pyramid, j: int, m: int) -> AnchorCert:
@@ -421,8 +444,8 @@ def anchor_bound_certificate(path: Path, py: Pyramid, j: int, m: int) -> AnchorC
     eps = _pyramid_eps(path, py)
     pre_q, sums, col = py.q_prefix, py.column_sums, py.anchor_column
     gap = scaled_gap(pre_q[j - 1] // pre_q[m - 1], col[j - 1], 1, col[m - 1])
-    return _cert(j, m, gap, eps.numerator * (sums[j - 1] - sums[m - 1]),
-                 eps.denominator * py.column_den * pre_q[m - 1])
+    return AnchorCert(j, m, gap, eps.numerator * (sums[j - 1] - sums[m - 1]),
+                      eps.denominator * py.column_den * pre_q[m - 1])
 
 
 def top_anchor_certificate(path: Path, py: Pyramid, j: int) -> AnchorCert:
@@ -458,16 +481,18 @@ def top_anchor_certificate(path: Path, py: Pyramid, j: int) -> AnchorCert:
     den = py.column_den
     gap = scaled_gap(pre_p[j - 1] * (pre_q[k] // pre_q[j - 1]), py.top,
                      1, py.layers[0][j - 1])
-    return _cert(j, 0, gap,
-                 eps.numerator * (down * den + pre_p[j - 1] * (sums[k] - sums[j - 1])),
-                 eps.denominator * den * pre_q[j - 1])
+    return AnchorCert(j, 0, gap,
+                      eps.numerator * (down * den + pre_p[j - 1] * (sums[k] - sums[j - 1])),
+                      eps.denominator * den * pre_q[j - 1])
 
 
 Walk = tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class PathEnumeration:
+class PathEnumeration(NamedTuple):
+    """The paths of one `enumerate_split_paths` call; a named tuple, since
+    a loop over every start and length builds thousands of them."""
+
     paths: tuple[Path, ...]
     truncated: bool
 
@@ -549,7 +574,7 @@ def enumerate_split_paths(
     if cached is None or cached[0] is not edges:
         cached = cfg.__dict__["_split_walks"] = (edges, SplitWalks(cfg, edges))
     found, truncated = cached[1].walks(start, k, limit)
-    return PathEnumeration(tuple(build_path(cfg, w) for w in found), truncated)
+    return PathEnumeration(tuple([build_path(cfg, w) for w in found]), truncated)
 
 
 def peel_regular(

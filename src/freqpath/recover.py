@@ -51,13 +51,19 @@ class RecordError(ValueError):
     """A recovery record that is malformed or was made by another run."""
 
 
+class RecoverConfigError(ValueError):
+    """A recovery dial outside the range the pipeline is defined on."""
+
+
 @dataclass(frozen=True)
 class RecoverConfig:
     """Free dials of the recovery pipeline.
 
     tol_t defaults to x_hub / H^(3/4) with the root taken as an exact
     integer floor.  d_min is the peeling degree of hub selection: a site
-    with at most d_min surviving neighbours is peeled.
+    with at most d_min surviving neighbours is peeled.  A pair needs at
+    least one common witness prime and a given tol_t must be positive:
+    min_common_witness < 1 or tol_t <= 0 raises RecoverConfigError.
     """
 
     k: int = 2
@@ -65,6 +71,13 @@ class RecoverConfig:
     tol_t: Fraction | None = None
     path_limit: int = 20000
     d_min: int = 1
+
+    def __post_init__(self) -> None:
+        if self.min_common_witness < 1:
+            raise RecoverConfigError(
+                f"min_common_witness must be at least 1, got {self.min_common_witness}")
+        if self.tol_t is not None and self.tol_t <= 0:
+            raise RecoverConfigError(f"tol_t must be positive, got {self.tol_t}")
 
     def default_tol_t(self, hub_x: Fraction, h_scale: int) -> Fraction:
         return hub_x / max(1, floor_nth_root(h_scale**3, 4))
@@ -143,7 +156,7 @@ def find_disjoint_path_pairs(
             if pa & pb:
                 continue
             common = a.common_witness & b.common_witness
-            if len(common) < max(1, min_common_witness):
+            if len(common) < min_common_witness:
                 continue
             q_mod = Modulus(prod(sorted(common)), tuple(sorted(common)))
             try:

@@ -1,23 +1,29 @@
 """Exact arithmetic on the torus R/QZ.
 
-A point is a canonical residue n/d in [0, Q), stored as a
-`fractions.Fraction` in lowest terms; the norm is the distance to zero,
-taking values in [0, Q/2].  Nothing in this module ever touches floating
-point: every inequality downstream is tolerance-tight and has to be
-decided exactly.
+A point is a canonical residue n/d in [0, Q), held as the two integers n
+and d in lowest terms; the norm is the distance to zero, taking values in
+[0, Q/2].  Nothing in this module ever touches floating point: every
+inequality downstream is tolerance-tight and has to be decided exactly.
 
 The arithmetic is decided on the integers n and d.  One norm test serves
 the whole package: `residue_gap(N, D, Q)` is ||N/D||_Q as an unreduced
 pair (g, D), and `below((g, D), eps)` decides `g/D < eps` by one
-cross-multiplication (the pyramid kernel and the certificates
+cross-multiplication (the pyramid kernel, `PrePath` and the certificates
 cross-multiply inline, against bounds they keep as integer pairs).
 `scaled_gap` feeds it ||c1*a - c2*b||_Q over D = d_a*d_b; `nearest_lift`
 returns the closest lift pair as integer lift indices and its aligned gap
 over p1*p2*D, leaving the prime checks (`check_lift_primes`) to callers.
-`reduce_ratio` reduces n/d by the one integer n mod Q*d.  A Fraction (one
-gcd) and a TorusPoint are built only for a value that is handed out, and a
-point whose residue is canonical by construction (`TorusPoint.canonical`)
-skips the range check that guards points built by outside callers.
+
+Where a value is built:
+- A TorusPoint is built once per residue.  `reduce_ratio` reduces n/d by
+  the one integer n mod Q*d and one gcd (`lowest_terms`), and
+  `TorusPoint.canonical` takes a pair the caller has already reduced,
+  skipping the range check that guards points built by outside callers
+  through the constructor.
+- A Fraction is built only where a value is handed out as one: a point's
+  `value`, a norm from `torus_norm`, and a report row's fields read through
+  `pair_property`.  A row keeps its values as pairs in lowest terms, and
+  `pair_to_str` writes such a pair as `frac_to_str` writes its Fraction.
 
 Q = 1 is a legal modulus; the "p does not divide Q" condition on prime
 lifts is vacuous there.
@@ -27,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import attrgetter
 
 from .primes import is_prime
 
@@ -97,32 +104,65 @@ class Modulus:
             if prod(fs) != self.q:
                 raise TorusError(f"factors {fs} do not multiply to {self.q}")
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.q)
-
 
 def _as_modulus(m: Modulus | int) -> Modulus:
     return m if isinstance(m, Modulus) else Modulus(m)
 
 
-@dataclass(frozen=True)
 class TorusPoint:
-    """Canonical residue in [0, Q): construct through `reduce_mod`."""
+    """Canonical residue num/den in [0, Q), in lowest terms with den > 0.
 
-    value: Fraction
-    modulus: Modulus
+    Construct through `reduce_mod`.  The residue is held as the two
+    integers; `value` builds it as a Fraction each time it is read.  A point
+    is immutable, and two points are equal when their residues and moduli
+    are.
+    """
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.value < self.modulus.q):
-            raise TorusError(f"{self.value} is not canonical mod {self.modulus.q}")
+    __slots__ = ("num", "den", "modulus")
+
+    def __init__(self, value: Rational, modulus: Modulus) -> None:
+        x = as_fraction(value)
+        if not 0 <= x < modulus.q:
+            raise TorusError(f"{x} is not canonical mod {modulus.q}")
+        _set_num(self, x.numerator)
+        _set_den(self, x.denominator)
+        _set_modulus(self, modulus)
 
     @classmethod
-    def canonical(cls, value: Fraction, modulus: Modulus) -> "TorusPoint":
-        """A point whose value the caller has reduced into [0, Q) exactly."""
+    def canonical(cls, num: int, den: int, modulus: Modulus) -> "TorusPoint":
+        """The point num/den, which the caller has reduced into [0, Q) and
+        to lowest terms exactly."""
         pt = object.__new__(cls)
-        object.__setattr__(pt, "value", value)
-        object.__setattr__(pt, "modulus", modulus)
+        _set_num(pt, num)
+        _set_den(pt, den)
+        _set_modulus(pt, modulus)
         return pt
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"TorusPoint is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"TorusPoint is immutable: cannot delete {name!r}")
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TorusPoint):
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and self.modulus == other.modulus)
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den, self.modulus))
+
+    def __repr__(self) -> str:
+        return f"TorusPoint({self.num}/{self.den}, {self.modulus!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild the point through `canonical`, not setattr
+        return TorusPoint.canonical, (self.num, self.den, self.modulus)
 
     def scale(self, c: Rational) -> "TorusPoint":
         return reduce_mod(as_fraction(c) * self.value, self.modulus)
@@ -138,6 +178,12 @@ class TorusPoint:
             )
 
 
+# the slots' own setters, which the immutable point's __setattr__ refuses
+_set_num = TorusPoint.num.__set__
+_set_den = TorusPoint.den.__set__
+_set_modulus = TorusPoint.modulus.__set__
+
+
 def reduce_mod(x: Rational, modulus: Modulus | int) -> TorusPoint:
     """The unique representative of x mod Q in [0, Q).
 
@@ -148,14 +194,32 @@ def reduce_mod(x: Rational, modulus: Modulus | int) -> TorusPoint:
 
 
 def reduce_ratio(n: int, d: int, modulus: Modulus) -> TorusPoint:
-    """n/d mod Q for d > 0, by the one integer reduction n mod Q*d."""
-    return TorusPoint.canonical(Fraction(n % (modulus.q * d), d), modulus)
+    """n/d mod Q for d > 0, by the one integer reduction n mod Q*d and one
+    gcd."""
+    return TorusPoint.canonical(*lowest_terms(n % (modulus.q * d), d), modulus)
+
+
+def lowest_terms(n: int, d: int) -> tuple[int, int]:
+    """n/d for d > 0 as the pair Fraction(n, d) holds, by one gcd."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def pair_to_str(pair: tuple[int, int]) -> str:
+    """A pair from `lowest_terms` written as `frac_to_str` writes its value."""
+    return "%d/%d" % pair
+
+
+def pair_property(name: str) -> property:
+    """A read-only property: the Fraction of the pair held in attribute
+    `name`, built when read."""
+    get = attrgetter(name)
+    return property(lambda self: Fraction(*get(self)))
 
 
 def torus_norm(x: TorusPoint) -> Fraction:
     """Distance from x to 0 in R/QZ: min over integers k of |x - kQ|."""
-    q = x.modulus.as_fraction()
-    return min(x.value, q - x.value)
+    return Fraction(min(x.num, x.modulus.q * x.den - x.num), x.den)
 
 
 def norm_mod(x: Rational, modulus: Modulus | int) -> Fraction:
@@ -188,9 +252,8 @@ def scaled_gap(c1: int, a: TorusPoint, c2: int, b: TorusPoint) -> tuple[int, int
     q = a.modulus.q
     if b.modulus.q != q:
         raise TorusError(f"modulus mismatch: {q} vs {b.modulus.q}")
-    x, y = a.value, b.value
-    d1, d2 = x.denominator, y.denominator
-    return residue_gap(c1 * x.numerator * d2 - c2 * y.numerator * d1, d1 * d2, q)
+    d1, d2 = a.den, b.den
+    return residue_gap(c1 * a.num * d2 - c2 * b.num * d1, d1 * d2, q)
 
 
 def check_lift_primes(q: int, p1: int, p2: int) -> None:
@@ -243,14 +306,12 @@ def closest_lift_pair(
     a1._check_same(a2)
     q = a1.modulus.q
     check_lift_primes(q, p1, p2)
-    x1, x2 = a1.value, a2.value
-    d1, d2 = x1.denominator, x2.denominator
-    k1, k2, _s = nearest_lift(
-        p2 * x2.numerator * d1 - p1 * x1.numerator * d2, q * d1 * d2, p1, p2
-    )
+    d1, d2 = a1.den, a2.den
+    k1, k2, _s = nearest_lift(p2 * a2.num * d1 - p1 * a1.num * d2, q * d1 * d2, p1, p2)
+    m = a1.modulus
     return (
-        TorusPoint.canonical((a2.value + k1 * q) / p1, a1.modulus),
-        TorusPoint.canonical((a1.value + k2 * q) / p2, a1.modulus),
+        TorusPoint.canonical(*lowest_terms(a2.num + k1 * q * d2, p1 * d2), m),
+        TorusPoint.canonical(*lowest_terms(a1.num + k2 * q * d1, p2 * d1), m),
     )
 
 

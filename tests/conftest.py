@@ -129,7 +129,7 @@ def ref_reduce_mod(x, q: int) -> Fraction:
 
 def ref_signed_residual(x: TorusPoint) -> Fraction:
     """The representative of x in (-Q/2, Q/2]; its absolute value is the norm."""
-    q = x.modulus.as_fraction()
+    q = Fraction(x.modulus.q)
     return x.value if 2 * x.value <= q else x.value - q
 
 
@@ -162,7 +162,7 @@ def ref_closest_lift_pair(
 def ref_aligned_reals(b1: TorusPoint, b2: TorusPoint) -> tuple[Fraction, Fraction]:
     """Real representatives (a, b) of the two points with |a - b| equal to
     their torus distance."""
-    q = b1.modulus.as_fraction()
+    q = Fraction(b1.modulus.q)
     a = b1.value
     best = None
     for t in (0, -1, 1):

@@ -370,6 +370,24 @@ def test_walk_flags_below_one_are_refused(tmp_path, recorded_k3, command, flag, 
     assert [f.name for f in out.iterdir()] == [f"{command}_error.json"]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--min-common-witness", "0", "min_common_witness must be at least 1, got 0"),
+    ("--min-common-witness", "-3", "min_common_witness must be at least 1, got -3"),
+    ("--tol-T", "0/1", "tol_t must be positive, got 0"),
+    ("--tol-T", "-5/1", "tol_t must be positive, got -5"),
+])
+def test_recovery_dials_out_of_range_are_refused(tmp_path, recorded_k3, flag, value, message):
+    # each used to run: a witness floor below 1 recovered as with 1, and a
+    # tolerance of 0 failed later as a consensus error naming no dial
+    inst, _recovery = recorded_k3
+    out = tmp_path / "out"
+    assert main(["recover", "--out", str(out), "--instance", str(inst),
+                 f"{flag}={value}"]) == 2
+    err = json.loads((out / "recover_error.json").read_text())["error"]
+    assert err == {"type": "RecoverConfigError", "message": message}
+    assert [f.name for f in out.iterdir()] == ["recover_error.json"]
+
+
 def _swap_primes(edge: list) -> None:
     edge[2:] = edge[3], edge[2]
 

@@ -3,8 +3,9 @@
 Reductions mod Q, merged points, whole pyramids (layers and both tolerance
 tables) and certificate rows must equal the reference values exactly, on
 Q = 1, Q = 35 and products of three primes, with uniform and non-uniform
-tolerances, and at forced antipodal ties where two lift pairs are equally
-close.
+tolerances, at forced antipodal ties where two lift pairs are equally
+close, and on chain paths of length 1..8 taken through `path_prepath`.
+Every row string must be `frac_to_str` of the Fraction its row reads back.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import random
 from fractions import Fraction as F
 from math import gcd, prod
 
-from hypothesis import given
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -33,20 +35,30 @@ from conftest import (
     step_eps,
     step_eps_prime,
     top_anchor_actuals,
+    walk_path,
 )
 from freqpath.pathgraph import (
     Edge,
     Path,
     Site,
     anchor_bound_certificate,
+    path_prepath,
     ratio_drift_certificate,
     top_anchor_certificate,
 )
-from freqpath.pyramid import PrePath, build_pyramid, merge_two, verify_pyramid
+from freqpath.pyramid import (
+    HypothesisViolation,
+    PrePath,
+    build_pyramid,
+    layer_step,
+    merge_two,
+    verify_pyramid,
+)
 from freqpath.torus import (
     Modulus,
     TorusPoint,
     closest_lift_pair,
+    frac_to_str,
     reduce_mod,
     scaled_gap,
     torus_norm,
@@ -206,20 +218,30 @@ class TestPyramid:
             assert row.predicted == qside_bound(py, j, 1)
 
 
+def assert_row_strings(row: dict, cert, names) -> None:
+    """Each named value of a row is written as `frac_to_str` writes the
+    Fraction the certificate reads back under the same name."""
+    for name in names:
+        assert row[name] == frac_to_str(getattr(cert, name)), name
+
+
 def assert_certificates_match_reference(path, py) -> None:
-    """Every anchor and apex row equals its Fraction reference, and each
-    `passed` is the Fraction comparison actual <= bound."""
+    """Every anchor and apex row equals its Fraction reference, each
+    `passed` is the Fraction comparison actual <= bound, and each row
+    string is the Fraction read back."""
     k = path.k
     for j in range(2, k + 2):
         for m in range(1, j):
             cert = anchor_bound_certificate(path, py, j, m)
             assert (cert.actual, cert.bound) == ref_anchor_bound(py, j, m)
             assert cert.passed == (cert.actual <= cert.bound)
+            assert_row_strings(cert.to_row(), cert, ("actual", "bound"))
     for j in range(1, k + 2):
         cert = top_anchor_certificate(path, py, j)
         assert (cert.actual, cert.bound) == ref_top_anchor(py, j)
         assert cert.passed == (cert.actual <= cert.bound)
         assert top_anchor_actuals(path, py.top, j) == cert.actual
+        assert_row_strings(cert.to_row(), cert, ("actual", "bound"))
 
 
 @st.composite
@@ -288,3 +310,70 @@ class TestCertificates:
             ref = ref_ratio_drift(path, m)
             assert (cert.ratio, cert.drift, cert.bound, cert.passed) == ref
             assert cert.passed == (cert.drift <= cert.bound)
+
+
+@st.composite
+def chain_paths(draw, k: int):
+    """(path, eps, modulus): a chain walk of length k whose pre-path
+    modulo `modulus` meets its hypotheses.  The frequencies follow
+    alpha_{t+1} = (p_t * alpha_t + delta_t) / q_t with |delta_t| < eps, so
+    ||q_t * alpha_{t+1} - p_t * alpha_t|| < eps, and the positions follow
+    x_{t+1} = x_t * q_t / p_t up to a relative jitter below 1/100."""
+    m = draw(moduli)
+    primes = draw(coprime_primes(m, 2 * k))
+    ps, qs = primes[:k], primes[k:]
+    eps = F(1, draw(st.integers(8, 200)))
+    alpha = draw(st.builds(F, st.integers(0, 10**6), st.integers(1, 10**6)))
+    x = F(draw(st.integers(10**3, 10**9)))
+    share = st.builds(F, st.integers(-999, 999), st.just(1000))
+    sites = [Site(x, alpha)]
+    for p, q in zip(ps, qs):
+        alpha = (p * alpha + eps * draw(share)) / q
+        x = x * q / p * (1 + draw(share) / 100)
+        sites.append(Site(x, alpha))
+    return walk_path(sites, ps, qs, (frozenset({2}),) * k), eps, m
+
+
+# every length 1..8 gets its own draws, 15 each
+chain_cases = pytest.mark.parametrize("k", range(1, 9))
+per_length = settings(max_examples=15)
+
+
+class TestChainPaths:
+    @chain_cases
+    @per_length
+    @given(data=st.data())
+    def test_core_matches_reference(self, k, data):
+        path, eps, modulus = data.draw(chain_paths(k))
+        pp = path_prepath(path, eps, modulus)
+        py = build_pyramid(pp)
+        ref = ref_build_pyramid(pp)
+        assert py.layers == ref.layers
+        assert step_eps(py) == ref.step_eps
+        assert step_eps_prime(py) == ref.step_eps_prime
+        for row in verify_pyramid(pp, py).rows:
+            assert row.predicted == qside_bound(py, row.j, 1)
+            assert row.passed
+            assert_row_strings(row.to_json(), row, ("actual", "predicted"))
+        for m in range(1, path.k + 1):
+            cert = ratio_drift_certificate(path, m)
+            assert (cert.ratio, cert.drift, cert.bound, cert.passed) == ref_ratio_drift(path, m)
+            assert_row_strings(cert.to_row(), cert, ("ratio", "drift", "bound"))
+        assert_certificates_match_reference(path, py)
+
+    @chain_cases
+    @per_length
+    @given(data=st.data())
+    def test_failed_premise_names_its_index(self, k, data):
+        # the merge at index i gets tolerances summing to exactly its gap;
+        # the merges before it keep the pre-path's, under which they hold
+        path, eps, modulus = data.draw(chain_paths(k))
+        pp = path_prepath(path, eps, modulus)
+        i = data.draw(st.integers(0, pp.k - 1))
+        top = pp.top_anchors
+        gap = F(*scaled_gap(pp.p_primes[i], top[i], pp.q_primes[i], top[i + 1]))
+        assume(gap > 0)
+        tight = list(pp.eps)
+        tight[i] = gap / 2
+        with pytest.raises(HypothesisViolation, match=f"merge failed at index {i + 1}: "):
+            layer_step(top, pp.p_primes, pp.q_primes, tuple(tight), tuple(tight))
