@@ -18,7 +18,8 @@ paired.
 The certificates decide `passed` by one integer cross-multiplication and
 hold each value as a pair in lowest terms: a row writes the pairs as text,
 and `cert.actual` and the other values build a Fraction only when read.  A
-certificate is a plain `__slots__` class, not a frozen dataclass.
+certificate is a mutable slotted dataclass, so a row costs one plain
+attribute store per field.
 `path_prepath` reduces each anchor on integers (n mod Q*d, and one gcd for
 the mid anchors) and builds one TorusPoint per anchor; `PrePath` then
 decides every pre-path condition.  `anchor_bound_certificate` reads its
@@ -230,21 +231,8 @@ class Path:
         return len(self.edges)
 
     @property
-    def initial(self) -> Site:
-        return self.sites[0]
-
-    @property
-    def end(self) -> Site:
-        return self.sites[-1]
-
-    @property
     def site_indices(self) -> tuple[int, ...]:
         return (self.edges[0].i,) + tuple(e.j for e in self.edges)
-
-    @property
-    def step_edge_slack(self) -> tuple[Fraction, ...]:
-        """The symmetric per-step deviations |x_t/p_t - x_{t+1}/q_t|."""
-        return tuple(e.slack for e in self.edges)
 
     @property
     def common_witness(self) -> frozenset[int]:
@@ -289,7 +277,7 @@ def invert_path(path: Path) -> Path:
 def concat_paths(a: Path, b: Path) -> Path:
     """Join two paths sharing a middle endpoint; prime sets must be disjoint
     to preserve the global distinctness invariant."""
-    if a.end != b.initial:
+    if a.sites[-1] != b.sites[0]:
         raise EndpointMismatch("end of the first path is not the start of the second")
     sa = set(a.p_primes + a.q_primes)
     sb = set(b.p_primes + b.q_primes)
@@ -316,7 +304,7 @@ def path_prepath(
     # anchors p*n/d need `reduce_ratio`'s gcd
     return PrePath(
         modulus=modulus,
-        top_anchors=tuple([TorusPoint.canonical(n % (q * d), d, modulus) for n, d in alphas]),
+        top_anchors=tuple([TorusPoint(n % (q * d), d, modulus) for n, d in alphas]),
         mid_anchors=tuple(
             [reduce_ratio(p * n, d, modulus) for p, (n, d) in zip(path.p_primes, alphas)]
         ),
@@ -327,19 +315,16 @@ def path_prepath(
     )
 
 
+@dataclass(slots=True)
 class RatioDriftCert:
     """A `ratio_drift_certificate` row.  ratio, drift and bound are held as
     pairs in lowest terms and read as Fractions, built when read."""
 
-    __slots__ = ("m", "ratio_pair", "drift_pair", "bound_pair", "passed")
-
-    def __init__(self, m: int, ratio_pair: tuple[int, int], drift_pair: tuple[int, int],
-                 bound_pair: tuple[int, int], passed: bool) -> None:
-        self.m = m
-        self.ratio_pair = ratio_pair
-        self.drift_pair = drift_pair
-        self.bound_pair = bound_pair
-        self.passed = passed
+    m: int
+    ratio_pair: tuple[int, int]
+    drift_pair: tuple[int, int]
+    bound_pair: tuple[int, int]
+    passed: bool
 
     ratio = pair_property("ratio_pair")
     drift = pair_property("drift_pair")
@@ -391,20 +376,16 @@ def ratio_drift_certificate(path: Path, m: int) -> RatioDriftCert:
     )
 
 
+@dataclass(slots=True)
 class AnchorCert:
     """An anchor or apex certificate row.  actual and bound are held as
     pairs in lowest terms and read as Fractions, built when read."""
 
-    __slots__ = ("j", "m", "actual_pair", "bound_pair", "passed")
-
-    def __init__(self, j: int, m: int, gap: tuple[int, int], num: int, den: int) -> None:
-        """The row for the distance g/D of `gap` against the bound num/den."""
-        g, d = gap
-        self.j = j
-        self.m = m
-        self.actual_pair = lowest_terms(g, d)
-        self.bound_pair = lowest_terms(num, den)
-        self.passed = g * den <= num * d
+    j: int
+    m: int
+    actual_pair: tuple[int, int]
+    bound_pair: tuple[int, int]
+    passed: bool
 
     actual = pair_property("actual_pair")
     bound = pair_property("bound_pair")
@@ -417,6 +398,12 @@ class AnchorCert:
             "bound": pair_to_str(self.bound_pair),
             "pass": self.passed,
         }
+
+
+def _anchor_cert(j: int, m: int, gap: tuple[int, int], num: int, den: int) -> AnchorCert:
+    """The row for the distance g/D of `gap` against the bound num/den."""
+    g, d = gap
+    return AnchorCert(j, m, lowest_terms(g, d), lowest_terms(num, den), g * den <= num * d)
 
 
 def _pyramid_eps(path: Path, py: Pyramid) -> Fraction:
@@ -444,8 +431,8 @@ def anchor_bound_certificate(path: Path, py: Pyramid, j: int, m: int) -> AnchorC
     eps = _pyramid_eps(path, py)
     pre_q, sums, col = py.q_prefix, py.column_sums, py.anchor_column
     gap = scaled_gap(pre_q[j - 1] // pre_q[m - 1], col[j - 1], 1, col[m - 1])
-    return AnchorCert(j, m, gap, eps.numerator * (sums[j - 1] - sums[m - 1]),
-                      eps.denominator * py.column_den * pre_q[m - 1])
+    return _anchor_cert(j, m, gap, eps.numerator * (sums[j - 1] - sums[m - 1]),
+                        eps.denominator * py.column_den * pre_q[m - 1])
 
 
 def top_anchor_certificate(path: Path, py: Pyramid, j: int) -> AnchorCert:
@@ -481,9 +468,9 @@ def top_anchor_certificate(path: Path, py: Pyramid, j: int) -> AnchorCert:
     den = py.column_den
     gap = scaled_gap(pre_p[j - 1] * (pre_q[k] // pre_q[j - 1]), py.top,
                      1, py.layers[0][j - 1])
-    return AnchorCert(j, 0, gap,
-                      eps.numerator * (down * den + pre_p[j - 1] * (sums[k] - sums[j - 1])),
-                      eps.denominator * den * pre_q[j - 1])
+    return _anchor_cert(j, 0, gap,
+                        eps.numerator * (down * den + pre_p[j - 1] * (sums[k] - sums[j - 1])),
+                        eps.denominator * den * pre_q[j - 1])
 
 
 Walk = tuple[Edge, ...]

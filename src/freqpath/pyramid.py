@@ -23,7 +23,8 @@ Where each decision lives:
   combination over one denominator, reduces it by one gcd and decides
   both post-conditions; it builds no Fraction and no TorusPoint.
   `build_pyramid` sends all k(k+1)/2 merges of a pyramid to it, layer by
-  layer on residue pairs, and builds each layer entry's TorusPoint once;
+  layer on residue pairs, and builds one TorusPoint per layer entry from
+  the pair the kernel returns;
   `merge_two` first checks its primes and tolerances, `layer_step` its
   slice lengths and tolerances.
 - A `Pyramid` holds its tolerance tables and derives, at construction,
@@ -143,7 +144,7 @@ def merge_two(
     alpha = _merge((a1.num, a1.den), (a2.num, a2.den), modulus.q, p1, p2,
                    eps1.numerator, eps1.denominator,
                    eps2.numerator, eps2.denominator)
-    return TorusPoint.canonical(*alpha, modulus)
+    return TorusPoint(*alpha, modulus)
 
 
 def _merge_layer(
@@ -165,11 +166,6 @@ def _merge_layer(
         except HypothesisViolation as exc:
             raise HypothesisViolation(f"merge failed at index {j + 1}: {exc}") from exc
     return out
-
-
-def _points(pairs: list[tuple[int, int]], modulus: Modulus) -> tuple[TorusPoint, ...]:
-    canonical = TorusPoint.canonical
-    return tuple([canonical(n, d, modulus) for n, d in pairs])
 
 
 def layer_step(
@@ -214,7 +210,7 @@ def layer_step(
         pt._check_same(top[0])
     merged = _merge_layer([(pt.num, pt.den) for pt in top], modulus.q,
                           p_primes, q_primes, pairs[:m], pairs[m:])
-    return _points(merged, modulus)
+    return tuple([TorusPoint(n, d, modulus) for n, d in merged])
 
 
 @dataclass(frozen=True)
@@ -384,7 +380,8 @@ def build_pyramid(pp: PrePath) -> Pyramid:
     kept as integer pairs whose denominators pick up one prime per step.
     The primes and the first layer's hypotheses are `PrePath`'s, decided
     once, so every merge goes straight to the integer kernel, on the
-    layer before as residue pairs; each entry becomes a TorusPoint once.
+    layer before as residue pairs; a layer's points are built from the
+    kernel's pairs.
     Every prime pair (p_i, q_l), i <= l, meets in exactly one merge, so the
     kernel's lift inverse is computed once per pair.  The construction is
     deterministic (lift ties included), so identical pre-paths give
@@ -402,7 +399,7 @@ def build_pyramid(pp: PrePath) -> Pyramid:
         eps_table.append(eps)
         eps_prime_table.append(eps_prime)
         top = _merge_layer(top, modulus.q, ps, qs[s:], eps, eps_prime)
-        layers.append(_points(top, modulus))
+        layers.append(tuple([TorusPoint(n, d, modulus) for n, d in top]))
         eps, eps_prime = (
             tuple([(n, d * p) for (n, d), p in zip(eps_prime[1:], ps[1:])]),
             tuple([(n, d * q) for (n, d), q in zip(eps[:-1], qs[s:])]),
@@ -441,19 +438,16 @@ def predicted_gap(
     return as_fraction(eps) / (prod(p_primes[:h]) * prod(q_primes[h - 1 : j - 1]))
 
 
+@dataclass(slots=True)
 class GapRow:
     """One row of `verify_pyramid`: the anchor-column gap at level j and
     predicted_gap(j), each held as a pair in lowest terms; `actual` and
     `predicted` build their Fractions when read."""
 
-    __slots__ = ("j", "actual_pair", "predicted_pair", "passed")
-
-    def __init__(self, j: int, actual_pair: tuple[int, int],
-                 predicted_pair: tuple[int, int], passed: bool) -> None:
-        self.j = j
-        self.actual_pair = actual_pair
-        self.predicted_pair = predicted_pair
-        self.passed = passed
+    j: int
+    actual_pair: tuple[int, int]
+    predicted_pair: tuple[int, int]
+    passed: bool
 
     actual = pair_property("actual_pair")
     predicted = pair_property("predicted_pair")

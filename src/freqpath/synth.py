@@ -159,9 +159,6 @@ class Params:
     def witness_primes(self) -> tuple[int, ...]:
         return tuple(primes_in_range(self.P_prime, 2 * self.P_prime))
 
-    def witness_carrier(self) -> int:
-        return prod(self.witness_primes())
-
     def split_partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The lower and upper halves of the edge-prime pool, ascending."""
         ps = self.edge_primes()
@@ -547,7 +544,7 @@ def gen_instance(
         mode=mode,
         t_star=as_fraction(t_star),
         q_star=q_star,
-        carrier=params.witness_carrier(),
+        carrier=prod(pool_w),
         a_map=a_map,
     )
     noise_unit = params.noise_level * params.eps_edge
@@ -610,14 +607,39 @@ class AuditReport:
         }
 
 
-def _slack_is_exact(a: Site, b: Site, p: int, q: int, slack: Fraction) -> bool:
-    """Whether slack = |x_a/p - x_b/q|, decided on integers: with x_a = n1/d1,
-    x_b = n2/d2 and slack = n/m it holds iff |n1*d2*q - n2*d1*p| * m equals
-    n * d1*d2*p*q, all denominators being positive."""
-    n1, d1 = a.x.numerator, a.x.denominator
-    n2, d2 = b.x.numerator, b.x.denominator
-    return (abs(n1 * d2 * q - n2 * d1 * p) * slack.denominator
-            == slack.numerator * d1 * d2 * p * q)
+def _edge_decider(params: Params, cfg: Configuration, pool_w: tuple[int, ...]):
+    """The one decision, for the loader and the audit, of whether a row
+    [i, j, p, q] is an edge of `cfg` under `params`, with `pool_w` the
+    params' witness pool.  The returned function gives the row's witness
+    set and slack as `gen_instance` derives them, or raises InstanceError
+    naming the first check the row fails: a site index out of range,
+    primes not split-oriented, a slack beyond s_edge, no witness prime.
+
+    The slack |x_i/p - x_j/q| is d/(p*q*D) with d = |X_i*q - X_j*p| over the
+    positions X = x*D in site-index order, D the lcm of their denominators,
+    and passes when d*s_den <= s_num*p*q*D.
+    """
+    sites, p1s, p2s = cfg.sites, cfg.split_p1, cfg.split_p2
+    scale = lcm(*(s.x.denominator for s in sites))
+    xs = [s.x.numerator * (scale // s.x.denominator) for s in sites]
+    indices = range(len(sites))
+    s_num, s_den = params.s_edge.numerator, params.s_edge.denominator
+    eps = params.eps_edge
+
+    def decide(i: int, j: int, p: int, q: int) -> tuple[frozenset[int], Fraction]:
+        if i not in indices or j not in indices:
+            fault = "site index out of range"
+        elif p not in p1s or q not in p2s:
+            fault = "not split-oriented"
+        elif (d := abs(xs[i] * q - xs[j] * p)) * s_den > s_num * (pq := p * q * scale):
+            fault = f"physical slack {Fraction(d, pq)} exceeds s_edge"
+        elif not (witness := edge_witness(sites[i], sites[j], p, q, pool_w, eps)):
+            fault = "no witness prime"
+        else:
+            return witness, Fraction(d, pq)
+        raise InstanceError(f"edge ({i},{j},{p},{q}): {fault}")
+
+    return decide
 
 
 def _planted_within(truth: GroundTruth, sites, bound: Fraction) -> bool:
@@ -663,25 +685,17 @@ def audit_instance(inst: Instance) -> AuditReport:
         and cfg.split_p1 | cfg.split_p2 <= pool_pq,
     )
     pool_w = params.witness_primes()
-    s_num, s_den = params.s_edge.numerator, params.s_edge.denominator
+    decide = _edge_decider(params, cfg, pool_w)
     bad_edge = ""
     for e in inst.edges:
-        if not (0 <= e.i < len(cfg.sites) and 0 <= e.j < len(cfg.sites)):
-            bad_edge = f"edge ({e.i},{e.j}) site index out of range"
+        try:
+            witness, slack = decide(e.i, e.j, e.p, e.q)
+        except InstanceError as exc:
+            bad_edge = str(exc)
             break
-        if e.p not in cfg.split_p1 or e.q not in cfg.split_p2:
-            bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) not split-oriented"
-            break
-        step = (cfg.sites[e.i], cfg.sites[e.j], e.p, e.q)
-        if not _slack_is_exact(*step, e.slack):
-            bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) stored slack is not exact"
-            break
-        if e.slack.numerator * s_den > s_num * e.slack.denominator:
-            bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) physical slack {e.slack}"
-            break
-        witness = edge_witness(*step, pool_w, params.eps_edge)
-        if witness != e.witness:
-            bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}) witness mismatch"
+        if slack != e.slack or witness != e.witness:
+            what = "stored slack is not exact" if slack != e.slack else "witness mismatch"
+            bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}): {what}"
             break
     check("edges", not bad_edge, bad_edge)
     if inst.truth is not None:
@@ -736,13 +750,14 @@ def instance_from_json(text: str) -> Instance:
     and truth are decided by writing them back.  The split, the truth's
     carrier and every edge's slack and witness set are derived, as
     `gen_instance` decides them.  InstanceError names what no generated
-    instance holds: not JSON, another schema, a missing key, a wrong type
-    (a bool or float for an integer too), a rational not written as
-    `frac_to_str` writes it, sites not ascending in x or closer than the
-    separation, an a_map key not a site index in decimal, edges not
-    ascending, or an edge that is not four integers [i, j, p, q], has a
-    site index out of range, primes not split-oriented, a slack beyond
-    s_edge or no witness prime."""
+    instance holds: not JSON, another schema, a missing key, a top-level or
+    site key it does not write, a wrong type (a bool or float for an
+    integer too), a rational not written as `frac_to_str` writes it, sites
+    not ascending in x or closer than the separation, an a_map key not a
+    site index in decimal, edges not ascending, or an edge that is not four
+    integers [i, j, p, q] or that `_edge_decider` refuses: a site index out
+    of range, primes not split-oriented, a slack beyond s_edge or no
+    witness prime."""
     try:
         return _instance_from_doc(json.loads(text))
     except InstanceError:
@@ -755,18 +770,24 @@ def instance_from_json(text: str) -> Instance:
 def _instance_from_doc(doc: dict) -> Instance:
     if doc["schema"] != SCHEMA_VERSION:
         raise InstanceError(f"unsupported schema {doc['schema']!r}")
+    if unknown := doc.keys() - {"schema", "params", "truth", "sites", "edges"}:
+        raise InstanceError(f"unknown top-level keys {sorted(unknown)}")
     params = Params.from_json(doc["params"])
-    truth = (GroundTruth.from_json(doc["truth"], params.witness_carrier())
-             if doc["truth"] else None)
+    pool_w = params.witness_primes()
+    truth = GroundTruth.from_json(doc["truth"], prod(pool_w)) if doc["truth"] else None
     # decided by writing them back: "+5/1", "2/4" or an a_map key "01" differ
     if params.to_json() != doc["params"] or truth and truth.to_json() != doc["truth"]:
         raise InstanceError("params or truth not in the form instance_to_json writes")
     sites = tuple(
         Site(_fraction(s["x"]), _fraction(s["alpha"])) for s in doc["sites"]
     )
-    # ascending, so site index order is x order (census rows rely on it)
-    for n in range(1, len(sites)):
-        if sites[n - 1].x >= sites[n].x:
+    for n, s in enumerate(doc["sites"]):
+        # both keys were read, so any third is one the writer never writes
+        if len(s) != 2:
+            extra = sorted(s.keys() - {"x", "alpha"})
+            raise InstanceError(f"site {n} has unknown keys {extra}")
+        # ascending, so site index order is x order (census rows rely on it)
+        if n and sites[n - 1].x >= sites[n].x:
             raise InstanceError(f"sites do not ascend in x at site {n}")
     split = params.split_partition()
     cfg = Configuration(
@@ -777,30 +798,12 @@ def _instance_from_doc(doc: dict) -> Instance:
     )
     if truth is not None and not all(0 <= i < len(sites) for i in truth.a_map):
         raise InstanceError("an a_map key is not a site index")
-    # each slack and witness set is derived as gen_instance decides it: the
-    # slack |x_i/p - x_j/q| is d/(p*q*D) with d = |X_i*q - X_j*p| over the
-    # scaled positions X = x*D, and passes when d*s_den <= s_num*p*q*D
-    scale, xs = scaled_positions(s.x for s in sites)
-    s_num, s_den = params.s_edge.numerator, params.s_edge.denominator
-    pool_w, eps = params.witness_primes(), params.eps_edge
-    indices, rows, edges = range(len(sites)), doc["edges"], []
+    decide = _edge_decider(params, cfg, pool_w)
+    rows, edges = doc["edges"], []
     for n, row in enumerate(rows):
         if type(row) is not list or len(row) != 4 or any(type(v) is not int for v in row):
             raise InstanceError(f"edge {n} is not four integers [i, j, p, q]")
         if n and rows[n - 1] >= row:
             raise InstanceError(f"edges do not ascend at edge {n}")
-        i, j, p, q = row
-        where = f"edge ({i},{j},{p},{q})"
-        if i not in indices or j not in indices:
-            raise InstanceError(f"{where}: site index out of range")
-        if p not in cfg.split_p1 or q not in cfg.split_p2:
-            raise InstanceError(f"{where}: not split-oriented")
-        d, pq_scale = abs(xs[i] * q - xs[j] * p), p * q * scale
-        if d * s_den > s_num * pq_scale:
-            raise InstanceError(
-                f"{where}: physical slack {Fraction(d, pq_scale)} exceeds s_edge")
-        witness = edge_witness(sites[i], sites[j], p, q, pool_w, eps)
-        if not witness:
-            raise InstanceError(f"{where}: no witness prime")
-        edges.append(Edge(i, j, p, q, witness, Fraction(d, pq_scale)))
+        edges.append(Edge(*row, *decide(*row)))
     return Instance(cfg=cfg, edges=tuple(edges), truth=truth, params=params)

@@ -15,11 +15,11 @@ returns the closest lift pair as integer lift indices and its aligned gap
 over p1*p2*D, leaving the prime checks (`check_lift_primes`) to callers.
 
 Where a value is built:
-- A TorusPoint is built once per residue.  `reduce_ratio` reduces n/d by
-  the one integer n mod Q*d and one gcd (`lowest_terms`), and
-  `TorusPoint.canonical` takes a pair the caller has already reduced,
-  skipping the range check that guards points built by outside callers
-  through the constructor.
+- A TorusPoint is built once per residue, by its one constructor, from a
+  pair already reduced: `reduce_ratio` reduces n/d by the one integer
+  n mod Q*d and one gcd (`lowest_terms`), and callers that hold a reduced
+  pair (the merge kernel, the lift pair, a path's top anchors) pass it
+  directly.
 - A Fraction is built only where a value is handed out as one: a point's
   `value`, a norm from `torus_norm`, and a report row's fields read through
   `pair_property`.  A row keeps its values as pairs in lowest terms, and
@@ -109,60 +109,23 @@ def _as_modulus(m: Modulus | int) -> Modulus:
     return m if isinstance(m, Modulus) else Modulus(m)
 
 
+@dataclass(frozen=True, slots=True)
 class TorusPoint:
     """Canonical residue num/den in [0, Q), in lowest terms with den > 0.
 
-    Construct through `reduce_mod`.  The residue is held as the two
-    integers; `value` builds it as a Fraction each time it is read.  A point
-    is immutable, and two points are equal when their residues and moduli
-    are.
+    The constructor takes a pair the caller has already reduced into
+    [0, Q) and to lowest terms; `reduce_mod` and `reduce_ratio` reduce any
+    rational.  The residue is held as the two integers; `value` builds it
+    as a Fraction each time it is read.
     """
 
-    __slots__ = ("num", "den", "modulus")
-
-    def __init__(self, value: Rational, modulus: Modulus) -> None:
-        x = as_fraction(value)
-        if not 0 <= x < modulus.q:
-            raise TorusError(f"{x} is not canonical mod {modulus.q}")
-        _set_num(self, x.numerator)
-        _set_den(self, x.denominator)
-        _set_modulus(self, modulus)
-
-    @classmethod
-    def canonical(cls, num: int, den: int, modulus: Modulus) -> "TorusPoint":
-        """The point num/den, which the caller has reduced into [0, Q) and
-        to lowest terms exactly."""
-        pt = object.__new__(cls)
-        _set_num(pt, num)
-        _set_den(pt, den)
-        _set_modulus(pt, modulus)
-        return pt
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"TorusPoint is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"TorusPoint is immutable: cannot delete {name!r}")
+    num: int
+    den: int
+    modulus: Modulus
 
     @property
     def value(self) -> Fraction:
         return Fraction(self.num, self.den)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TorusPoint):
-            return NotImplemented
-        return (self.num == other.num and self.den == other.den
-                and self.modulus == other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den, self.modulus))
-
-    def __repr__(self) -> str:
-        return f"TorusPoint({self.num}/{self.den}, {self.modulus!r})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild the point through `canonical`, not setattr
-        return TorusPoint.canonical, (self.num, self.den, self.modulus)
 
     def scale(self, c: Rational) -> "TorusPoint":
         return reduce_mod(as_fraction(c) * self.value, self.modulus)
@@ -178,12 +141,6 @@ class TorusPoint:
             )
 
 
-# the slots' own setters, which the immutable point's __setattr__ refuses
-_set_num = TorusPoint.num.__set__
-_set_den = TorusPoint.den.__set__
-_set_modulus = TorusPoint.modulus.__set__
-
-
 def reduce_mod(x: Rational, modulus: Modulus | int) -> TorusPoint:
     """The unique representative of x mod Q in [0, Q).
 
@@ -196,7 +153,7 @@ def reduce_mod(x: Rational, modulus: Modulus | int) -> TorusPoint:
 def reduce_ratio(n: int, d: int, modulus: Modulus) -> TorusPoint:
     """n/d mod Q for d > 0, by the one integer reduction n mod Q*d and one
     gcd."""
-    return TorusPoint.canonical(*lowest_terms(n % (modulus.q * d), d), modulus)
+    return TorusPoint(*lowest_terms(n % (modulus.q * d), d), modulus)
 
 
 def lowest_terms(n: int, d: int) -> tuple[int, int]:
@@ -310,8 +267,8 @@ def closest_lift_pair(
     k1, k2, _s = nearest_lift(p2 * a2.num * d1 - p1 * a1.num * d2, q * d1 * d2, p1, p2)
     m = a1.modulus
     return (
-        TorusPoint.canonical(*lowest_terms(a2.num + k1 * q * d2, p1 * d2), m),
-        TorusPoint.canonical(*lowest_terms(a1.num + k2 * q * d1, p2 * d1), m),
+        TorusPoint(*lowest_terms(a2.num + k1 * q * d2, p1 * d2), m),
+        TorusPoint(*lowest_terms(a1.num + k2 * q * d1, p2 * d1), m),
     )
 
 

@@ -105,7 +105,7 @@ def lift_roots(alpha: TorusPoint, p: int) -> list[TorusPoint]:
         raise TorusError(f"prime {p} divides the modulus {q}")
     step = Fraction(q, p)
     base = alpha.value / p
-    return [TorusPoint(base + k * step, alpha.modulus) for k in range(p)]
+    return [reduce_mod(base + k * step, alpha.modulus) for k in range(p)]
 
 
 def brute_closest_lift_pair(
@@ -153,8 +153,8 @@ def ref_closest_lift_pair(
     for c in cs:
         k1 = ((c - m) * inv_p2) % p1
         k2 = ((k1 * p2 - (c - m)) // p1) % p2
-        b1 = TorusPoint((a2.value + k1 * q) / p1, a1.modulus)
-        b2 = TorusPoint((a1.value + k2 * q) / p2, a1.modulus)
+        b1 = reduce_mod((a2.value + k1 * q) / p1, a1.modulus)
+        b2 = reduce_mod((a1.value + k2 * q) / p2, a1.modulus)
         out.append((b1, b2))
     return min(out, key=lambda bb: (bb[0].value, bb[1].value))
 

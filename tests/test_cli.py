@@ -502,12 +502,15 @@ def _scale_terms(text: str) -> str:
         (lambda d: d["truth"]["a_map"].update({"99999": 1}), "not a site index"),
         (lambda d: d["truth"]["a_map"].update({" 1": 1}),
          "the form instance_to_json writes"),
+        (lambda d: d.update(note="x"), "unknown top-level keys ['note']"),
+        (lambda d: d["sites"][1].update(note="x"), "site 1 has unknown keys ['note']"),
     ],
     ids=["rational_leading_plus", "rational_spaces", "rational_not_lowest_terms",
          "seed_bool", "web_chains_bool", "q_star_float", "a_map_value_bool",
          "sites_not_ascending", "edges_listed_twice", "edges_not_ascending",
          "edge_repeated", "edge_as_dict", "a_map_key_negative",
-         "a_map_key_beyond_sites", "a_map_key_with_space"],
+         "a_map_key_beyond_sites", "a_map_key_with_space", "top_level_unknown_key",
+         "site_unknown_key"],
 )
 def test_non_canonical_instance_is_refused(tmp_path, recorded_k3, corrupt, reason):
     # each of these files holds the values of a generated instance, written

@@ -56,7 +56,6 @@ from freqpath.pyramid import (
 )
 from freqpath.torus import (
     Modulus,
-    TorusPoint,
     closest_lift_pair,
     frac_to_str,
     reduce_mod,
@@ -194,7 +193,7 @@ class TestMergeTwo:
     def test_output_is_canonical_and_reduced(self):
         a = merge_two(reduce_mod(F(3, 10), 1), reduce_mod(F(21, 100), 1), 2, 3,
                       F(1, 50), F(1, 50))
-        assert a == TorusPoint(F(41, 400), Modulus(1))
+        assert a == reduce_mod(F(41, 400), Modulus(1))
 
 
 class TestPyramid:

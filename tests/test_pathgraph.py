@@ -108,7 +108,7 @@ class TestPathAlgebra:
         inv = invert_path(ell)
         assert inv.sites == tuple(reversed(ell.sites))
         assert inv.p_primes == (13,) and inv.q_primes == (11,)
-        assert inv.step_edge_slack == ell.step_edge_slack
+        assert inv.edges[0].slack == ell.edges[0].slack
 
     def test_invert_is_involution(self):
         ell = simple_path([1000, 1180, 1260, 1500], [11, 23, 31], [13, 29, 37])

@@ -2,6 +2,8 @@
 checked coprime combination."""
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +16,9 @@ from conftest import (
     rand_modulus,
 )
 from freqpath.torus import (
+    Modulus,
     TorusError,
+    TorusPoint,
     closest_lift_pair,
     combine_moduli,
     frac_to_str,
@@ -43,6 +47,26 @@ class TestReduce:
             pt = reduce_mod(x, m)
             assert 0 <= pt.value < m.q
             assert (x - pt.value) % m.q == 0
+
+
+class TestPoint:
+    def test_value_semantics(self):
+        m = Modulus(35, (5, 7))
+        pt = reduce_mod(F(-1, 3), m)
+        for name in ("num", "den", "modulus"):
+            with pytest.raises(AttributeError):
+                setattr(pt, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(pt, name)
+        assert (pt.num, pt.den) == (104, 3)
+        same = TorusPoint(104, 3, Modulus(35, (5, 7)))
+        assert same == pt and hash(same) == hash(pt)
+        # the same q with other factors (none) is another modulus
+        assert TorusPoint(104, 3, Modulus(35)) != pt
+        assert TorusPoint(103, 3, m) != pt
+        for twin in (copy.copy(pt), copy.deepcopy(pt), pickle.loads(pickle.dumps(pt))):
+            assert twin == pt and hash(twin) == hash(pt)
+            assert twin.modulus == m and twin.value == F(104, 3)
 
 
 class TestNorm:
