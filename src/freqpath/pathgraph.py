@@ -7,6 +7,11 @@ set.  Paths chain edges under a global all-distinct-primes rule and induce
 pre-paths, so every layered bound becomes a computable certificate with the
 implicit constants replaced by exact telescoped sums.
 
+Sites hold x and alpha, and edges their slack, as integer pairs in lowest
+terms, built as Fractions only when read; both are slotted, compare and
+hash by value, and are not frozen, so an instance load stores each of
+their fields plainly (nothing assigns to one after construction).
+
 Split walks come from a `SplitWalks`, which holds one instance's split
 adjacency: a command that walks from every start site (`census`,
 `verify-bounds`) builds it once per instance and walks each start from it,
@@ -36,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm, log, prod
-from collections.abc import Iterable
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .primes import primes_in_range
@@ -72,28 +77,31 @@ class ResourceBudgetError(RuntimeError):
     """Enumeration would exceed the configured budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Site:
     """An interval anchor: left endpoint x > 0 and a real frequency
-    representative alpha (reducible mod any modulus)."""
+    representative alpha (reducible mod any modulus), each held as the
+    pair (num, den) in lowest terms, den > 0, that the constructor takes;
+    `x` and `alpha` build the Fraction when read."""
 
-    x: Fraction
-    alpha: Fraction
+    x_pair: tuple[int, int]
+    alpha_pair: tuple[int, int]
+
+    x = pair_property("x_pair")
+    alpha = pair_property("alpha_pair")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", as_fraction(self.x))
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        if self.x <= 0:
+        if self.x_pair[0] <= 0:
             raise PathError(f"site position must be positive, got {self.x}")
 
 
-def scaled_positions(xs: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """(D, the integers x*D ascending): D is the lcm of the denominators, so
-    every comparison of positions, or of a gap b - a with a rational s, is
-    decided on integers: b - a < s iff (B - A) * s_den < s_num * D."""
-    xs = list(xs)
-    scale = lcm(*(x.denominator for x in xs))
-    return scale, sorted(x.numerator * (scale // x.denominator) for x in xs)
+def scaled_positions(xs: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """(D, the integers x*D in the order given) for positions held as pairs
+    (num, den): D is the lcm of the denominators, so every comparison of
+    positions, or of a gap b - a with a rational s, is decided on integers:
+    b - a < s iff (B - A) * s_den < s_num * D."""
+    scale = lcm(*(d for _n, d in xs))
+    return scale, tuple([n * (scale // d) for n, d in xs])
 
 
 def close_pair(
@@ -113,13 +121,16 @@ class Configuration:
     """Separated sites plus a split partition of the edge-prime pool.
 
     Sites must be pairwise at distance >= separation; the two prime sets
-    must be disjoint.
+    must be disjoint.  The positions are scaled once, at construction:
+    `positions[i]` is x_i * `scale` in site order (`scaled_positions`).
     """
 
     sites: tuple[Site, ...]
     separation: Fraction
     split_p1: frozenset[int]
     split_p2: frozenset[int]
+    scale: int = field(init=False, repr=False, compare=False)
+    positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(self.sites))
@@ -128,8 +139,10 @@ class Configuration:
         object.__setattr__(self, "split_p2", frozenset(self.split_p2))
         if self.split_p1 & self.split_p2:
             raise PathError("split prime sets must be disjoint")
-        scale, xs = scaled_positions(s.x for s in self.sites)
-        pair = close_pair(scale, xs, self.separation)
+        scale, xs = scaled_positions([s.x_pair for s in self.sites])
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "positions", xs)
+        pair = close_pair(scale, sorted(xs), self.separation)
         if pair:
             a, b = pair
             raise PathError(
@@ -138,16 +151,16 @@ class Configuration:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Edge:
     """Quadruple relation between sites i and j through primes (p, q).
 
-    slack is the exact physical deviation |x_i/p - x_j/q|; witness is the
-    nonempty set of primes w with ||p*alpha_i - q*alpha_j||_w < eps_edge,
-    the strict inequality every pre-path hypothesis needs.  Both are
-    functions of the sites, so an instance file does not hold them: the
-    loader derives them for each [i, j, p, q].  The reverse orientation
-    (j, i, q, p) carries identical slack and witness.
+    slack is the exact physical deviation |x_i/p - x_j/q|, a pair like a
+    site's x; witness is the nonempty frozenset of primes w with
+    ||p*alpha_i - q*alpha_j||_w < eps_edge, the strict inequality every
+    pre-path hypothesis needs.  Both are functions of the sites, so an
+    instance file does not hold them: the loader derives them for each
+    [i, j, p, q].  The reverse orientation carries identical ones.
     """
 
     i: int
@@ -155,11 +168,11 @@ class Edge:
     p: int
     q: int
     witness: frozenset[int]
-    slack: Fraction
+    slack_pair: tuple[int, int]
+
+    slack = pair_property("slack_pair")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "witness", frozenset(self.witness))
-        object.__setattr__(self, "slack", as_fraction(self.slack))
         if self.p == self.q:
             raise PathError("edge primes must differ")
         if self.i == self.j:
@@ -173,8 +186,7 @@ def edge_relation(a: Site, b: Site, p: int, q: int) -> tuple[int, int]:
 
     With alpha_a = n_a/d_a and alpha_b = n_b/d_b, N = p*n_a*d_b - q*n_b*d_a
     and D = d_a*d_b > 0; N may be negative."""
-    na, da = a.alpha.numerator, a.alpha.denominator
-    nb, db = b.alpha.numerator, b.alpha.denominator
+    (na, da), (nb, db) = a.alpha_pair, b.alpha_pair
     return p * na * db - q * nb * da, da * db
 
 
@@ -182,10 +194,17 @@ def edge_witness(
     a: Site, b: Site, p: int, q: int, witness_pool: tuple[int, ...], eps_edge: Fraction
 ) -> frozenset[int]:
     """Exact witness computation: primes w in the pool for which
-    ||p*alpha_a - q*alpha_b||_w < eps_edge."""
+    ||p*alpha_a - q*alpha_b||_w < eps_edge.  The generator and the loader
+    both decide it here, for every edge, so `residue_gap` and `below` run
+    inline: with N/D the relation and r = N mod w*D, w is kept when
+    min(r, w*D - r) * eps_den < eps_num * D."""
     n, d = edge_relation(a, b, p, q)
-    return frozenset(
-        w for w in witness_pool if below(residue_gap(n, d, w), eps_edge))
+    e_den, bound, out = eps_edge.denominator, eps_edge.numerator * d, []
+    for w in witness_pool:
+        r = n % (wd := w * d)
+        if min(r, wd - r) * e_den < bound:
+            out.append(w)
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -270,7 +289,7 @@ def invert_path(path: Path) -> Path:
     """Endpoint reversal: primes become (q_k..q_1, p_k..p_1).  An involution.
 
     Each edge is taken backwards, with its slack and witness unchanged."""
-    edges = tuple(Edge(e.j, e.i, e.q, e.p, e.witness, e.slack) for e in path.edges)
+    edges = tuple(Edge(e.j, e.i, e.q, e.p, e.witness, e.slack_pair) for e in path.edges)
     return Path(tuple(reversed(path.sites)), edges[::-1])
 
 
@@ -299,7 +318,7 @@ def path_prepath(
     if modulus is None:
         modulus = path.modulus
     q = modulus.q
-    alphas = [(s.alpha.numerator, s.alpha.denominator) for s in path.sites]
+    alphas = [s.alpha_pair for s in path.sites]
     # alpha = n/d is in lowest terms, and so is (n mod Q*d)/d: only the mid
     # anchors p*n/d need `reduce_ratio`'s gcd
     return PrePath(
@@ -355,7 +374,7 @@ def ratio_drift_certificate(path: Path, m: int) -> RatioDriftCert:
     """
     if not 1 <= m <= path.k:
         raise IndexError(f"m = {m} out of range 1..{path.k}")
-    slack = [(e.slack.numerator, e.slack.denominator) for e in path.edges[:m]]
+    slack = [e.slack_pair for e in path.edges[:m]]
     scale = lcm(*(d for _n, d in slack))
     pprod = qprod = 1
     total = 0
@@ -363,9 +382,7 @@ def ratio_drift_certificate(path: Path, m: int) -> RatioDriftCert:
         pprod *= p
         qprod *= q
         total = q * (total + n * (scale // d) * pprod)
-    x0, xm = path.sites[0].x, path.sites[m].x
-    n0, d0 = x0.numerator, x0.denominator
-    nm, dm = xm.numerator, xm.denominator
+    (n0, d0), (nm, dm) = path.sites[0].x_pair, path.sites[m].x_pair
     drift = abs(n0 * qprod * dm - nm * pprod * d0)  # over pprod * d0 * dm
     return RatioDriftCert(
         m,

@@ -103,9 +103,8 @@ def select_hub(inst: Instance, d_min: int = 1) -> HubSelection:
     for w in inst.params.witness_primes():
         for i in peel_regular(inst.cfg, inst.edges, d_min, w):
             scores[i] += 1
-    best = min(
-        scores, key=lambda i: (-scores[i], inst.cfg.sites[i].x)
-    )
+    xs = inst.cfg.positions  # in the order of the sites' x
+    best = min(scores, key=lambda i: (-scores[i], xs[i]))
     return HubSelection(best, scores[best])
 
 

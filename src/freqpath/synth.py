@@ -13,15 +13,17 @@ Placement, the physical candidate search and the witness check are decided
 on integer-scaled values: sites on the common grid 1/S of every position
 they can take, candidate distances over the lcm of the site denominators,
 and each witness norm on the numerator of p*alpha_i - q*alpha_j over
-d_i*d_j.  A Fraction is built only for a value the instance holds.
+d_i*d_j.  Sites, alphas and slacks stay integer pairs from placement to
+file and back, so a Fraction is built for params and truth, not per site.
 
 An instance file holds only what it cannot derive: params, truth, sites and
 each edge as [i, j, p, q].  The loader reads it in one pass that accepts
-only what `instance_to_json` writes (canonical "num/den" rationals, integer
-fields that are ints, sites ascending in x, edges ascending) and derives
-the rest: the split from params, the truth's carrier from the witness pool,
-and each edge's slack and witness set from its sites, as the generator
-decides them.
+only what `instance_to_json` writes, up to whitespace and key order
+(no key twice, canonical "num/den" rationals, integer fields that are
+ints, sites ascending in x, edges ascending) and derives the rest: the
+split from params, the truth's carrier from the witness pool, and each
+edge's slack and witness set from its sites, as the generator decides
+them.
 """
 from __future__ import annotations
 
@@ -52,6 +54,8 @@ from .torus import (
     as_fraction,
     fields_to_json,
     frac_to_str,
+    lowest_terms,
+    pair_to_str,
     str_to_frac,
 )
 
@@ -212,10 +216,6 @@ class GroundTruth:
             if not 0 <= a < self.q_star:
                 raise ParamsError(f"residue a[{idx}] = {a} outside [0, {self.q_star})")
 
-    def planted_alpha(self, site_index: int, x: Fraction) -> Fraction:
-        a = self.a_map.get(site_index, 0)
-        return Fraction(a * self.carrier, self.q_star) + self.t_star / x
-
     def to_json(self) -> dict:
         """Every field but the carrier, which the params fix."""
         return {
@@ -333,8 +333,8 @@ def _group_routes(group: tuple[int, int, int, int, int]) -> tuple[Route, ...]:
     return (a, c, b, d), (a, d, b, c), (b, c, a, d), (b, d, a, c)
 
 
-def _place_sites(params: Params, rng: random.Random, q_star: int) -> list[Fraction]:
-    """The ascending sites of an instance.
+def _place_sites(params: Params, rng: random.Random, q_star: int) -> list[tuple[int, int]]:
+    """The ascending sites of an instance, as pairs in lowest terms.
 
     Every site is a grid point lo + slot*sep times a ratio prod(qs)/prod(ps)
     of split primes: the ps are distinct primes of the p-side set p1s (a
@@ -342,8 +342,8 @@ def _place_sites(params: Params, rng: random.Random, q_star: int) -> list[Fracti
     none for a plain grid point).  Over S = L*prod(p1s), L the lcm of the
     denominators of lo, sep and hi, such a site is the integer
     (lo + slot*sep)*L * prod(qs) * prod(p1s without ps), a product with no
-    division, so placement decides on integers and builds the Fractions
-    v/S once, at return.
+    division, so placement decides on integers and reduces each v/S once,
+    at return.
     """
     lo, hi, sep = params.site_lo, params.site_hi, params.separation
     p1s, p2s = params.split_partition()
@@ -425,15 +425,16 @@ def _place_sites(params: Params, rng: random.Random, q_star: int) -> list[Fracti
             )
     # web placement may overshoot site_count; planted sites are never trimmed,
     # so site_count is a lower bound under placement="web"
-    return [Fraction(v, scale) for v in placed]
+    return [lowest_terms(v, scale) for v in placed]
 
 
 def _physical_candidates(
-    params: Params, xs: list[Fraction]
-) -> list[tuple[int, int, int, int, Fraction]]:
+    params: Params, xs: list[tuple[int, int]]
+) -> list[tuple[int, int, int, int, tuple[int, int]]]:
     """All (i, j, p, q, slack) with j the site nearest x_i * q/p passing the
-    physical threshold; ties toward the smaller site.  xs is ascending (so
-    scaling keeps its order), and the candidates come in (i, p, q) order.
+    physical threshold; ties toward the smaller site.  xs holds the sites
+    as pairs, ascending (so scaling keeps its order), and the candidates
+    come in (i, p, q) order, each slack a pair in lowest terms.
 
     The sites are scaled by the lcm D of their denominators to integers X,
     so the search and both comparisons are exact integer arithmetic: the
@@ -475,12 +476,12 @@ def _physical_candidates(
     # p1s and p2s are ascending, so sorting on (i, p, q) is the loop order
     # of a search site by site
     found.sort()
-    return [(i, j, p, q, Fraction(d, p * q * scale)) for i, p, q, j, d in found]
+    return [(i, j, p, q, lowest_terms(d, p * q * scale)) for i, p, q, j, d in found]
 
 
 def _propagate_residues(
     n_sites: int,
-    candidates: list[tuple[int, int, int, int, Fraction]],
+    candidates: list[tuple[int, int, int, int, tuple[int, int]]],
     q_star: int,
 ) -> dict[int, int]:
     """Assign residues along a spanning forest of the candidate adjacency so
@@ -547,16 +548,21 @@ def gen_instance(
         carrier=prod(pool_w),
         a_map=a_map,
     )
+    # alpha = a*carrier/q* + t*/x on integers: N/D over D = q* * dt * nx for
+    # x = nx/dx, t* = nt/dt, and noise r/10^6 * (un/ud) joins over D * ud
+    nt, dt = truth.t_star.numerator, truth.t_star.denominator
     noise_unit = params.noise_level * params.eps_edge
-    alphas = []
-    for i, x in enumerate(xs):
-        alpha = truth.planted_alpha(i, x)
-        if noise_unit:
-            alpha += Fraction(rng.randint(-(10**6), 10**6), 10**6) * noise_unit
-        alphas.append(alpha)
+    un, ud = noise_unit.numerator, 10**6 * noise_unit.denominator
+    sites = []
+    for i, (nx, dx) in enumerate(xs):
+        num = a_map.get(i, 0) * truth.carrier * dt * nx + nt * dx * q_star
+        den = q_star * dt * nx
+        if un:
+            num, den = num * ud + rng.randint(-(10**6), 10**6) * un * den, den * ud
+        sites.append(Site((nx, dx), lowest_terms(num, den)))
     p1, p2 = params.split_partition()
     cfg = Configuration(
-        sites=tuple(Site(x, a) for x, a in zip(xs, alphas)),
+        sites=tuple(sites),
         separation=params.separation,
         split_p1=p1,
         split_p2=p2,
@@ -616,17 +622,16 @@ def _edge_decider(params: Params, cfg: Configuration, pool_w: tuple[int, ...]):
     primes not split-oriented, a slack beyond s_edge, no witness prime.
 
     The slack |x_i/p - x_j/q| is d/(p*q*D) with d = |X_i*q - X_j*p| over the
-    positions X = x*D in site-index order, D the lcm of their denominators,
-    and passes when d*s_den <= s_num*p*q*D.
+    configuration's positions X = x*D in site-index order, and passes when
+    d*s_den <= s_num*p*q*D; the row keeps it as that pair in lowest terms.
     """
     sites, p1s, p2s = cfg.sites, cfg.split_p1, cfg.split_p2
-    scale = lcm(*(s.x.denominator for s in sites))
-    xs = [s.x.numerator * (scale // s.x.denominator) for s in sites]
-    indices = range(len(sites))
+    scale, xs = cfg.scale, cfg.positions
+    indices = range(len(xs))
     s_num, s_den = params.s_edge.numerator, params.s_edge.denominator
     eps = params.eps_edge
 
-    def decide(i: int, j: int, p: int, q: int) -> tuple[frozenset[int], Fraction]:
+    def decide(i: int, j: int, p: int, q: int) -> tuple[frozenset[int], tuple[int, int]]:
         if i not in indices or j not in indices:
             fault = "site index out of range"
         elif p not in p1s or q not in p2s:
@@ -636,14 +641,14 @@ def _edge_decider(params: Params, cfg: Configuration, pool_w: tuple[int, ...]):
         elif not (witness := edge_witness(sites[i], sites[j], p, q, pool_w, eps)):
             fault = "no witness prime"
         else:
-            return witness, Fraction(d, pq)
+            return witness, lowest_terms(d, pq)
         raise InstanceError(f"edge ({i},{j},{p},{q}): {fault}")
 
     return decide
 
 
 def _planted_within(truth: GroundTruth, sites, bound: Fraction) -> bool:
-    """Whether every site's alpha is within `bound` of truth.planted_alpha,
+    """Whether every site's alpha is within `bound` of its planted alpha,
     decided on integers: with alpha = na/da, x = nx/dx, t* = nt/dt and
     residue a, alpha - (a*carrier/q* + t*/x) is N/D over the one
     denominator D = da*q**dt*nx (nx > 0), so the test is |N| * b_den <=
@@ -652,8 +657,7 @@ def _planted_within(truth: GroundTruth, sites, bound: Fraction) -> bool:
     nt, dt = truth.t_star.numerator, truth.t_star.denominator
     b_num, b_den = bound.numerator, bound.denominator
     for i, site in enumerate(sites):
-        na, da = site.alpha.numerator, site.alpha.denominator
-        nx, dx = site.x.numerator, site.x.denominator
+        (na, da), (nx, dx) = site.alpha_pair, site.x_pair
         a = truth.a_map.get(i, 0)
         dev = (na * q - a * carrier * da) * dt * nx - nt * dx * da * q
         if abs(dev) * b_den > b_num * da * q * dt * nx:
@@ -670,8 +674,8 @@ def audit_instance(inst: Instance) -> AuditReport:
     def check(name: str, ok: bool, detail: str = "") -> None:
         checks.append(AuditCheck(name, ok, detail))
 
-    scale, xs = scaled_positions(s.x for s in cfg.sites)
-    check("separation", close_pair(scale, xs, params.separation) is None)
+    scale, xs = cfg.scale, cfg.positions
+    check("separation", close_pair(scale, sorted(xs), params.separation) is None)
     lo, hi = params.site_lo, params.site_hi
     check(
         "sites_in_interval",
@@ -693,8 +697,8 @@ def audit_instance(inst: Instance) -> AuditReport:
         except InstanceError as exc:
             bad_edge = str(exc)
             break
-        if slack != e.slack or witness != e.witness:
-            what = "stored slack is not exact" if slack != e.slack else "witness mismatch"
+        if slack != e.slack_pair or witness != e.witness:
+            what = "stored slack is not exact" if slack != e.slack_pair else "witness mismatch"
             bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}): {what}"
             break
     check("edges", not bad_edge, bad_edge)
@@ -724,42 +728,48 @@ def _instance_doc(inst: Instance) -> dict:
         "params": inst.params.to_json(),
         "truth": inst.truth.to_json() if inst.truth else None,
         "sites": [
-            {"x": frac_to_str(s.x), "alpha": frac_to_str(s.alpha)}
+            {"x": pair_to_str(s.x_pair), "alpha": pair_to_str(s.alpha_pair)}
             for s in inst.cfg.sites
         ],
         "edges": [[e.i, e.j, e.p, e.q] for e in inst.edges],
     }
 
 
-def _fraction(text: str) -> Fraction:
-    """The value of a file's "num/den", which must be written as `frac_to_str`
-    writes it: the integers print back to the text, and the Fraction keeps
-    the denominator, so it was positive and in lowest terms."""
+def _pair(text: str) -> tuple[int, int]:
+    """The pair of a file's "num/den" as `pair_to_str` writes it: the
+    integers print back to the text, den > 0 and gcd(num, den) = 1."""
     num, den = text.split("/")
     n, d = int(num), int(den)
-    x = Fraction(n, d)
-    if f"{n}/{d}" != text or x.denominator != d:
+    if str(n) != num or str(d) != den or d <= 0 or gcd(n, d) != 1:
         raise InstanceError(f"{text!r} is not a canonical num/den in lowest terms")
-    return x
+    return n, d
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key that `json.loads` sees twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _v in pairs]
+        raise InstanceError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 def instance_from_json(text: str) -> Instance:
-    """Read an instance in the one form `instance_to_json` writes: after
-    `json.loads`, each site rational is parsed once (`_fraction`) and each
-    Site, Edge and Configuration is built once by its constructor; params
-    and truth are decided by writing them back.  The split, the truth's
-    carrier and every edge's slack and witness set are derived, as
-    `gen_instance` decides them.  InstanceError names what no generated
-    instance holds: not JSON, another schema, a missing key, a top-level or
-    site key it does not write, a wrong type (a bool or float for an
-    integer too), a rational not written as `frac_to_str` writes it, sites
-    not ascending in x or closer than the separation, an a_map key not a
-    site index in decimal, edges not ascending, or an edge that is not four
-    integers [i, j, p, q] or that `_edge_decider` refuses: a site index out
-    of range, primes not split-oriented, a slack beyond s_edge or no
-    witness prime."""
+    """Read an instance in the one form `instance_to_json` writes, up to
+    whitespace and key order (the document is canonical: no key twice).
+    Each site rational is parsed once into a pair (`_pair`), each Site, Edge
+    and Configuration is built once, and params and truth are decided by
+    writing them back; the split, the carrier and every edge's slack and
+    witness set are derived as `gen_instance` decides them.  InstanceError
+    names what no generated instance holds: not JSON, a duplicate key,
+    another schema, a missing key, a top-level or site key it does not
+    write, a wrong type (a bool or float for an integer too), a rational
+    not written as `frac_to_str` writes it (a zero or negative denominator
+    too), sites not ascending in x or closer than the separation, an a_map
+    key not a site index in decimal, edges not ascending, or an edge that
+    is not four integers [i, j, p, q] or that `_edge_decider` refuses."""
     try:
-        return _instance_from_doc(json.loads(text))
+        return _instance_from_doc(json.loads(text, object_pairs_hook=_unique_keys))
     except InstanceError:
         raise
     except MALFORMED as exc:
@@ -778,20 +788,21 @@ def _instance_from_doc(doc: dict) -> Instance:
     # decided by writing them back: "+5/1", "2/4" or an a_map key "01" differ
     if params.to_json() != doc["params"] or truth and truth.to_json() != doc["truth"]:
         raise InstanceError("params or truth not in the form instance_to_json writes")
-    sites = tuple(
-        Site(_fraction(s["x"]), _fraction(s["alpha"])) for s in doc["sites"]
-    )
+    sites = []
     for n, s in enumerate(doc["sites"]):
+        sites.append(Site(_pair(s["x"]), _pair(s["alpha"])))
         # both keys were read, so any third is one the writer never writes
         if len(s) != 2:
             extra = sorted(s.keys() - {"x", "alpha"})
             raise InstanceError(f"site {n} has unknown keys {extra}")
-        # ascending, so site index order is x order (census rows rely on it)
-        if n and sites[n - 1].x >= sites[n].x:
+        # ascending, so site index order is x order (census rows rely on it);
+        # the denominators are positive, so cross-multiplying decides it
+        (n1, d1), (n2, d2) = sites[n - 1].x_pair if n else (0, 1), sites[n].x_pair
+        if n1 * d2 >= n2 * d1:
             raise InstanceError(f"sites do not ascend in x at site {n}")
     split = params.split_partition()
     cfg = Configuration(
-        sites=sites,
+        sites=tuple(sites),
         separation=params.separation,
         split_p1=split[0],
         split_p2=split[1],
@@ -801,7 +812,7 @@ def _instance_from_doc(doc: dict) -> Instance:
     decide = _edge_decider(params, cfg, pool_w)
     rows, edges = doc["edges"], []
     for n, row in enumerate(rows):
-        if type(row) is not list or len(row) != 4 or any(type(v) is not int for v in row):
+        if type(row) is not list or [*map(type, row)] != [int] * 4:
             raise InstanceError(f"edge {n} is not four integers [i, j, p, q]")
         if n and rows[n - 1] >= row:
             raise InstanceError(f"edges do not ascend at edge {n}")

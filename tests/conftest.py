@@ -70,6 +70,23 @@ SMALL_PRIMES = primes_in_range(2, 97)
 MODULUS_PRIMES = primes_in_range(2, 50)
 
 
+def pair(x) -> tuple[int, int]:
+    """The rational x as the pair (num, den) in lowest terms, den > 0, that
+    a Site or an Edge holds."""
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def site(x, alpha) -> Site:
+    """A Site at the rationals x and alpha."""
+    return Site(pair(x), pair(alpha))
+
+
+def edge(i: int, j: int, p: int, q: int, witness, slack) -> Edge:
+    """An Edge with the witness primes of any iterable and a rational slack."""
+    return Edge(i, j, p, q, frozenset(witness), pair(slack))
+
+
 def rand_fraction(rng: random.Random, max_num: int = 10**6) -> Fraction:
     return Fraction(rng.randint(0, max_num), rng.randint(1, max_num))
 
@@ -345,11 +362,18 @@ def ref_edge_witness(
     return frozenset(w for w in witness_pool if norm_mod(rel, w) < eps_edge)
 
 
+def planted_alpha(truth, site_index: int, x: Fraction) -> Fraction:
+    """The planted frequency of the site at index `site_index` and position
+    x, a*carrier/q* + t*/x, in Fraction arithmetic."""
+    a = truth.a_map.get(site_index, 0)
+    return Fraction(a * truth.carrier, truth.q_star) + truth.t_star / x
+
+
 def ref_planted_consistency(inst) -> bool:
     """The audit's planted_consistency in Fraction arithmetic: every site's
-    alpha lies within noise_level * eps_edge of truth.planted_alpha."""
+    alpha lies within noise_level * eps_edge of its planted alpha."""
     bound = inst.params.noise_level * inst.params.eps_edge
-    return all(abs(s.alpha - inst.truth.planted_alpha(i, s.x)) <= bound
+    return all(abs(s.alpha - planted_alpha(inst.truth, i, s.x)) <= bound
                for i, s in enumerate(inst.cfg.sites))
 
 
@@ -637,7 +661,7 @@ def walk_path(sites, p_primes, q_primes, witnesses, first: int = 0) -> Path:
     witness set witnesses[t] and its exact slack |x_t/p_t - x_{t+1}/q_t|."""
     sites = tuple(sites)
     edges = tuple(
-        Edge(first + t, first + t + 1, p, q, w,
+        edge(first + t, first + t + 1, p, q, w,
              abs(sites[t].x / p - sites[t + 1].x / q))
         for t, (p, q, w) in enumerate(zip(p_primes, q_primes, witnesses))
     )
@@ -647,7 +671,7 @@ def walk_path(sites, p_primes, q_primes, witnesses, first: int = 0) -> Path:
 def path_over(pp: PrePath) -> Path:
     """A path with the pre-path's primes whose sites carry its top anchors."""
     return walk_path(
-        (Site(i + 1, a.value) for i, a in enumerate(pp.top_anchors)),
+        (site(i + 1, a.value) for i, a in enumerate(pp.top_anchors)),
         pp.p_primes,
         pp.q_primes,
         (frozenset({2}),) * pp.k,

@@ -19,16 +19,16 @@ from math import factorial
 from conftest import (
     all_passed,
     brute_min_degree_subset,
+    edge,
     planted_prepath,
     rand_coprime_primes,
     rand_fraction,
     rand_modulus,
     rand_signed,
+    site,
 )
 from freqpath.pathgraph import (
     Configuration,
-    Edge,
-    Site,
     anchor_bound_certificate,
     collision_census,
     count_close_products,
@@ -136,7 +136,7 @@ def test_criterion_04_peeling_matches_brute_force():
     t0 = time.time()
     for _ in range(200):
         n = rng.randint(3, 12)
-        sites = tuple(Site(F(1000 + 200 * i), F(0)) for i in range(n))
+        sites = tuple(site(F(1000 + 200 * i), F(0)) for i in range(n))
         cfg = Configuration(
             sites=sites, separation=F(100),
             split_p1=frozenset({11}), split_p2=frozenset({13}),
@@ -146,7 +146,7 @@ def test_criterion_04_peeling_matches_brute_force():
             if rng.random() < rng.choice([0.2, 0.4, 0.7])
         ]
         edges = [
-            Edge(i, j, 11, 13, frozenset({5}),
+            edge(i, j, 11, 13, frozenset({5}),
                  abs(cfg.sites[i].x / 11 - cfg.sites[j].x / 13))
             for i, j in pairs
         ]

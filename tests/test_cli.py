@@ -432,13 +432,16 @@ def _shift_alpha_off_witness(doc: dict) -> None:
         (_lower_s_edge_below_max_slack, "exceeds s_edge"),
         (_shift_alpha_off_witness, "no witness prime"),
         (lambda d: d["sites"][0].update(x="12.5"), "malformed instance file"),
+        (lambda d: d["sites"][0].update(x="1/0"), "not a canonical num/den"),
+        (lambda d: d["sites"][0].update(x="1/-3"), "not a canonical num/den"),
         (lambda d: d["params"].update(eps_edge="1/2.0"), "malformed instance file"),
         (lambda d: d.update(schema=1), "unsupported schema 1"),
         (lambda d: d.update(schema=2), "unsupported schema 2"),
         (lambda d: d["params"].update(k_max=4), "malformed instance file"),
     ],
     ids=["site_index_out_of_range", "not_split_oriented", "slack_beyond_s_edge",
-         "slack_beyond_s_edge_by_1e-9", "witness_empty", "site_x_not_num_den", "eps_edge_not_num_den",
+         "slack_beyond_s_edge_by_1e-9", "witness_empty", "site_x_not_num_den",
+         "site_x_zero_denominator", "site_x_negative_denominator", "eps_edge_not_num_den",
          "schema_1", "schema_2", "params_removed_key"],
 )
 def test_malformed_instance_is_refused(tmp_path, recorded_k3, command, corrupt, reason):
@@ -504,22 +507,25 @@ def _scale_terms(text: str) -> str:
          "the form instance_to_json writes"),
         (lambda d: d.update(note="x"), "unknown top-level keys ['note']"),
         (lambda d: d["sites"][1].update(note="x"), "site 1 has unknown keys ['note']"),
+        # json.loads alone would keep the last "schema", so this file loaded
+        (lambda d: '{"schema": 2, ' + json.dumps(d)[1:], "duplicate key 'schema'"),
     ],
     ids=["rational_leading_plus", "rational_spaces", "rational_not_lowest_terms",
          "seed_bool", "web_chains_bool", "q_star_float", "a_map_value_bool",
          "sites_not_ascending", "edges_listed_twice", "edges_not_ascending",
          "edge_repeated", "edge_as_dict", "a_map_key_negative",
          "a_map_key_beyond_sites", "a_map_key_with_space", "top_level_unknown_key",
-         "site_unknown_key"],
+         "site_unknown_key", "key_written_twice"],
 )
 def test_non_canonical_instance_is_refused(tmp_path, recorded_k3, corrupt, reason):
     # each of these files holds the values of a generated instance, written
     # in a form instance_to_json never writes
+    # (a corruption that returns text writes it as the file)
     inst, _recovery = recorded_k3
     doc = json.loads(inst.read_text())
-    corrupt(doc)
+    text = corrupt(doc)
     bad = tmp_path / "instance.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(text or json.dumps(doc))
     out = tmp_path / "out"
     assert main(["audit", "--out", str(out), "--instance", str(bad)]) == 2
     err = json.loads((out / "audit_error.json").read_text())["error"]

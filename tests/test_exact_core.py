@@ -22,6 +22,7 @@ from conftest import (
     MODULUS_PRIMES,
     SMALL_PRIMES,
     brute_closest_lift_pair,
+    edge,
     path_over,
     planted_prepath,
     qside_bound,
@@ -32,15 +33,14 @@ from conftest import (
     ref_ratio_drift,
     ref_reduce_mod,
     ref_top_anchor,
+    site,
     step_eps,
     step_eps_prime,
     top_anchor_actuals,
     walk_path,
 )
 from freqpath.pathgraph import (
-    Edge,
     Path,
-    Site,
     anchor_bound_certificate,
     path_prepath,
     ratio_drift_certificate,
@@ -257,10 +257,10 @@ def drift_paths(draw):
     factor = st.one_of(st.just(F(1)), st.builds(F, st.integers(0, 2000), st.just(1000)))
     factors = draw(st.lists(factor, min_size=k, max_size=k))
     edges = tuple(
-        Edge(t, t + 1, p, q, frozenset({2}), abs(xs[t] / p - xs[t + 1] / q) * c)
+        edge(t, t + 1, p, q, frozenset({2}), abs(xs[t] / p - xs[t + 1] / q) * c)
         for t, (p, q, c) in enumerate(zip(primes[:k], primes[k:], factors))
     )
-    return Path(tuple(Site(x, 0) for x in xs), edges)
+    return Path(tuple(site(x, 0) for x in xs), edges)
 
 
 class TestCertificates:
@@ -325,11 +325,11 @@ def chain_paths(draw, k: int):
     alpha = draw(st.builds(F, st.integers(0, 10**6), st.integers(1, 10**6)))
     x = F(draw(st.integers(10**3, 10**9)))
     share = st.builds(F, st.integers(-999, 999), st.just(1000))
-    sites = [Site(x, alpha)]
+    sites = [site(x, alpha)]
     for p, q in zip(ps, qs):
         alpha = (p * alpha + eps * draw(share)) / q
         x = x * q / p * (1 + draw(share) / 100)
-        sites.append(Site(x, alpha))
+        sites.append(site(x, alpha))
     return walk_path(sites, ps, qs, (frozenset({2}),) * k), eps, m
 
 

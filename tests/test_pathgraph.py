@@ -18,6 +18,7 @@ from conftest import (
     MODULUS_PRIMES,
     SMALL_PRIMES,
     brute_min_degree_subset,
+    edge,
     path_over,
     planted_prepath,
     ratio_product,
@@ -25,17 +26,16 @@ from conftest import (
     ref_enumerate_split_paths,
     ref_separation_error,
     ref_validate_path_modulus,
+    site,
     top_anchor_actuals,
     walk_path,
 )
 from freqpath.pathgraph import (
     Configuration,
-    Edge,
     EndpointMismatch,
     Path,
     PathError,
     PrimeCollision,
-    Site,
     SplitWalks,
     anchor_bound_certificate,
     build_path,
@@ -98,7 +98,7 @@ def generator_paths(seeds=range(3), k_max: int = 8, cap: int = 200) -> list[Path
 
 def simple_path(xs, ps, qs, witness=frozenset({5, 7}), first: int = 0) -> Path:
     return walk_path(
-        (Site(F(x), F(0)) for x in xs), ps, qs, (witness,) * len(ps), first
+        (site(F(x), F(0)) for x in xs), ps, qs, (witness,) * len(ps), first
     )
 
 
@@ -202,9 +202,9 @@ class TestAnchorCertificates:
         # in particular integers
         a0 = F(1, 997)
         s = [
-            Site(F(10**6), a0),
-            Site(F(10**6) * F(157, 101), a0 * F(101, 157)),
-            Site(F(10**6) * F(157 * 163, 101 * 103), a0 * F(101 * 103, 157 * 163)),
+            site(F(10**6), a0),
+            site(F(10**6) * F(157, 101), a0 * F(101, 157)),
+            site(F(10**6) * F(157 * 163, 101 * 103), a0 * F(101 * 103, 157 * 163)),
         ]
         ell = walk_path(s, (101, 103), (157, 163), (frozenset({5}), frozenset({7})))
         assert ell.modulus.q == 1 and ell.modulus.factors == ()
@@ -352,7 +352,7 @@ class TestStepRelations:
         # ||101*0 - 157/(8*157)||_w is exactly 1/8 for w = 5 and w = 7; the
         # pre-path hypotheses are strict, so a path over an edge witnessed
         # there would be refused
-        a, b = Site(F(1000), F(0)), Site(F(1555), F(1, 8 * 157))
+        a, b = site(F(1000), F(0)), site(F(1555), F(1, 8 * 157))
         eps = F(1, 8)
         with pytest.raises(HypothesisViolation):
             path_prepath(walk_path((a, b), (101,), (157,), ({5, 7},)), eps)
@@ -366,7 +366,7 @@ class TestStepRelations:
     def test_composite_primes_are_refused(self, p, q):
         # a Path checks only that its primes are distinct, so a hand-built
         # walk over composite labels reaches path_prepath, which refuses it
-        a, b = Site(F(1000), F(0)), Site(F(1555), F(0))
+        a, b = site(F(1000), F(0)), site(F(1555), F(0))
         ell = walk_path((a, b), (p,), (q,), ({7},))
         with pytest.raises(PrePathError, match="is not prime"):
             path_prepath(ell, F(1, 8))
@@ -390,8 +390,8 @@ class TestStepRelations:
     def test_witness_boundaries(self, rel, want):
         # ||p*alpha_a - q*alpha_b||_w for the relation rel, eps = 1/8:
         # r = 0, negative N, and norms exactly at eps
-        a = Site(F(1000), F(3, 7))
-        b = Site(F(1555), (101 * a.alpha - rel) / 157)
+        a = site(F(1000), F(3, 7))
+        b = site(F(1555), (101 * a.alpha - rel) / 157)
         eps = F(1, 8)
         assert edge_witness(a, b, 101, 157, (5, 7), eps) == want
         assert ref_edge_witness(a, b, 101, 157, (5, 7), eps) == want
@@ -411,8 +411,8 @@ class TestStepRelations:
             st.fractions(-2, 2, max_denominator=64)))
         unit = data.draw(st.sampled_from(pool + [prod(pool)]))
         rel = ratio * eps + unit * data.draw(st.integers(-5, 5))
-        a = Site(F(1000), data.draw(st.fractions(-3, 3, max_denominator=1000)))
-        b = Site(F(1555), (p * a.alpha - rel) / q)
+        a = site(F(1000), data.draw(st.fractions(-3, 3, max_denominator=1000)))
+        b = site(F(1555), (p * a.alpha - rel) / q)
         assert edge_witness(a, b, p, q, tuple(pool), eps) == ref_edge_witness(
             a, b, p, q, tuple(pool), eps)
 
@@ -432,7 +432,7 @@ class TestStepRelations:
     )
     def test_step_relation_at_whole_modulus(self, rel, want):
         modulus, eps = Modulus(35, (5, 7)), F(1, 8)
-        ell = walk_path((Site(1, F(0)), Site(2, -rel / 23)), (11,), (23,), ({5, 7},))
+        ell = walk_path((site(1, F(0)), site(2, -rel / 23)), (11,), (23,), ({5, 7},))
         for check in (validate_path_modulus, ref_validate_path_modulus):
             assert self.verdict(check, ell, modulus, eps) == want
 
@@ -466,14 +466,14 @@ class TestStepRelations:
                 unit = modulus.q
             rel = ratio * eps + unit * data.draw(st.integers(0, modulus.q))
             alphas.append((ps[t] * alphas[t] - rel) / qs[t])
-        ell = walk_path((Site(i + 1, a) for i, a in enumerate(alphas)),
+        ell = walk_path((site(i + 1, a) for i, a in enumerate(alphas)),
                         ps, qs, (frozenset(factors),) * k)
         assert self.verdict(validate_path_modulus, ell, modulus, eps) == self.verdict(
             ref_validate_path_modulus, ell, modulus, eps)
 
 
 def line_config(n: int = 3):
-    sites = tuple(Site(F(1000 + 200 * i), F(0)) for i in range(n))
+    sites = tuple(site(F(1000 + 200 * i), F(0)) for i in range(n))
     return Configuration(
         sites=sites,
         separation=F(100),
@@ -483,7 +483,7 @@ def line_config(n: int = 3):
 
 
 def make_edge(cfg, i, j, p, q, witness=frozenset({5})):
-    return Edge(i, j, p, q, witness, abs(cfg.sites[i].x / p - cfg.sites[j].x / q))
+    return edge(i, j, p, q, witness, abs(cfg.sites[i].x / p - cfg.sites[j].x / q))
 
 
 class TestEnumeration:
@@ -599,7 +599,7 @@ class TestSeparation:
     def verdict(xs, separation):
         """None when the configuration is accepted, else its error text."""
         try:
-            Configuration(tuple(Site(x, F(0)) for x in xs), separation,
+            Configuration(tuple(site(x, F(0)) for x in xs), separation,
                           frozenset({11}), frozenset({13}))
         except PathError as exc:
             return str(exc)
@@ -627,7 +627,7 @@ class TestSeparation:
 
 class TestPeeling:
     def make_cfg(self, n):
-        sites = tuple(Site(F(1000 + 200 * i), F(0)) for i in range(n))
+        sites = tuple(site(F(1000 + 200 * i), F(0)) for i in range(n))
         return Configuration(
             sites=sites,
             separation=F(100),
@@ -724,10 +724,10 @@ class TestCollisionCensus:
         """Two same-endpoint routes using the same four primes in both orders."""
         base = F(10**6)
         sites = {
-            "b": Site(base, F(0)),
-            "z1": Site(base * F(17, 11), F(0)),
-            "z2": Site(base * F(19, 13), F(0)),
-            "y": Site(base * F(17 * 19, 11 * 13), F(0)),
+            "b": site(base, F(0)),
+            "z1": site(base * F(17, 11), F(0)),
+            "z2": site(base * F(19, 13), F(0)),
+            "y": site(base * F(17 * 19, 11 * 13), F(0)),
         }
         mk = lambda s1, s2, p, q: (sites[s1], sites[s2], p, q)
 
@@ -760,7 +760,7 @@ class TestCollisionCensus:
         # ratio must sit at least (2P)^(-2k) away from 1
         base = F(2000)
         y = base * F(13, 11)
-        s0, s1 = Site(base, F(0)), Site(y, F(0))
+        s0, s1 = site(base, F(0)), site(y, F(0))
         mk_path = lambda p, q: walk_path((s0, s1), (p,), (q,), (frozenset({5}),))
         r1, r2 = mk_path(11, 13), mk_path(23, 29)
         num = prod(r1.q_primes) * prod(r2.p_primes)

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from freqpath.pathgraph import Configuration, Edge, Site
+from conftest import edge, site
+from freqpath.pathgraph import Configuration
 from freqpath.primes import floor_nth_root
 from freqpath.recover import (
     EmptyGraphError,
@@ -63,7 +64,7 @@ def hand_instance(t_star=F(0), q_star=1, drop_edges=()):
     z2 = hub_x * F(167, 131)
     sites_x = [hub_x, z1, z2, y]
     alphas = [truth.t_star / x for x in sites_x]
-    sites = tuple(Site(x, a) for x, a in zip(sites_x, alphas))
+    sites = tuple(site(x, a) for x, a in zip(sites_x, alphas))
     cfg = Configuration(
         sites=sites,
         separation=params.separation,
@@ -78,7 +79,7 @@ def hand_instance(t_star=F(0), q_star=1, drop_edges=()):
             w for w in (5, 7) if norm_mod(rel, w) <= params.eps_edge
         )
         assert slack <= params.s_edge, f"fixture edge ({i},{j}) physically invalid"
-        return Edge(i, j, p, q, witness, slack)
+        return edge(i, j, p, q, witness, slack)
 
     edges = [
         mk(0, 1, r1[0], r1[1]),
@@ -135,7 +136,7 @@ class TestSelectHub:
         # members survive peeling, so the hub must be a core site
         params = fixture_params(site_count=4)
         xs = [F(2 * 10**6), F(2 * 10**6) * F(179, 127), F(25 * 10**5), F(4 * 10**6)]
-        xs_sites = tuple(Site(x, F(0)) for x in sorted(xs))
+        xs_sites = tuple(site(x, F(0)) for x in sorted(xs))
         cfg = Configuration(
             sites=xs_sites,
             separation=params.separation,
@@ -144,7 +145,7 @@ class TestSelectHub:
         )
 
         def mk(i, j, p, q):
-            return Edge(
+            return edge(
                 i, j, p, q, frozenset({5, 7}),
                 abs(cfg.sites[i].x / p - cfg.sites[j].x / q),
             )
@@ -176,7 +177,7 @@ class TestFindDisjointPairs:
         inst = hand_instance()
         cfg = inst.cfg
         e = inst.edges[3]
-        collided = Edge(
+        collided = edge(
             e.i, e.j, 149, e.q, e.witness,
             abs(cfg.sites[e.i].x / 149 - cfg.sites[e.j].x / e.q),
         )

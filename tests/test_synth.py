@@ -12,6 +12,7 @@ import sys
 import textwrap
 from fractions import Fraction as F
 from functools import cache
+from math import gcd
 
 import pytest
 from hypothesis import assume, given
@@ -20,12 +21,16 @@ from hypothesis import strategies as st
 from conftest import (
     brute_physical_candidates,
     brute_route_pair_candidates,
+    edge,
+    pair,
+    planted_alpha,
     ref_place_sites,
     ref_planted_consistency,
     ref_slacks_within,
+    site,
 )
 import freqpath
-from freqpath.pathgraph import Configuration, Edge, Site
+from freqpath.pathgraph import Configuration
 from freqpath.synth import (
     InfeasibleParamsError,
     Instance,
@@ -284,6 +289,46 @@ class TestInstanceJson:
         text = valid_instance_text()
         assert instance_to_json(instance_from_json(text)) == text
 
+    @given(
+        seed=st.integers(0, 10**6),
+        sites=st.integers(20, 80),
+        kind=st.sampled_from(["archimedean", "q*=6", "noisy"]),
+    )
+    def test_values_are_pairs_in_lowest_terms(self, seed, sites, kind):
+        # generated and loaded alike: each site and edge holds its rationals
+        # as (num, den) in lowest terms, den > 0, and reads them as Fractions
+        inst = small_instance(seed, sites, kind)
+        for got in (inst, instance_from_json(instance_to_json(inst))):
+            held = [(s.x, s.x_pair) for s in got.cfg.sites]
+            held += [(s.alpha, s.alpha_pair) for s in got.cfg.sites]
+            held += [(e.slack, e.slack_pair) for e in got.edges]
+            for value, (num, den) in held:
+                assert den > 0 and gcd(num, den) == 1
+                assert type(value) is F and value == F(num, den)
+
+    def test_load_builds_no_fraction_per_site_or_edge(self, monkeypatch):
+        # only params and truth build Fractions, so a 1200-site file costs
+        # as many as a 300-site one
+        texts = [
+            instance_to_json(gen_instance(
+                web_params(site_count=n, seed=0, web_pair_targets=6), t_star=F(10**5)))
+            for n in (300, 1200)
+        ]
+        built = []
+        new = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counting))
+        counts = []
+        for text in texts:
+            built.clear()
+            instance_from_json(text)
+            counts.append(len(built))
+        assert 0 < counts[0] == counts[1]
+
 
 class TestGeneratedInstances:
     def test_archimedean_edge_consistency_inequality(self):
@@ -327,14 +372,14 @@ class TestGeneratedInstances:
     def test_planted_reconstruction(self):
         inst = gen_instance(web_params(), mode="rational", t_star=F(10**5), q_star=6)
         for i, site in enumerate(inst.cfg.sites):
-            assert site.alpha == inst.truth.planted_alpha(i, site.x)
+            assert site.alpha == planted_alpha(inst.truth, i, site.x)
 
     def test_noise_bounded(self):
         params = web_params(noise_level=F(1, 10))
         inst = gen_instance(params, t_star=F(10**5))
         bound = params.noise_level * params.eps_edge
         for i, site in enumerate(inst.cfg.sites):
-            assert abs(site.alpha - inst.truth.planted_alpha(i, site.x)) <= bound
+            assert abs(site.alpha - planted_alpha(inst.truth, i, site.x)) <= bound
 
     def test_coprimality_enforced(self):
         with pytest.raises(ParamsError, match="shares a factor"):
@@ -359,7 +404,7 @@ class TestAudit:
         inst = gen_instance(small_params(site_count=200), t_star=F(10**5))
         e = inst.edges[0]
         for delta in (F(1), F(1, 10**9)):
-            bad = Edge(e.i, e.j, e.p, e.q, e.witness, e.slack + delta)
+            bad = edge(e.i, e.j, e.p, e.q, e.witness, e.slack + delta)
             tampered = Instance(
                 inst.cfg, (bad,) + inst.edges[1:], inst.truth, inst.params
             )
@@ -393,10 +438,10 @@ class TestAudit:
         tiny = F(1, 10**15)
         sites = list(inst.cfg.sites)
         for i in (0, len(sites) - 1):
-            ideal = inst.truth.planted_alpha(i, sites[i].x)
+            ideal = planted_alpha(inst.truth, i, sites[i].x)
             for delta, ok in ((bound, True), (-bound, True),
                               (bound + tiny, False), (-bound - tiny, False)):
-                moved = sites[:i] + [Site(sites[i].x, ideal + delta)] + sites[i + 1:]
+                moved = sites[:i] + [site(sites[i].x, ideal + delta)] + sites[i + 1:]
                 cfg = Configuration(tuple(moved), inst.cfg.separation,
                                     inst.cfg.split_p1, inst.cfg.split_p2)
                 tampered = Instance(cfg, inst.edges, inst.truth, params)
@@ -407,7 +452,7 @@ class TestAudit:
     def test_corrupted_witness_fails(self):
         inst = gen_instance(small_params(site_count=200), t_star=F(10**5))
         e = inst.edges[0]
-        bad = Edge(e.i, e.j, e.p, e.q, frozenset({5}), e.slack)
+        bad = edge(e.i, e.j, e.p, e.q, frozenset({5}), e.slack)
         tampered = Instance(inst.cfg, (bad,) + inst.edges[1:], inst.truth, inst.params)
         assert not audit_instance(tampered).passed
 
@@ -457,7 +502,16 @@ class TestRoutePairSearch:
 def e2e_sites(seed: int, q_star: int, sites: int = 300):
     """The ascending sites gen_instance places for an e2e-scale seed."""
     params = web_params(site_count=sites, seed=seed, web_pair_targets=6)
-    return params, _place_sites(params, random.Random(seed), q_star)
+    return params, [F(*x) for x in _place_sites(params, random.Random(seed), q_star)]
+
+
+def physical_candidates(params: Params, xs: list[F]) -> tuple[list, list]:
+    """`_physical_candidates` of the ascending sites xs, and the Fraction
+    oracle's candidates with each slack written as a pair in lowest terms."""
+    got = _physical_candidates(params, [pair(x) for x in xs])
+    want = [(i, j, p, q, pair(slack))
+            for i, j, p, q, slack in brute_physical_candidates(params, xs)]
+    return got, want
 
 
 class TestPhysicalCandidates:
@@ -467,15 +521,15 @@ class TestPhysicalCandidates:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("q_star", [1, 6])
     def test_e2e_sites(self, seed, q_star):
-        params, xs = e2e_sites(seed, q_star)
-        want = brute_physical_candidates(params, xs)
+        got, want = physical_candidates(*e2e_sites(seed, q_star))
         assert len(want) > 300
-        assert _physical_candidates(params, xs) == want
+        assert got == want
 
     def test_1200_sites(self):
         params, xs = e2e_sites(2, 1, sites=1200)
         assert len(xs) >= 1200
-        assert _physical_candidates(params, xs) == brute_physical_candidates(params, xs)
+        got, want = physical_candidates(params, xs)
+        assert got == want
 
     def test_chain_instance_sites(self):
         params = Params(
@@ -483,53 +537,50 @@ class TestPhysicalCandidates:
             eps_edge=F(1, 8), s_edge=F(8), site_count=120, seed=0,
             placement="web", web_chains=6, web_chain_len=8,
         )
-        xs = _place_sites(params, random.Random(0), 1)
-        want = brute_physical_candidates(params, xs)
+        xs = [F(*x) for x in _place_sites(params, random.Random(0), 1)]
+        got, want = physical_candidates(params, xs)
         assert want
-        assert _physical_candidates(params, xs) == want
+        assert got == want
 
     # hand-built sites on the [20, 40] pool, split (23, 29) | (31, 37)
 
     def test_exact_tie_goes_to_the_smaller_site(self):
         # x_0 * 31/23 = 3100/7 lies exactly between 3099/7 and 3101/7
         xs = [F(2300, 7), F(3099, 7), F(3101, 7), F(5000, 3)]
-        params = small_params(s_edge=F(5))
-        got = _physical_candidates(params, xs)
-        assert got == brute_physical_candidates(params, xs)
-        assert (0, 1, 23, 31, F(1, 31 * 7)) in got
+        got, want = physical_candidates(small_params(s_edge=F(5)), xs)
+        assert got == want
+        assert (0, 1, 23, 31, (1, 31 * 7)) in got
         assert not any(c[:4] == (0, 2, 23, 31) for c in got)
 
     def test_fractional_target_takes_the_site_above(self):
         # x_0 * 31/23 = 1581/23 lies strictly between the sites 68 and 69,
         # and 69 is the nearer one
         xs = [F(51), F(68), F(69)]
-        params = small_params(s_edge=F(5))
-        got = _physical_candidates(params, xs)
-        assert got == brute_physical_candidates(params, xs)
-        assert (0, 2, 23, 31, F(6, 23 * 31)) in got
+        got, want = physical_candidates(small_params(s_edge=F(5)), xs)
+        assert got == want
+        assert (0, 2, 23, 31, (6, 23 * 31)) in got
 
     def test_slack_equal_to_threshold_is_kept(self):
         # x_0/23 = 100 and x_1/31 = 209/2, so the slack is exactly 9/2
         xs = [F(2300), F(6479, 2)]
         at = small_params(s_edge=F(9, 2))
         below = small_params(s_edge=F(9, 2) - F(1, 10**9))
-        assert (0, 1, 23, 31, F(9, 2)) in _physical_candidates(at, xs)
-        assert (0, 1, 23, 31, F(9, 2)) not in _physical_candidates(below, xs)
+        assert (0, 1, 23, 31, (9, 2)) in physical_candidates(at, xs)[0]
+        assert (0, 1, 23, 31, (9, 2)) not in physical_candidates(below, xs)[0]
         for params in (at, below):
-            assert _physical_candidates(params, xs) == brute_physical_candidates(
-                params, xs
-            )
+            got, want = physical_candidates(params, xs)
+            assert got == want
 
     def test_site_itself_is_skipped(self):
         # x_0 * 31/23 = 62: x_0 itself (distance 16) is nearer than x_1
         # (distance 17), but an edge needs two sites, so x_1 is taken
         xs = [F(46), F(79)]
         params = small_params(s_edge=F(5))
-        got = _physical_candidates(params, xs)
-        assert got == brute_physical_candidates(params, xs)
-        assert (0, 1, 23, 31, F(17, 31)) in got
+        got, want = physical_candidates(params, xs)
+        assert got == want
+        assert (0, 1, 23, 31, (17, 31)) in got
         assert all(i != j for i, j, *_ in got)
-        assert _physical_candidates(params, [F(46)]) == []
+        assert physical_candidates(params, [F(46)]) == ([], [])
 
 
 def chain_params(seed: int) -> Params:
@@ -546,10 +597,11 @@ class TestPlacement:
     drawing the same random numbers."""
 
     @staticmethod
-    def both(params: Params, q_star: int) -> tuple[list[F], list[F]]:
+    def both(params: Params, q_star: int) -> tuple[list, list]:
+        """The placed sites as pairs, and the oracle's written as pairs."""
         rng, ref_rng = random.Random(params.seed), random.Random(params.seed)
         got = _place_sites(params, rng, q_star)
-        want = ref_place_sites(params, ref_rng, q_star)
+        want = [pair(x) for x in ref_place_sites(params, ref_rng, q_star)]
         assert rng.getstate() == ref_rng.getstate()
         return got, want
 
@@ -584,7 +636,7 @@ class TestPlacement:
         s_edge = abs(hub * F(qc * qd, pc * pd) - y) / qd
         got, want = self.both(dataclasses.replace(base, s_edge=s_edge), 1)
         assert got == want
-        assert y in got
+        assert pair(y) in got
 
     def test_infeasible_is_refused_alike(self):
         # 191 grid slots and 191 sites: the planted web sites lie off the
