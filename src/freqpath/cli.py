@@ -26,10 +26,10 @@ from .pyramid import PrePathError, build_pyramid, verify_pyramid
 from .recover import RecordError, RecoverConfig, recover_instance, score_record
 from .synth import (
     Params,
-    _instance_doc,
     audit_instance,
     gen_instance,
     instance_from_json,
+    instance_to_json,
 )
 from .torus import fields_to_json, pair_to_str, str_to_frac
 
@@ -91,10 +91,10 @@ def cmd_synth(args) -> int:
     inst = gen_instance(
         params, mode=args.mode, t_star=str_to_frac(args.t_star), q_star=args.q_star
     )
-    doc = _instance_doc(inst)
-    _write_json(out / "instance.json", doc)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "instance.json").write_text(instance_to_json(inst))
     if args.blind:
-        _write_json(out / "instance_blind.json", {**doc, "truth": None})
+        (out / "instance_blind.json").write_text(instance_to_json(inst.strip_truth()))
         _write_json(out / "truth.json", inst.truth.to_json())
     _write_json(
         out / "synth_report.json",

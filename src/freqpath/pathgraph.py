@@ -15,10 +15,11 @@ their fields plainly (nothing assigns to one after construction).
 Split walks come from a `SplitWalks`, which holds one instance's split
 adjacency: a command that walks from every start site (`census`,
 `verify-bounds`) builds it once per instance and walks each start from it,
-and `enumerate_split_paths` keeps the one it builds for a tuple of edges on
-the configuration.  A walk is a tuple of edges; `census` reads ends and
-primes off them, and a `Path` is built only for a walk that is certified or
-paired.
+recovery's pair search walks its hub from one, and `enumerate_split_paths`
+(for the tests and the benchmark) keeps the one it builds for a tuple of
+edges on the configuration.  A walk is a tuple of edges; `census` and the
+pair search read ends, primes and witnesses off them, and a `Path` is
+built only for a walk that is certified or paired.
 
 The certificates decide `passed` by one integer cross-multiplication and
 hold each value as a pair in lowest terms: a row writes the pairs as text,
@@ -37,7 +38,7 @@ table belongs to one `Pyramid`.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm, log, prod
@@ -654,11 +655,7 @@ def count_close_products(
     products = sorted(prod(t) for t in itertools.product(ps, repeat=r))
     count = 0
     for a in products:
-        lo = bisect_left(products, a - threshold)
-        hi = bisect_left(products, a + threshold)
-        while hi < len(products) and products[hi] <= a + threshold:
-            hi += 1
-        count += hi - lo
+        count += bisect_right(products, a + threshold) - bisect_left(products, a - threshold)
     bound = factorial(r) ** 2 * (2 * p0) ** r * (threshold + 1)
     return ProductCountReport(r, p0, n_scale, threshold, count, bound)
 

@@ -5,7 +5,8 @@ For a pair of prime-disjoint split routes from the hub to a common target,
 the closed loop (first route followed by the inverted second) admits a
 pyramid whose apex alpha_y nearly annihilates D = prod(p-labels) -
 prod(q-labels):  D * alpha_y = n * Q_y + e with |e| certified by the exact
-apex-to-base bounds.  The integer part yields the rational component
+apex-to-base bounds.  The pair search decides each pair once, by that
+loop's pre-path.  The integer part yields the rational component
 (u/d) * Q_y with d dividing |D|; the residue e yields the archimedean
 component T_y.  Aggregation anchors on the estimate with the largest
 shared-witness mass and keeps estimates agreeing both archimedeanly
@@ -20,17 +21,17 @@ from math import gcd, inf, prod
 
 from .pathgraph import (
     Path,
-    PathError,
+    SplitWalks,
+    Walk,
+    build_path,
     concat_paths,
-    enumerate_split_paths,
     invert_path,
     path_prepath,
     peel_regular,
     top_anchor_certificate,
-    validate_path_modulus,
 )
 from .primes import floor_nth_root
-from .pyramid import PrePathError, build_pyramid
+from .pyramid import PrePath, PrePathError, build_pyramid
 from .synth import GroundTruth, Instance
 from .torus import MALFORMED, Modulus, as_fraction, frac_to_str, norm_mod, str_to_frac
 
@@ -110,10 +111,14 @@ def select_hub(inst: Instance, d_min: int = 1) -> HubSelection:
 
 @dataclass(frozen=True)
 class PathPair:
+    """Two routes to one target, their loop (first, inverted second) and its pre-path."""
+
     target_index: int
     first: Path
     second: Path
     q_mod: Modulus
+    loop: Path
+    prepath: PrePath
 
 
 @dataclass(frozen=True)
@@ -134,37 +139,32 @@ def find_disjoint_path_pairs(
 
     Both routes are split walks of length k; their 2k-prime sets must be
     disjoint and their witness intersections at least min_common_witness
-    primes large.  The pair modulus is the product of the shared witness
-    primes; every step relation of both routes is re-validated once at that
-    whole modulus.
+    primes large, with Q the product of the shared ones.  Paths are built
+    only for a pair passing both tests, which its loop's pre-path modulo Q
+    then decides: its q-side hypotheses are both routes' step relations.
     """
-    enum = enumerate_split_paths(
-        inst.cfg, inst.edges, hub_index, k, limit=path_limit
-    )
-    groups: dict[int, list[Path]] = {}
-    for path in enum.paths:
-        end = path.site_indices[-1]
-        if end != hub_index:
-            groups.setdefault(end, []).append(path)
-    eps = inst.params.eps_edge
+    walks, truncated = SplitWalks(inst.cfg, inst.edges).walks(hub_index, k, path_limit)
+    groups: dict[int, list[tuple[Walk, frozenset[int], frozenset[int]]]] = {}
+    for w in walks:
+        if (end := w[-1].j) != hub_index:
+            primes = frozenset([e.p for e in w] + [e.q for e in w])
+            groups.setdefault(end, []).append(
+                (w, primes, frozenset.intersection(*(e.witness for e in w))))
     pairs: list[PathPair] = []
     for end in sorted(groups):
-        for a, b in itertools.combinations(groups[end], 2):
-            pa = set(a.p_primes + a.q_primes)
-            pb = set(b.p_primes + b.q_primes)
-            if pa & pb:
+        for (a, pa, wa), (b, pb, wb) in itertools.combinations(groups[end], 2):
+            common = tuple(sorted(wa & wb))
+            if not pa.isdisjoint(pb) or len(common) < min_common_witness:
                 continue
-            common = a.common_witness & b.common_witness
-            if len(common) < min_common_witness:
-                continue
-            q_mod = Modulus(prod(sorted(common)), tuple(sorted(common)))
+            q_mod = Modulus(prod(common), common)
+            first, second = build_path(inst.cfg, a), build_path(inst.cfg, b)
+            loop = concat_paths(first, invert_path(second))
             try:
-                validate_path_modulus(a, q_mod, eps)
-                validate_path_modulus(b, q_mod, eps)
-            except PathError:
+                pp = path_prepath(loop, inst.params.eps_edge, modulus=q_mod)
+            except PrePathError:
                 continue
-            pairs.append(PathPair(end, a, b, q_mod))
-    return PairSearch(tuple(pairs), len(enum.paths), enum.truncated)
+            pairs.append(PathPair(end, first, second, q_mod, loop, pp))
+    return PairSearch(tuple(pairs), len(walks), truncated)
 
 
 @dataclass(frozen=True)
@@ -225,14 +225,8 @@ def local_estimate(
     """
     hub = inst.cfg.sites[hub_index]
     target = inst.cfg.sites[pair.target_index]
-    loop = concat_paths(pair.first, invert_path(pair.second))
-    try:
-        pp = path_prepath(loop, inst.params.eps_edge, modulus=pair.q_mod)
-    except PrePathError as exc:
-        return DroppedTarget(pair.target_index, f"loop pre-path invalid: {exc}")
-    py = build_pyramid(pp)
+    loop, py = pair.loop, build_pyramid(pair.prepath)
     alpha_y = py.top
-    two_k = loop.k
     k = pair.first.k
     prod_q = prod(loop.q_primes)
     prod_p = prod(loop.p_primes)
@@ -240,7 +234,7 @@ def local_estimate(
     if d_big == 0:
         raise InvariantViolation("product difference vanished for a disjoint pair")
     cert_lo = top_anchor_certificate(loop, py, 1)
-    cert_hi = top_anchor_certificate(loop, py, two_k + 1)
+    cert_hi = top_anchor_certificate(loop, py, loop.k + 1)
     cert_mid = top_anchor_certificate(loop, py, k + 1)
     for cert in (cert_lo, cert_hi, cert_mid):
         if not cert.passed:

@@ -114,6 +114,7 @@ class Params:
                      "web_chain_len"):
             if type(v := getattr(self, name)) is not int:
                 raise ParamsError(f"{name} must be an integer, got {v!r}")
+        # P, P' >= 1, so by Bertrand's postulate neither prime pool is empty
         if min(self.X, self.H, self.K, self.P, self.P_prime, self.site_count) < 1:
             raise ParamsError("X, H, K, P, P_prime and site_count must be positive")
         if self.P * self.P_prime != self.K:
@@ -132,10 +133,6 @@ class Params:
             raise ParamsError("edge_count must be None or a nonnegative integer")
         if self.placement not in ("uniform", "web"):
             raise ParamsError(f"unknown placement {self.placement!r}")
-        if not self.edge_primes():
-            raise ParamsError(f"no primes in [{self.P}, {2 * self.P}]")
-        if not self.witness_primes():
-            raise ParamsError(f"no primes in [{self.P_prime}, {2 * self.P_prime}]")
         if self.slot_count() + 1 < self.site_count:
             raise ParamsError(
                 f"interval holds at most {self.slot_count() + 1} separated sites,"
@@ -718,12 +715,7 @@ def audit_instance(inst: Instance) -> AuditReport:
 
 
 def instance_to_json(inst: Instance) -> str:
-    return json.dumps(_instance_doc(inst), sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _instance_doc(inst: Instance) -> dict:
-    """The document `instance_to_json` writes, before it is dumped."""
-    return {
+    doc = {
         "schema": SCHEMA_VERSION,
         "params": inst.params.to_json(),
         "truth": inst.truth.to_json() if inst.truth else None,
@@ -733,6 +725,7 @@ def _instance_doc(inst: Instance) -> dict:
         ],
         "edges": [[e.i, e.j, e.p, e.q] for e in inst.edges],
     }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _pair(text: str) -> tuple[int, int]:

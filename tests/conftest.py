@@ -9,7 +9,9 @@ that the library's integer kernel must match exactly.  A path's modulus
 check, one decision per step, is matched against a prefix chain that
 decides each step at every partial product of the modulus's factors;
 split walks are matched against an enumerator that rebuilds the adjacency
-on every call, and the integer separation check against sorted Fractions.
+on every call, recovery's route pairs against every two of its paths
+(`ref_route_pairs`), and the integer separation check against sorted
+Fractions.
 Generation decides on integer-scaled values; its Fraction references are
 the witness check (`ref_edge_witness`) and site placement
 (`ref_place_sites`), and the audit's planted and physical checks have
@@ -23,6 +25,7 @@ examples.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -524,6 +527,38 @@ def ref_enumerate_split_paths(
     if limit > 0:
         walk(start, set(), [])
     return PathEnumeration(tuple(results), truncated)
+
+
+def ref_route_pairs(inst, hub: int, k: int, min_common_witness: int = 1,
+                    limit: int = 20000):
+    """`find_disjoint_path_pairs` by brute force, as (pairs, paths found,
+    truncated), each pair (target, first route's edges, second route's
+    edges, the factors of Q): every two paths of `ref_enumerate_split_paths`
+    ending at one site other than the hub, in enumeration order, targets
+    ascending, whose 4k primes are distinct and whose common witness set
+    has at least min_common_witness primes, with Q their product; both
+    routes pass `ref_validate_path_modulus` at Q, and every label is a
+    prime not dividing Q, as the loop's pre-path needs."""
+    enum = ref_enumerate_split_paths(inst.cfg, inst.edges, hub, k, limit)
+    pairs = []
+    for a, b in itertools.combinations(enum.paths, 2):
+        end = a.site_indices[-1]
+        if end == hub or b.site_indices[-1] != end:
+            continue
+        labels = a.p_primes + a.q_primes + b.p_primes + b.q_primes
+        common = tuple(sorted(a.common_witness & b.common_witness))
+        if len(set(labels)) < 4 * k or len(common) < min_common_witness:
+            continue
+        q_mod = Modulus(prod(common), common)
+        try:
+            for path in (a, b):
+                ref_validate_path_modulus(path, q_mod, inst.params.eps_edge)
+        except PathError:
+            continue
+        if all(is_prime(p) and q_mod.q % p for p in labels):
+            pairs.append((end, a.edges, b.edges, common))
+    pairs.sort(key=lambda pair: pair[0])
+    return pairs, len(enum.paths), enum.truncated
 
 
 def brute_min_degree_subset(n: int, adjacency: dict[int, set[int]], d_min: int) -> frozenset[int]:

@@ -1,12 +1,13 @@
 """Hub selection, disjoint route pairs, local estimates and aggregation."""
 from __future__ import annotations
 
+import functools
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import edge, site
-from freqpath.pathgraph import Configuration
+from conftest import edge, ref_route_pairs, site
+from freqpath.pathgraph import Configuration, concat_paths, invert_path, path_prepath
 from freqpath.primes import floor_nth_root
 from freqpath.recover import (
     EmptyGraphError,
@@ -188,6 +189,77 @@ class TestFindDisjointPairs:
     def test_min_common_witness_exhausts(self):
         inst = hand_instance()
         assert find_disjoint_path_pairs(inst, 0, k=2, min_common_witness=3).pairs == ()
+
+
+def relabelled(inst: Instance, index: int, p: int) -> Instance:
+    """The instance with edge `index` given the p-label p, which joins the
+    first split set, and the slack that label implies."""
+    cfg, e = inst.cfg, inst.edges[index]
+    cfg = Configuration(cfg.sites, cfg.separation, cfg.split_p1 | {p}, cfg.split_p2)
+    slack = abs(cfg.sites[e.i].x / p - cfg.sites[e.j].x / e.q)
+    edges = list(inst.edges)
+    edges[index] = edge(e.i, e.j, p, e.q, e.witness, slack)
+    return Instance(cfg, tuple(edges), inst.truth, inst.params)
+
+
+def search_rows(search):
+    """A pair search as `ref_route_pairs` gives it."""
+    pairs = [(pair.target_index, pair.first.edges, pair.second.edges, pair.q_mod.factors)
+             for pair in search.pairs]
+    return pairs, search.paths_found, search.truncated
+
+
+@functools.cache
+def web_instance(seed: int, mode: str) -> Instance:
+    params = fixture_params(site_count=200, placement="web", web_pair_targets=4,
+                            web_diamonds=2, web_chains=2, web_chain_len=4, seed=seed)
+    q_star = 6 if mode == "rational" else 1
+    return gen_instance(params, mode=mode, t_star=F(10**5), q_star=q_star)
+
+
+class TestPairSearchOracle:
+    """The pair search against every two paths of the reference enumerator."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_hand_instance(self, k):
+        inst = hand_instance(t_star=F(10**5))
+        assert search_rows(find_disjoint_path_pairs(inst, 0, k)) == ref_route_pairs(inst, 0, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["archimedean", "rational"])
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_web_instances(self, seed, mode, k):
+        inst = web_instance(seed, mode)
+        hub = select_hub(inst).index
+        want = ref_route_pairs(inst, hub, k)
+        assert search_rows(find_disjoint_path_pairs(inst, hub, k)) == want
+        if k == 2:
+            assert want[0]
+
+    def test_truncated_search(self):
+        inst = web_instance(5, "archimedean")
+        hub = select_hub(inst).index
+        search = find_disjoint_path_pairs(inst, hub, 2, path_limit=10)
+        assert search.truncated and search.paths_found == 10 and search.pairs
+        assert search_rows(search) == ref_route_pairs(inst, hub, 2, limit=10)
+
+    def test_pair_carries_its_loop_prepath(self):
+        inst = hand_instance(t_star=F(10**5))
+        (pair,) = find_disjoint_path_pairs(inst, 0, k=2).pairs
+        assert pair.loop == concat_paths(pair.first, invert_path(pair.second))
+        assert pair.loop.site_indices == (0, 1, 3, 2, 0)
+        assert pair.prepath == path_prepath(pair.loop, inst.params.eps_edge, pair.q_mod)
+
+    @pytest.mark.parametrize("label", [7, 121], ids=["divides-Q", "composite"])
+    def test_label_the_loop_prepath_refuses_is_no_pair(self, label):
+        # both routes keep every step relation mod Q = 35, but the loop's
+        # pre-path refuses the label: the pair is neither counted nor dropped
+        inst = relabelled(hand_instance(), 0, label)
+        search = find_disjoint_path_pairs(inst, 0, k=2)
+        assert search.pairs == () and search.paths_found == 2
+        assert search_rows(search) == ref_route_pairs(inst, 0, 2)
+        res = recover_instance(inst, RecoverConfig(k=2))
+        assert (res.pairs_found, res.reachable_targets, res.dropped) == (0, 0, ())
 
 
 class TestLocalEstimate:

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from bisect import bisect_left
 from fractions import Fraction as F
 from functools import cache
 from math import gcd
@@ -31,6 +32,7 @@ from conftest import (
 )
 import freqpath
 from freqpath.pathgraph import Configuration
+from freqpath.primes import primes_in_range
 from freqpath.synth import (
     InfeasibleParamsError,
     Instance,
@@ -109,6 +111,15 @@ class TestParamsValidation:
                 s_edge=F(5),
                 site_count=10,
             )
+
+    def test_every_prime_pool_holds_a_prime(self):
+        # Params refuses no empty pool: [n, 2n] holds a prime for every
+        # n >= 1 (Bertrand's postulate), checked here up to 10^4 on one sieve
+        n_max = 10**4
+        primes = primes_in_range(1, 2 * n_max)
+        empty = [n for n in range(1, n_max + 1)
+                 if primes[bisect_left(primes, n)] > 2 * n]
+        assert not empty
 
     def test_json_round_trip(self):
         p = web_params()
