@@ -46,7 +46,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .primes import primes_in_range
-from .pyramid import PrePath, PrePathError, Pyramid
+from .pyramid import PrePath, Pyramid
 from .torus import (
     Modulus,
     Rational,
@@ -312,7 +312,7 @@ def path_prepath(
     """The pre-path a path induces modulo `modulus` (default: the path's own).
 
     The j-th reference anchor is taken to be exactly p_j * alpha_j, so the
-    p-side hypothesis is exact and one uniform tolerance serves both
+    p-side hypothesis is exact and the one tolerance serves both
     inequalities.
     """
     eps = as_fraction(eps)
@@ -330,8 +330,7 @@ def path_prepath(
         ),
         p_primes=path.p_primes,
         q_primes=path.q_primes,
-        eps=(eps,) * path.k,
-        eps_prime=(eps,) * path.k,
+        eps=eps,
     )
 
 
@@ -425,14 +424,11 @@ def _anchor_cert(j: int, m: int, gap: tuple[int, int], num: int, den: int) -> An
 
 
 def _pyramid_eps(path: Path, py: Pyramid) -> Fraction:
-    """The pyramid's one tolerance, which the closed-form bounds assume;
-    they hold for no other, nor for a pyramid over other primes."""
+    """The pyramid's tolerance, which the closed-form bounds are stated
+    in; they hold for no pyramid over other primes."""
     if py.p_primes != path.p_primes or py.q_primes != path.q_primes:
         raise PathError("pyramid primes do not match the path")
-    eps = py.uniform_eps
-    if eps is None:
-        raise PrePathError("verification needs uniform tolerances")
-    return eps
+    return py.eps
 
 
 def anchor_bound_certificate(path: Path, py: Pyramid, j: int, m: int) -> AnchorCert:
@@ -440,8 +436,8 @@ def anchor_bound_certificate(path: Path, py: Pyramid, j: int, m: int) -> AnchorC
 
     actual = ||(prod_{i=m..j-1} q_i) * col[j] - col[m]|| and the bound is
     the recursion  sum_{t=m..j-1} predicted_gap(t) * prod_{i=m..t-1} q_i,
-    read off the pyramid's column sums in O(1).  The pyramid must have
-    uniform tolerances.
+    read off the pyramid's column sums in O(1), scaled by the pyramid's
+    tolerance.
     """
     k = path.k
     if not (1 <= m < j <= k + 1):
@@ -465,7 +461,7 @@ def top_anchor_certificate(path: Path, py: Pyramid, j: int) -> AnchorCert:
             + prod_{i<j} p_i * sum_{t=j..k} predicted_gap(t) * prod_{i=j..t-1} q_i.
 
     pside_bound(j-t, t) is the step-(j-t) tolerance of entry t over
-    q_{j-1}; under one tolerance eps its denominator is eps's times
+    q_{j-1}; under the tolerance eps its denominator is eps's times
     P_{t+a} / P_t * Q_{j-2} / Q_{j-2-b} (P_i, Q_i the prefix products,
     a = floor((j-t)/2), b = floor((j-t-1)/2)), so the bound is
 
@@ -473,8 +469,7 @@ def top_anchor_certificate(path: Path, py: Pyramid, j: int) -> AnchorCert:
                + P_{j-1} * (column_sums[k] - column_sums[j-1]))
             / (P_H * Q_{j-1}),
 
-    read off the pyramid's tables with one integer sum.  The pyramid must
-    have uniform tolerances.
+    read off the pyramid's tables with one integer sum.
     """
     k = path.k
     if not 1 <= j <= k + 1:

@@ -1,5 +1,5 @@
-"""Small number-theory helpers: trial-division primality, interval sieves
-and integer roots.
+"""Small number-theory helpers: trial-division primality and interval
+sieves.
 
 Everything here is exact integer arithmetic; the scales involved (prime
 pools of a few dozen entries, products of tens of primes) never justify a
@@ -37,21 +37,3 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [n for n in range(lo, hi + 1) if sieve[n]]
-
-
-def floor_nth_root(n: int, k: int) -> int:
-    """Largest integer r with r**k <= n (n >= 0, k >= 1), in integers only."""
-    if n < 0 or k < 1:
-        raise ValueError("floor_nth_root needs n >= 0, k >= 1")
-    if n in (0, 1) or k == 1:
-        return n
-    if k == 2:
-        return isqrt(n)
-    # Newton from above: 2**ceil(bits/k) > n**(1/k), and the iterates
-    # decrease strictly until they reach the floor of the root
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        nxt = ((k - 1) * r + n // r ** (k - 1)) // k
-        if nxt >= r:
-            return r
-        r = nxt

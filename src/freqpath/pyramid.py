@@ -1,7 +1,7 @@
 """Pre-paths and pyramids: the layered merge construction on R/QZ.
 
 A pre-path of length k is two anchor tuples, 2k distinct primes coprime to
-the modulus, and per-index tolerances under which consecutive anchors are
+the modulus, and one tolerance under which consecutive anchors are
 multiplicatively related.  Iterating the two-point merge produces a
 triangular array of frequencies (a pyramid) whose apex is simultaneously
 close, after multiplication by suitable prime products, to every anchor.
@@ -13,8 +13,8 @@ constructed pyramid against it row by row, in exact arithmetic.
 
 Where each decision lives:
 - `PrePath` decides the primes (distinct, prime, not dividing Q), that the
-  tolerances are positive and the first layer's hypotheses, once, on the
-  integer pairs of its anchors and tolerances.  Each later layer's
+  tolerance is positive and the first layer's hypotheses, once, on the
+  integer pairs of its anchors and tolerance.  Each later layer's
   hypotheses are the previous merges' post-conditions (same gap, same
   bound).
 - `_merge` is the one merge kernel.  On residues and tolerances given as
@@ -215,12 +215,13 @@ def layer_step(
 
 @dataclass(frozen=True)
 class PrePath:
-    """Anchors, primes and tolerances forming a valid length-k pre-path.
+    """Anchors, primes and a tolerance forming a valid length-k pre-path.
 
     top_anchors has k+1 entries; mid_anchors has k entries, the j-th being
-    the reference point both hypothesis inequalities at index j+1 refer to.
-    All 2k primes are distinct and coprime to the modulus.  Hypotheses are
-    checked exactly at construction.
+    the reference point both hypothesis inequalities at index j+1 refer to,
+    each strictly below the one tolerance eps.  All 2k primes are distinct
+    and coprime to the modulus.  Hypotheses are checked exactly at
+    construction.
     """
 
     modulus: Modulus
@@ -228,19 +229,14 @@ class PrePath:
     mid_anchors: tuple[TorusPoint, ...]
     p_primes: tuple[int, ...]
     q_primes: tuple[int, ...]
-    eps: tuple[Fraction, ...]
-    eps_prime: tuple[Fraction, ...]
+    eps: Fraction
 
     def __post_init__(self) -> None:
         ps, qs, top, mid = self.p_primes, self.q_primes, self.top_anchors, self.mid_anchors
         k = len(ps)
         if k < 1:
             raise PrePathError("length must be at least 1")
-        if not (
-            len(top) == k + 1
-            and len(mid) == k
-            and len(qs) == len(self.eps) == len(self.eps_prime) == k
-        ):
+        if not (len(top) == k + 1 and len(mid) == k and len(qs) == k):
             raise PrePathError("inconsistent tuple lengths")
         q = self.modulus.q
         allp = ps + qs
@@ -251,40 +247,31 @@ class PrePath:
                 raise PrePathError(f"{p} is not prime")
             if q % p == 0:
                 raise PrePathError(f"prime {p} divides the modulus {q}")
-        # each tolerance as its integer pair (n, d), d > 0, so n > 0 decides
+        # the tolerance as its integer pair (n, d), d > 0, so n > 0 decides
         # eps > 0 and g * d < n * D decides g/D < eps
-        eps = [(e.numerator, e.denominator) for e in self.eps]
-        eps_prime = [(e.numerator, e.denominator) for e in self.eps_prime]
-        for n, _d in eps + eps_prime:
-            if n <= 0:
-                raise PrePathError("tolerances must be positive")
+        n, d = self.eps.numerator, self.eps.denominator
+        if n <= 0:
+            raise PrePathError("tolerances must be positive")
         for pt in top + mid:
             if pt.modulus.q != q:
                 raise PrePathError("anchor modulus mismatch")
-        for j, (p, qj, m, (n, d), (n2, d2)) in enumerate(zip(ps, qs, mid, eps, eps_prime)):
+        for j, (p, qj, m) in enumerate(zip(ps, qs, mid)):
             g, gd = scaled_gap(qj, top[j + 1], 1, m)
             if g * d >= n * gd:
                 raise HypothesisViolation(
                     f"q-side hypothesis fails at index {j + 1}: "
-                    f"{Fraction(g, gd)} >= {self.eps[j]}"
+                    f"{Fraction(g, gd)} >= {self.eps}"
                 )
             g, gd = scaled_gap(p, top[j], 1, m)
-            if g * d2 >= n2 * gd:
+            if g * d >= n * gd:
                 raise HypothesisViolation(
                     f"p-side hypothesis fails at index {j + 1}: "
-                    f"{Fraction(g, gd)} >= {self.eps_prime[j]}"
+                    f"{Fraction(g, gd)} >= {self.eps}"
                 )
 
     @property
     def k(self) -> int:
         return len(self.p_primes)
-
-    @property
-    def uniform_eps(self) -> Fraction | None:
-        """The one tolerance, or None when the tolerances differ."""
-        e = self.eps[0]
-        same = all(x is e or x == e for x in self.eps + self.eps_prime)
-        return e if same else None
 
 
 @dataclass(frozen=True)
@@ -293,11 +280,11 @@ class Pyramid:
     integer tables its bounds are read from.
 
     layers[0] is the pre-path's top anchor tuple; layer s has k+1-s
-    entries.  The merge at step s+1 pairs p_primes[:m] with
-    q_primes[s:s+m], m = k - s, under the tolerances eps_table[s] and
-    eps_prime_table[s]: each is a pre-path tolerance n/d written as the
-    pair (n, d * an integer product), the exact recursion of
-    `build_pyramid`, so every bound downstream is auditable without
+    entries, and eps is the pre-path's tolerance.  The merge at step s+1
+    pairs p_primes[:m] with q_primes[s:s+m], m = k - s, under the
+    tolerances eps_table[s] and eps_prime_table[s]: each entry is eps = n/d
+    written as the pair (n, d * an integer product), the exact recursion
+    of `build_pyramid`, so every bound downstream is auditable without
     re-deriving it.
 
     The other tables are derived from the primes and layers at
@@ -307,7 +294,7 @@ class Pyramid:
     of the first i primes.  With h(t) = floor((t-1)/2) + 1 and H = h(k),
     column_sums[t] is
     sum_{u<=t} q_prefix[h(u)-1] * p_prefix[H] / p_prefix[h(u)], a whole
-    number, so that for a uniform tolerance eps
+    number, so that
 
         sum_{t=first..last} predicted_gap(t) * prod_{i=first..t-1} q_i
             = eps * (column_sums[last] - column_sums[first-1])
@@ -322,7 +309,7 @@ class Pyramid:
     layers: tuple[tuple[TorusPoint, ...], ...]
     eps_table: tuple[tuple[tuple[int, int], ...], ...]
     eps_prime_table: tuple[tuple[tuple[int, int], ...], ...]
-    uniform_eps: Fraction | None
+    eps: Fraction
     anchor_column: tuple[TorusPoint, ...] = field(init=False, repr=False, compare=False)
     top: TorusPoint = field(init=False, repr=False, compare=False)
     p_prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -390,8 +377,7 @@ def build_pyramid(pp: PrePath) -> Pyramid:
     k = pp.k
     ps, qs = pp.p_primes, pp.q_primes
     modulus = pp.modulus
-    eps = tuple([(e.numerator, e.denominator) for e in pp.eps])
-    eps_prime = tuple([(e.numerator, e.denominator) for e in pp.eps_prime])
+    eps = eps_prime = ((pp.eps.numerator, pp.eps.denominator),) * k
     top = [(pt.num, pt.den) for pt in pp.top_anchors]
     layers = [pp.top_anchors]
     eps_table, eps_prime_table = [], []
@@ -411,7 +397,7 @@ def build_pyramid(pp: PrePath) -> Pyramid:
         layers=tuple(layers),
         eps_table=tuple(eps_table),
         eps_prime_table=tuple(eps_prime_table),
-        uniform_eps=pp.uniform_eps,
+        eps=pp.eps,
     )
 
 
@@ -421,7 +407,7 @@ def predicted_gap(
     p_primes: tuple[int, ...],
     q_primes: tuple[int, ...],
 ) -> Fraction:
-    """Closed-form anchor-column bound for a uniform-tolerance pre-path:
+    """Closed-form anchor-column bound for a pre-path of tolerance eps:
 
         eps * (prod_{i=1}^{floor((j-1)/2)+1} p_i)^-1
             * (prod_{i=1}^{ceil((j-1)/2)}    q_{j-i})^-1
@@ -469,20 +455,17 @@ class BoundReport:
 def verify_pyramid(pp: PrePath, py: Pyramid) -> BoundReport:
     """Exact per-row comparison of anchor-column gaps with predicted_gap.
 
-    Requires a uniform-tolerance pre-path and a pyramid built from it.
+    Requires a pyramid built from the pre-path.
     predicted_gap(j) = eps * q_prefix[h-1] / (p_prefix[h] * q_prefix[j-1])
     is read off the pyramid's prefix tables, and each row's strict `<` is
     one integer cross-multiplication.  A failing row signals a
     construction bug; failures are report rows, not exceptions.
     """
-    eps = pp.uniform_eps
-    if eps is None:
-        raise PrePathError("verification needs uniform tolerances")
     if (py.layers[0], py.p_primes, py.q_primes) != (
         pp.top_anchors, pp.p_primes, pp.q_primes
     ):
         raise PrePathError("pyramid does not start from this pre-path")
-    e, f = eps.numerator, eps.denominator
+    e, f = pp.eps.numerator, pp.eps.denominator
     col, pre_p, pre_q = py.anchor_column, py.p_prefix, py.q_prefix
     rows = []
     for j in range(1, pp.k + 1):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, prod
+from math import gcd, inf, isqrt, prod
 
 from .pathgraph import (
     Path,
@@ -30,7 +30,6 @@ from .pathgraph import (
     peel_regular,
     top_anchor_certificate,
 )
-from .primes import floor_nth_root
 from .pyramid import PrePath, PrePathError, build_pyramid
 from .synth import GroundTruth, Instance
 from .torus import MALFORMED, Modulus, as_fraction, frac_to_str, norm_mod, str_to_frac
@@ -81,7 +80,8 @@ class RecoverConfig:
             raise RecoverConfigError(f"tol_t must be positive, got {self.tol_t}")
 
     def default_tol_t(self, hub_x: Fraction, h_scale: int) -> Fraction:
-        return hub_x / max(1, floor_nth_root(h_scale**3, 4))
+        # floor(sqrt(floor(sqrt(n)))) is floor(n^(1/4)) for every n >= 0
+        return hub_x / max(1, isqrt(isqrt(h_scale**3)))
 
 
 def round_half_down(z: Fraction) -> int:
@@ -153,8 +153,10 @@ def find_disjoint_path_pairs(
     pairs: list[PathPair] = []
     for end in sorted(groups):
         for (a, pa, wa), (b, pb, wb) in itertools.combinations(groups[end], 2):
+            if not pa.isdisjoint(pb):
+                continue
             common = tuple(sorted(wa & wb))
-            if not pa.isdisjoint(pb) or len(common) < min_common_witness:
+            if len(common) < min_common_witness:
                 continue
             q_mod = Modulus(prod(common), common)
             first, second = build_path(inst.cfg, a), build_path(inst.cfg, b)

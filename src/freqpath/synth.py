@@ -756,7 +756,8 @@ def instance_from_json(text: str) -> Instance:
     witness set are derived as `gen_instance` decides them.  InstanceError
     names what no generated instance holds: not JSON, a duplicate key,
     another schema, a missing key, a top-level or site key it does not
-    write, a wrong type (a bool or float for an integer too), a rational
+    write, a wrong type (a bool or float for an integer too, a truth that
+    is neither null nor an object, sites or edges not a list), a rational
     not written as `frac_to_str` writes it (a zero or negative denominator
     too), sites not ascending in x or closer than the separation, an a_map
     key not a site index in decimal, edges not ascending, or an edge that
@@ -775,9 +776,11 @@ def _instance_from_doc(doc: dict) -> Instance:
         raise InstanceError(f"unsupported schema {doc['schema']!r}")
     if unknown := doc.keys() - {"schema", "params", "truth", "sites", "edges"}:
         raise InstanceError(f"unknown top-level keys {sorted(unknown)}")
+    if type(doc["sites"]) is not list or type(doc["edges"]) is not list:
+        raise InstanceError("sites and edges must be lists")
     params = Params.from_json(doc["params"])
     pool_w = params.witness_primes()
-    truth = GroundTruth.from_json(doc["truth"], prod(pool_w)) if doc["truth"] else None
+    truth = None if doc["truth"] is None else GroundTruth.from_json(doc["truth"], prod(pool_w))
     # decided by writing them back: "+5/1", "2/4" or an a_map key "01" differ
     if params.to_json() != doc["params"] or truth and truth.to_json() != doc["truth"]:
         raise InstanceError("params or truth not in the form instance_to_json writes")

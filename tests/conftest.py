@@ -221,7 +221,7 @@ def ref_build_pyramid(pp: PrePath) -> RefPyramid:
     with torus_norm before merging."""
     k = pp.k
     layers = [pp.top_anchors]
-    cur_eps, cur_eps_prime = list(pp.eps), list(pp.eps_prime)
+    cur_eps, cur_eps_prime = [pp.eps] * k, [pp.eps] * k
     mids = pp.mid_anchors
     step_eps, step_eps_prime = [], []
     for s in range(1, k + 1):
@@ -651,7 +651,7 @@ def planted_prepath(
     modulus: Modulus | None = None,
     exact: bool = False,
 ) -> PrePath:
-    """A uniform-tolerance pre-path planted from one hidden frequency.
+    """A pre-path of tolerance eps planted from one hidden frequency.
 
     Anchor i is (prod_{j<i} p_j * prod_{j>=i} q_j) * alpha plus bounded
     jitter; the planted parts cancel in every hypothesis, so the jitter
@@ -685,8 +685,7 @@ def planted_prepath(
         mid_anchors=mids,
         p_primes=p_primes,
         q_primes=q_primes,
-        eps=(eps,) * k,
-        eps_prime=(eps,) * k,
+        eps=eps,
     )
 
 

@@ -509,13 +509,19 @@ def _scale_terms(text: str) -> str:
         (lambda d: d["sites"][1].update(note="x"), "site 1 has unknown keys ['note']"),
         # json.loads alone would keep the last "schema", so this file loaded
         (lambda d: '{"schema": 2, ' + json.dumps(d)[1:], "duplicate key 'schema'"),
+        # each of these three loaded, with no truth or no edges, and wrote
+        # back "truth": null, "sites": [] or "edges": []
+        (lambda d: d.update(truth=False), "malformed instance file"),
+        (lambda d: d.update(sites={}, edges=[], truth=None), "sites and edges must be lists"),
+        (lambda d: d.update(edges={}), "sites and edges must be lists"),
     ],
     ids=["rational_leading_plus", "rational_spaces", "rational_not_lowest_terms",
          "seed_bool", "web_chains_bool", "q_star_float", "a_map_value_bool",
          "sites_not_ascending", "edges_listed_twice", "edges_not_ascending",
          "edge_repeated", "edge_as_dict", "a_map_key_negative",
          "a_map_key_beyond_sites", "a_map_key_with_space", "top_level_unknown_key",
-         "site_unknown_key", "key_written_twice"],
+         "site_unknown_key", "key_written_twice", "truth_not_object",
+         "sites_not_list", "edges_not_list"],
 )
 def test_non_canonical_instance_is_refused(tmp_path, recorded_k3, corrupt, reason):
     # each of these files holds the values of a generated instance, written

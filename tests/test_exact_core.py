@@ -2,9 +2,9 @@
 
 Reductions mod Q, merged points, whole pyramids (layers and both tolerance
 tables) and certificate rows must equal the reference values exactly, on
-Q = 1, Q = 35 and products of three primes, with uniform and non-uniform
-tolerances, at forced antipodal ties where two lift pairs are equally
-close, and on chain paths of length 1..8 taken through `path_prepath`.
+Q = 1, Q = 35 and products of three primes, at forced antipodal ties
+where two lift pairs are equally close, and on chain paths of length 1..8
+taken through `path_prepath`.
 Every row string must be `frac_to_str` of the Fraction its row reads back.
 """
 from __future__ import annotations
@@ -112,21 +112,12 @@ def merge_cases(draw, tie: bool = False):
 
 
 @st.composite
-def prepaths(draw, uniform: bool):
-    """A planted pre-path of length 1..6; when not uniform, every tolerance
-    is raised by its own factor, which keeps the planted hypotheses."""
+def prepaths(draw):
+    """A planted pre-path of length 1..6."""
     m = draw(moduli)
     k = draw(st.integers(1, 6))
     eps = F(1, draw(st.integers(10, 200)))
-    pp = planted_prepath(random.Random(draw(st.integers(0, 2**32))), k, eps, m)
-    if uniform:
-        return pp
-    factors = st.lists(st.integers(1, 50), min_size=k, max_size=k)
-    return PrePath(
-        pp.modulus, pp.top_anchors, pp.mid_anchors, pp.p_primes, pp.q_primes,
-        tuple(e * f for e, f in zip(pp.eps, draw(factors))),
-        tuple(e * f for e, f in zip(pp.eps_prime, draw(factors))),
-    )
+    return planted_prepath(random.Random(draw(st.integers(0, 2**32))), k, eps, m)
 
 
 def assert_same_pyramid(pp: PrePath) -> None:
@@ -197,15 +188,11 @@ class TestMergeTwo:
 
 
 class TestPyramid:
-    @given(prepaths(uniform=True))
+    @given(prepaths())
     def test_uniform_matches_reference(self, pp):
         assert_same_pyramid(pp)
 
-    @given(prepaths(uniform=False))
-    def test_nonuniform_matches_reference(self, pp):
-        assert_same_pyramid(pp)
-
-    @given(prepaths(uniform=True))
+    @given(prepaths())
     def test_verify_rows_match_direct_substitution(self, pp):
         py = build_pyramid(pp)
         col = py.anchor_column
@@ -264,11 +251,11 @@ def drift_paths(draw):
 
 
 class TestCertificates:
-    @given(prepaths(uniform=True))
+    @given(prepaths())
     def test_rows_match_reference(self, pp):
         assert_certificates_match_reference(path_over(pp), build_pyramid(pp))
 
-    @given(prepaths(uniform=True), st.builds(F, st.integers(1, 999), st.just(1000)))
+    @given(prepaths(), st.builds(F, st.integers(1, 999), st.just(1000)))
     def test_rows_match_reference_on_moved_layers(self, pp, share):
         # every layer above the base moved by share*Q: the rows that now
         # fail are decided as the Fraction comparison decides them
@@ -372,7 +359,7 @@ class TestChainPaths:
         top = pp.top_anchors
         gap = F(*scaled_gap(pp.p_primes[i], top[i], pp.q_primes[i], top[i + 1]))
         assume(gap > 0)
-        tight = list(pp.eps)
+        tight = [pp.eps] * pp.k
         tight[i] = gap / 2
         with pytest.raises(HypothesisViolation, match=f"merge failed at index {i + 1}: "):
             layer_step(top, pp.p_primes, pp.q_primes, tuple(tight), tuple(tight))

@@ -54,7 +54,6 @@ from freqpath.pathgraph import (
 )
 from freqpath.pyramid import (
     HypothesisViolation,
-    PrePath,
     PrePathError,
     build_pyramid,
     verify_pyramid,
@@ -226,19 +225,6 @@ class TestAnchorCertificates:
             top_anchor_certificate(ell, py, 3)
         with pytest.raises(IndexError):
             ratio_drift_certificate(ell, 2)
-
-    def test_nonuniform_pyramid_refused(self, rng):
-        # the closed-form bounds assume one tolerance; on this valid
-        # non-uniform pre-path they would be applied with eps = 1/50
-        pp = planted_prepath(rng, 3, F(1, 50), Modulus(1, ()))
-        eps = (F(1, 50), F(1, 5), F(1, 2))
-        uneven = PrePath(pp.modulus, pp.top_anchors, pp.mid_anchors,
-                         pp.p_primes, pp.q_primes, eps, eps)
-        ell, py = path_over(uneven), build_pyramid(uneven)
-        with pytest.raises(PrePathError, match="uniform tolerances"):
-            anchor_bound_certificate(ell, py, 2, 1)
-        with pytest.raises(PrePathError, match="uniform tolerances"):
-            top_anchor_certificate(ell, py, 1)
 
     def test_planted_paths_have_zero_residual(self):
         # zero-noise plant: every anchor is an exact multiple of one frequency

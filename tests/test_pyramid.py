@@ -28,7 +28,6 @@ from freqpath import pyramid as pyramid_module
 from freqpath.pyramid import (
     HypothesisViolation,
     PrePath,
-    PrePathError,
     build_pyramid,
     layer_step,
     merge_two,
@@ -149,13 +148,12 @@ class TestLayerStep:
             mids = tuple(reduce_mod(p * a.value, pp.modulus)
                          for p, a in zip(pp.p_primes, pp.top_anchors))
             exact = PrePath(pp.modulus, pp.top_anchors, mids, pp.p_primes,
-                            pp.q_primes, pp.eps, pp.eps_prime)
-            tops = exact.top_anchors
-            out = layer_step(tops, exact.p_primes, exact.q_primes, exact.eps,
-                             exact.eps_prime)
+                            pp.q_primes, eps=pp.eps)
+            tops, eps = exact.top_anchors, (exact.eps,) * k
+            out = layer_step(tops, exact.p_primes, exact.q_primes, eps, eps)
             assert out == tuple(
                 ref_merge_two(tops[j], tops[j + 1], exact.p_primes[j],
-                              exact.q_primes[j], exact.eps_prime[j], exact.eps[j])
+                              exact.q_primes[j], exact.eps, exact.eps)
                 for j in range(k)
             )
 
@@ -163,21 +161,16 @@ class TestLayerStep:
         for _ in range(60):
             k = rng.randint(1, 4)
             pp = planted_prepath(rng, k, F(1, 30))
-            out = layer_step(
-                pp.top_anchors,
-                pp.p_primes,
-                pp.q_primes,
-                pp.eps,
-                pp.eps_prime,
-            )
+            eps = (pp.eps,) * k
+            out = layer_step(pp.top_anchors, pp.p_primes, pp.q_primes, eps, eps)
             for j in range(k):
                 assert (
                     torus_norm(out[j].scale(pp.p_primes[j]) - pp.top_anchors[j + 1])
-                    < pp.eps[j] / pp.q_primes[j]
+                    < pp.eps / pp.q_primes[j]
                 )
                 assert (
                     torus_norm(out[j].scale(pp.q_primes[j]) - pp.top_anchors[j])
-                    < pp.eps_prime[j] / pp.p_primes[j]
+                    < pp.eps / pp.p_primes[j]
                 )
 
 
@@ -191,8 +184,8 @@ class TestBuildPyramid:
             pp.top_anchors[1],
             pp.p_primes[0],
             pp.q_primes[0],
-            pp.eps_prime[0],
-            pp.eps[0],
+            pp.eps,
+            pp.eps,
         )
         assert py.top.value == direct.value
 
@@ -232,8 +225,7 @@ class TestBuildPyramid:
             tuple(mids[: j - 1]),
             pp.p_primes[: j - 1],
             pp.q_primes[: j - 1],
-            pp.eps[: j - 1],
-            pp.eps_prime[: j - 1],
+            eps=pp.eps,
         )
         mutated = build_pyramid(prefix).anchor_column
         assert [c.value for c in mutated] == [c.value for c in col[:j]]
@@ -244,9 +236,8 @@ class TestBuildPyramid:
         tops = (reduce_mod(F(0), m), reduce_mod(F(1, 30), m))
         mids = (reduce_mod(F(0), m),)
         with pytest.raises(HypothesisViolation, match="q-side"):
-            PrePath(m, tops, mids, (2,), (3,), (F(1, 10),), (F(1, 10),))
-        eps = (F(1, 10) + F(1, 10**9),)
-        ok = PrePath(m, tops, mids, (2,), (3,), eps, eps)
+            PrePath(m, tops, mids, (2,), (3,), eps=F(1, 10))
+        ok = PrePath(m, tops, mids, (2,), (3,), eps=F(1, 10) + F(1, 10**9))
         assert all_passed(verify_pyramid(ok, build_pyramid(ok)))
 
     def test_propagates_failing_index(self, rng):
@@ -260,8 +251,7 @@ class TestBuildPyramid:
                 tuple(bad_mids),
                 pp.p_primes,
                 pp.q_primes,
-                pp.eps,
-                pp.eps_prime,
+                eps=pp.eps,
             )
 
 
@@ -333,25 +323,10 @@ class TestVerifyPyramid:
             pp.mid_anchors,
             pp.p_primes,
             pp.q_primes,
-            tuple(2 * e for e in pp.eps),
-            tuple(2 * e for e in pp.eps_prime),
+            eps=2 * pp.eps,
         )
         r1 = verify_pyramid(pp, build_pyramid(pp))
         r2 = verify_pyramid(doubled, build_pyramid(doubled))
         for a, b in zip(r1.rows, r2.rows):
             assert b.predicted == 2 * a.predicted
             assert b.passed
-
-    def test_nonuniform_rejected(self, rng):
-        pp = planted_prepath(rng, 2, F(1, 40))
-        uneven = PrePath(
-            pp.modulus,
-            pp.top_anchors,
-            pp.mid_anchors,
-            pp.p_primes,
-            pp.q_primes,
-            (F(1, 40), F(1, 39)),
-            pp.eps_prime,
-        )
-        with pytest.raises(PrePathError):
-            verify_pyramid(uneven, build_pyramid(uneven))

@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
 from conftest import edge, ref_route_pairs, site
 from freqpath.pathgraph import Configuration, concat_paths, invert_path, path_prepath
-from freqpath.primes import floor_nth_root
 from freqpath.recover import (
     EmptyGraphError,
     LocalEstimate,
@@ -23,6 +25,7 @@ from freqpath.recover import (
 )
 from freqpath.synth import GroundTruth, Instance, Params, gen_instance
 from freqpath.torus import Modulus, norm_mod
+from test_e2e import e2e_params
 
 
 def fixture_params(**kw) -> Params:
@@ -95,21 +98,24 @@ def hand_instance(t_star=F(0), q_star=1, drop_edges=()):
 class TestIntegerRoots:
     """Roots far beyond float range are decided in integers."""
 
-    @pytest.mark.parametrize(
-        "n,k",
-        [(10**400, 4), (10**400 - 1, 4), (3**1001, 7), (2**2048 + 1, 2)],
-        ids=["10^400,4", "10^400-1,4", "3^1001,7", "2^2048+1,2"],
-    )
-    def test_floor_nth_root_brackets(self, n, k):
-        r = floor_nth_root(n, k)
-        assert r**k <= n < (r + 1) ** k
+    @pytest.mark.parametrize("n", [10**400, 10**400 - 1], ids=["10^400,4", "10^400-1,4"])
+    def test_floor_nth_root_brackets(self, n):
+        # the fourth root default_tol_t takes, as floor(sqrt(floor(sqrt(n))))
+        r = isqrt(isqrt(n))
+        assert r**4 <= n < (r + 1) ** 4
 
     def test_default_tol_t_at_huge_scale(self):
-        h = 10**110
-        tol = RecoverConfig().default_tol_t(F(10**6), h)
-        root = F(10**6) / tol
-        assert root.denominator == 1
-        assert root**4 <= h**3 < (root + 1) ** 4
+        # H = m^4 makes H^3 an exact fourth power, the edge of the floor;
+        # its neighbours sit just inside and just outside it
+        scales = [10**110, 10**400]
+        for m in (2, 3, 10**25, 3**211 + 1):
+            scales += [m**4 - 1, m**4, m**4 + 1]
+        for h in scales:
+            tol = RecoverConfig().default_tol_t(F(10**6), h)
+            root = F(10**6) / tol
+            assert root.denominator == 1
+            assert root**4 <= h**3 < (root + 1) ** 4
+        assert RecoverConfig().default_tol_t(F(10**6), 10**400) == F(10**6, 10**300)
 
 
 class TestFixtureGeometry:
@@ -428,3 +434,24 @@ class TestPipeline:
         sc = score_recovery(res.global_freq, inst.truth, res.hub_index)
         assert sc.rel_t_error == 0
         assert sc.q_match is True
+
+
+class TestPinnedRecovery:
+    """The recovery.json documents of the 300-site e2e instances, pinned:
+    a change that moves one of their bytes must move this pin on purpose."""
+
+    def test_e2e_seeds_both_modes_k_2_to_4(self):
+        # one sha256 over the 60 documents, each as sorted-key JSON text,
+        # in the order seed, mode, k
+        digest, pairs = hashlib.sha256(), 0
+        for seed in range(10):
+            for mode, q_star in (("archimedean", 1), ("rational", 6)):
+                blind = gen_instance(e2e_params(seed), mode=mode, t_star=F(10**5),
+                                     q_star=q_star).strip_truth()
+                for k in (2, 3, 4):
+                    doc = recover_instance(blind, RecoverConfig(k=k)).to_json()
+                    digest.update(json.dumps(doc, sort_keys=True).encode())
+                    pairs += doc["pairs_found"]
+        assert pairs == 177
+        assert digest.hexdigest() == (
+            "292f134ef3cec26c128a1f322c1bcb3910d2cd09fc7dd3138cba4c4b962de763")

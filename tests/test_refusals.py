@@ -23,7 +23,6 @@ from freqpath.pathgraph import (
     peel_regular,
     top_anchor_certificate,
 )
-from freqpath.primes import floor_nth_root
 from freqpath.pyramid import (
     HypothesisViolation,
     PrePath,
@@ -56,7 +55,7 @@ CFG = Configuration(SITES, F(1, 2), frozenset({11, 17}), frozenset({13, 19}))
 def prepath(**kw) -> PrePath:
     """A valid length-1 pre-path mod 35 at zero, with fields overridden."""
     base = dict(modulus=M35, top_anchors=(ZERO, ZERO), mid_anchors=(ZERO,),
-                p_primes=(11,), q_primes=(13,), eps=(EPS,), eps_prime=(EPS,))
+                p_primes=(11,), q_primes=(13,), eps=EPS)
     return PrePath(**{**base, **kw})
 
 
@@ -129,7 +128,7 @@ REFUSALS = {
     "PrePath-prime-divides-Q": (
         lambda: prepath(q_primes=(7,)), PrePathError, "prime 7 divides the modulus 35"),
     "PrePath-zero-tolerance": (
-        lambda: prepath(eps_prime=(F(0),)), PrePathError, "tolerances must be positive"),
+        lambda: prepath(eps=F(0)), PrePathError, "tolerances must be positive"),
     "PrePath-anchor-modulus": (
         lambda: prepath(mid_anchors=(reduce_mod(0, 5),)), PrePathError,
         "anchor modulus mismatch"),
@@ -170,8 +169,6 @@ REFUSALS = {
         lambda: check_lift_primes(35, 15, 11), TorusError, "15 is not prime"),
     "check_lift_primes-divides-Q": (
         lambda: check_lift_primes(35, 11, 7), TorusError, "prime 7 divides the modulus 35"),
-    "floor_nth_root-negative": (
-        lambda: floor_nth_root(-1, 2), ValueError, "floor_nth_root needs n >= 0, k >= 1"),
     # synth
     "Params-zero-scale": (
         lambda: params(X=0), ParamsError,

@@ -247,6 +247,95 @@ def corruptions(draw):
     return f"{field} of edge {e} set to {value!r}", corrupt
 
 
+# a value of each JSON type; the integers stay small, so a mutated params
+# block never asks for a large sieve
+VALUES = st.one_of(JUNK, st.integers(-2, 10**4), st.just({}), st.just([]),
+                   st.sampled_from(["1/2", "5/1", "rational", "web"]))
+
+
+def _nodes(value, path=()):
+    """(path, value) for a JSON value and every value nested in it."""
+    yield path, value
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, child in items:
+        yield from _nodes(child, (*path, key))
+
+
+def _draw_path(draw, nodes, keep) -> tuple:
+    """The path of a node that `keep(value)` accepts, its depth drawn first,
+    so that the top-level keys are drawn as often as the site fields."""
+    kept = [path for path, value in nodes if keep(value)]
+    depth = draw(st.sampled_from(sorted({len(path) for path in kept})))
+    return draw(st.sampled_from([path for path in kept if len(path) == depth]))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _dumps_key_twice(value, path, key, first) -> str:
+    """`value` as JSON text with `key` of the object at `path` written
+    twice: as `first`, then as the object holds it."""
+    if not path:
+        return "{" + f"{json.dumps(key)}: {json.dumps(first)}, " + json.dumps(value)[1:]
+    text = [_dumps_key_twice(child, path[1:], key, first) if k == path[0] else json.dumps(child)
+            for k, child in (value.items() if type(value) is dict else enumerate(value))]
+    if type(value) is list:
+        return "[" + ", ".join(text) + "]"
+    return "{" + ", ".join(f"{json.dumps(k)}: {t}" for k, t in zip(value, text)) + "}"
+
+
+@st.composite
+def mutations(draw):
+    """(description, text): a valid instance file under one structural
+    mutation, which may or may not leave it a valid file."""
+    doc = json.loads(valid_instance_text())
+    nodes = list(_nodes(doc))
+    kind = draw(st.sampled_from(
+        ["insert", "delete", "duplicate", "retype", "swap", "repeat", "perturb"]))
+    if kind == "duplicate":
+        path = _draw_path(draw, nodes, lambda v: type(v) is dict and v)
+        key = draw(st.sampled_from(sorted(_at(doc, path))))
+        first = draw(st.one_of(VALUES, st.just(_at(doc, path)[key])))
+        return f"{key!r} of {path} written first as {first!r}", _dumps_key_twice(
+            doc, path, key, first)
+    if kind == "insert":
+        path = _draw_path(draw, nodes, lambda v: type(v) is dict)
+        key = draw(st.sampled_from(["note", "x", "alpha", "mode", "seed", "schema", "0", ""]))
+        _at(doc, path)[key] = draw(VALUES)
+    elif kind == "delete":
+        path = _draw_path(draw, nodes[1:], lambda v: True)
+        del _at(doc, path[:-1])[path[-1]]
+    elif kind == "retype":
+        path = _draw_path(draw, nodes, lambda v: True)
+        value = draw(VALUES)
+        if path:
+            _at(doc, path[:-1])[path[-1]] = value
+        else:
+            doc = value
+    elif kind in ("swap", "repeat"):
+        path = _draw_path(draw, nodes, lambda v: type(v) is list and v)
+        rows = _at(doc, path)
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        if kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows.insert(i, json.loads(json.dumps(rows[i])))
+    else:
+        path = _draw_path(draw, nodes, lambda v: type(v) is str and "/" in v)
+        old = _at(doc, path)
+        num, den = old.split("/")
+        _at(doc, path[:-1])[path[-1]] = draw(st.one_of(
+            st.fractions(-10**6, 10**6, max_denominator=10**6).map(
+                lambda d: _shifted(old, d)),
+            st.sampled_from(["+" + old, " " + old, f"{2 * int(num)}/{2 * int(den)}",
+                             f"{num}/-{den}", f"{num}.0/{den}"]),
+        ))
+    return f"{kind} at {path}", json.dumps(doc)
+
+
 class TestInstanceJson:
     """The JSON round trip is the identity on generated instances, and any
     one corrupted field of a valid file is refused with InstanceError."""
@@ -295,6 +384,19 @@ class TestInstanceJson:
         corrupt(doc)
         with pytest.raises(InstanceError):
             instance_from_json(json.dumps(doc))
+
+    @given(mutations())
+    def test_mutated_file_is_refused_or_written_back(self, case):
+        # a mutation either fails as InstanceError or leaves a file that
+        # loads to an instance writing back the mutated document; sorted
+        # JSON text is compared, since True == 1 and 1.0 == 1 in Python
+        _what, text = case
+        try:
+            inst = instance_from_json(text)
+        except InstanceError:
+            return
+        back = json.dumps(json.loads(instance_to_json(inst)), sort_keys=True)
+        assert back == json.dumps(json.loads(text), sort_keys=True)
 
     def test_valid_file_loads(self):
         text = valid_instance_text()
