@@ -10,6 +10,7 @@ import csv
 import itertools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path as FsPath
 
 from . import __version__
@@ -88,9 +89,7 @@ def _require_walks(args) -> None:
 def cmd_synth(args) -> int:
     out = FsPath(args.out)
     params = _params_from_args(args)
-    inst = gen_instance(
-        params, mode=args.mode, t_star=str_to_frac(args.t_star), q_star=args.q_star
-    )
+    inst = gen_instance(params, mode=args.mode, t_star=args.t_star, q_star=args.q_star)
     out.mkdir(parents=True, exist_ok=True)
     (out / "instance.json").write_text(instance_to_json(inst))
     if args.blind:
@@ -203,13 +202,7 @@ def cmd_census(args) -> int:
 def cmd_recover(args) -> int:
     _require_walks(args)
     inst = _load_instance(args.instance)
-    rcfg = RecoverConfig(
-        k=args.k,
-        min_common_witness=args.min_common_witness,
-        tol_t=str_to_frac(args.tol_T) if args.tol_T else None,
-        path_limit=args.limit,
-        d_min=args.d_min,
-    )
+    rcfg = RecoverConfig(k=args.k, tol_t=args.tol_T, path_limit=args.limit)
     result = recover_instance(inst, rcfg)
     out = FsPath(args.out)
     header = {**_report_header(inst.params), "config": fields_to_json(rcfg)}
@@ -241,6 +234,15 @@ def cmd_score(args) -> int:
     return 0 if score.status == "ok" else 1
 
 
+def _rational(text: str) -> Fraction:
+    """A rational flag's value as str_to_frac reads it; any other text is
+    refused by argparse with its usage (exit 2), before a command runs."""
+    try:
+        return str_to_frac(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="freqpath",
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None,
                    help="JSON params file; generator flags given override it")
     p.add_argument("--mode", choices=("archimedean", "rational"), default="archimedean")
-    p.add_argument("--t-star", default="0/1")
+    p.add_argument("--t-star", type=_rational, default="0/1")
     p.add_argument("--q-star", type=int, default=1)
     p.add_argument("--blind", action="store_true", default=False)
     # generator flags, absent unless given; each dest is a Params field
@@ -275,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int)
     p.add_argument("--P", type=int)
     p.add_argument("--P-prime", dest="P_prime", type=int)
-    p.add_argument("--eps-edge")
-    p.add_argument("--s-edge")
+    p.add_argument("--eps-edge", type=_rational)
+    p.add_argument("--s-edge", type=_rational)
     p.add_argument("--sites", dest="site_count", type=int)
     p.add_argument("--edges", dest="edge_count", type=int)
     p.add_argument("--placement", choices=("uniform", "web"))
@@ -298,9 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = reader("recover", "hub, route pairs, local and global estimates")
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--min-common-witness", type=int, default=1)
-    p.add_argument("--tol-T", default=None)
-    p.add_argument("--d-min", type=int, default=1)
+    p.add_argument("--tol-T", type=_rational, default=None)
     p.add_argument("--limit", type=int, default=20000)
 
     p = reader("score", "grade a recorded recovery against the truth",

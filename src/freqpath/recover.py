@@ -1,15 +1,16 @@
 """Global frequency recovery: hub selection, disjoint split-route pairs,
 loop pyramids, per-target local estimates and their aggregation.
 
-For a pair of prime-disjoint split routes from the hub to a common target,
-the closed loop (first route followed by the inverted second) admits a
-pyramid whose apex alpha_y nearly annihilates D = prod(p-labels) -
-prod(q-labels):  D * alpha_y = n * Q_y + e with |e| certified by the exact
-apex-to-base bounds.  The pair search decides each pair once, by that
-loop's pre-path.  The integer part yields the rational component
-(u/d) * Q_y with d dividing |D|; the residue e yields the archimedean
-component T_y.  Aggregation anchors on the estimate with the largest
-shared-witness mass and keeps estimates agreeing both archimedeanly
+The hub survives degree-1 peeling for the most witness primes.  Two
+prime-disjoint split routes from the hub to one target that share a witness
+close a loop (the first route, then the inverted second) whose pyramid apex
+alpha_y nearly annihilates D = prod(p-labels) - prod(q-labels):
+D * alpha_y = n * Q_y + e, Q_y the product of the shared witnesses and |e|
+certified by the exact apex-to-base bounds.  The pair search decides each
+pair once, by the loop's pre-path.  The integer part n yields the rational
+component (u/d) * Q_y with d dividing |D|; the residue e yields the
+archimedean component T_y.  Aggregation anchors on the estimate with the
+largest shared-witness mass and keeps estimates agreeing both archimedeanly
 (|T - T_y| <= tol) and rationally (congruent modulo the gcd modulus).
 """
 from __future__ import annotations
@@ -57,25 +58,16 @@ class RecoverConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RecoverConfig:
-    """Free dials of the recovery pipeline.
-
-    tol_t defaults to x_hub / H^(3/4) with the root taken as an exact
-    integer floor.  d_min is the peeling degree of hub selection: a site
-    with at most d_min surviving neighbours is peeled.  A pair needs at
-    least one common witness prime and a given tol_t must be positive:
-    min_common_witness < 1 or tol_t <= 0 raises RecoverConfigError.
-    """
+    """Free dials of the recovery pipeline: route length, archimedean
+    tolerance and walk budget.  tol_t defaults to x_hub / H^(3/4), the root
+    taken as an exact integer floor; a given tol_t <= 0 raises
+    RecoverConfigError."""
 
     k: int = 2
-    min_common_witness: int = 1
     tol_t: Fraction | None = None
     path_limit: int = 20000
-    d_min: int = 1
 
     def __post_init__(self) -> None:
-        if self.min_common_witness < 1:
-            raise RecoverConfigError(
-                f"min_common_witness must be at least 1, got {self.min_common_witness}")
         if self.tol_t is not None and self.tol_t <= 0:
             raise RecoverConfigError(f"tol_t must be positive, got {self.tol_t}")
 
@@ -96,13 +88,14 @@ class HubSelection:
     survival_count: int
 
 
-def select_hub(inst: Instance, d_min: int = 1) -> HubSelection:
-    """The site surviving witness-wise peeling most often; ties to smallest x."""
+def select_hub(inst: Instance) -> HubSelection:
+    """The site surviving witness-wise peeling at degree 1 (a site with at
+    most one surviving neighbour is peeled) most often; ties to smallest x."""
     if not inst.edges:
         raise EmptyGraphError("instance has no edges")
     scores = {i: 0 for i in range(len(inst.cfg.sites))}
     for w in inst.params.witness_primes():
-        for i in peel_regular(inst.cfg, inst.edges, d_min, w):
+        for i in peel_regular(inst.cfg, inst.edges, 1, w):
             scores[i] += 1
     xs = inst.cfg.positions  # in the order of the sites' x
     best = min(scores, key=lambda i: (-scores[i], xs[i]))
@@ -111,12 +104,10 @@ def select_hub(inst: Instance, d_min: int = 1) -> HubSelection:
 
 @dataclass(frozen=True)
 class PathPair:
-    """Two routes to one target, their loop (first, inverted second) and its pre-path."""
+    """Two routes of length k to one target as their loop (the first route,
+    then the inverted second) and its pre-path modulo the shared witnesses."""
 
     target_index: int
-    first: Path
-    second: Path
-    q_mod: Modulus
     loop: Path
     prepath: PrePath
 
@@ -132,16 +123,15 @@ def find_disjoint_path_pairs(
     inst: Instance,
     hub_index: int,
     k: int,
-    min_common_witness: int = 1,
     path_limit: int = 20000,
 ) -> PairSearch:
     """Prime-disjoint pairs of split routes from the hub to a common target.
 
     Both routes are split walks of length k; their 2k-prime sets must be
-    disjoint and their witness intersections at least min_common_witness
-    primes large, with Q the product of the shared ones.  Paths are built
-    only for a pair passing both tests, which its loop's pre-path modulo Q
-    then decides: its q-side hypotheses are both routes' step relations.
+    disjoint and their witness intersections must share at least one
+    prime, with Q the product of the shared ones.  Paths are built only for
+    a pair passing both tests, which its loop's pre-path modulo Q then
+    decides: its q-side hypotheses are both routes' step relations.
     """
     walks, truncated = SplitWalks(inst.cfg, inst.edges).walks(hub_index, k, path_limit)
     groups: dict[int, list[tuple[Walk, frozenset[int], frozenset[int]]]] = {}
@@ -156,16 +146,15 @@ def find_disjoint_path_pairs(
             if not pa.isdisjoint(pb):
                 continue
             common = tuple(sorted(wa & wb))
-            if len(common) < min_common_witness:
+            if not common:
                 continue
             q_mod = Modulus(prod(common), common)
-            first, second = build_path(inst.cfg, a), build_path(inst.cfg, b)
-            loop = concat_paths(first, invert_path(second))
+            loop = concat_paths(build_path(inst.cfg, a), invert_path(build_path(inst.cfg, b)))
             try:
                 pp = path_prepath(loop, inst.params.eps_edge, modulus=q_mod)
             except PrePathError:
                 continue
-            pairs.append(PathPair(end, first, second, q_mod, loop, pp))
+            pairs.append(PathPair(end, loop, pp))
     return PairSearch(tuple(pairs), len(walks), truncated)
 
 
@@ -227,9 +216,9 @@ def local_estimate(
     """
     hub = inst.cfg.sites[hub_index]
     target = inst.cfg.sites[pair.target_index]
-    loop, py = pair.loop, build_pyramid(pair.prepath)
+    loop, q_mod, py = pair.loop, pair.prepath.modulus, build_pyramid(pair.prepath)
     alpha_y = py.top
-    k = pair.first.k
+    k = loop.k // 2
     prod_q = prod(loop.q_primes)
     prod_p = prod(loop.p_primes)
     d_big = prod_p - prod_q
@@ -241,7 +230,7 @@ def local_estimate(
     for cert in (cert_lo, cert_hi, cert_mid):
         if not cert.passed:
             raise InvariantViolation("apex certificate failed on a valid loop")
-    q_val = Fraction(pair.q_mod.q)
+    q_val = Fraction(q_mod.q)
     apex_bound = cert_lo.bound + cert_hi.bound
     if 2 * apex_bound >= q_val:
         return DroppedTarget(
@@ -250,7 +239,7 @@ def local_estimate(
     d_alpha = d_big * alpha_y.value
     n = round_half_down(d_alpha / q_val)
     e = d_alpha - n * q_val
-    if abs(e) != norm_mod(d_alpha, pair.q_mod):
+    if abs(e) != norm_mod(d_alpha, q_mod):
         raise InvariantViolation("signed apex residue disagrees with the norm")
     if abs(e) > apex_bound:
         return DroppedTarget(
@@ -262,25 +251,25 @@ def local_estimate(
     # hub-side congruence: alpha_0 = (a/d) Q_y + T_y/x_0 + res  (mod Q_y)
     z_hub = d * (hub.alpha - t_y / hub.x) / q_val
     a_y = round_half_down(z_hub) % d
-    res_hub = norm_mod(hub.alpha - Fraction(a_y, d) * q_val - t_y / hub.x, pair.q_mod)
+    res_hub = norm_mod(hub.alpha - Fraction(a_y, d) * q_val - t_y / hub.x, q_mod)
     if res_hub > cert_lo.bound:
         return DroppedTarget(pair.target_index, "hub residual above tolerance")
     # target-side congruence: beta = (b/d) Q_y + T_y/y + res  (mod Q_y);
     # replacing T_y/x_0 * prod(p)/prod(q) by T_y/y costs an exact transfer term
-    ratio_first = Fraction(prod(pair.first.p_primes), prod(pair.first.q_primes))
+    ratio_first = Fraction(prod(loop.p_primes[:k]), prod(loop.q_primes[:k]))
     transfer = abs(t_y / hub.x * ratio_first - t_y / target.x)
     target_bound = cert_mid.bound + transfer
     z_tgt = d * (target.alpha - t_y / target.x) / q_val
     b_y = round_half_down(z_tgt) % d
     res_target = norm_mod(
-        target.alpha - Fraction(b_y, d) * q_val - t_y / target.x, pair.q_mod
+        target.alpha - Fraction(b_y, d) * q_val - t_y / target.x, q_mod
     )
     if res_target > target_bound:
         return DroppedTarget(pair.target_index, "target residual above tolerance")
     return LocalEstimate(
         target_index=pair.target_index,
         target_x=target.x,
-        q_mod=pair.q_mod,
+        q_mod=q_mod,
         d_big=d_big,
         e=e,
         u=u,
@@ -556,10 +545,8 @@ class RecoveryResult:
 
 def recover_instance(inst: Instance, rcfg: RecoverConfig) -> RecoveryResult:
     """Full pipeline: hub, pairs, one estimate per reachable target, global."""
-    hub = select_hub(inst, rcfg.d_min)
-    search = find_disjoint_path_pairs(
-        inst, hub.index, rcfg.k, rcfg.min_common_witness, rcfg.path_limit
-    )
+    hub = select_hub(inst)
+    search = find_disjoint_path_pairs(inst, hub.index, rcfg.k, rcfg.path_limit)
     first_pair: dict[int, PathPair] = {}
     for pair in search.pairs:
         first_pair.setdefault(pair.target_index, pair)

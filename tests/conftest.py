@@ -529,14 +529,13 @@ def ref_enumerate_split_paths(
     return PathEnumeration(tuple(results), truncated)
 
 
-def ref_route_pairs(inst, hub: int, k: int, min_common_witness: int = 1,
-                    limit: int = 20000):
+def ref_route_pairs(inst, hub: int, k: int, limit: int = 20000):
     """`find_disjoint_path_pairs` by brute force, as (pairs, paths found,
     truncated), each pair (target, first route's edges, second route's
     edges, the factors of Q): every two paths of `ref_enumerate_split_paths`
     ending at one site other than the hub, in enumeration order, targets
     ascending, whose 4k primes are distinct and whose common witness set
-    has at least min_common_witness primes, with Q their product; both
+    is not empty, with Q the product of its primes; both
     routes pass `ref_validate_path_modulus` at Q, and every label is a
     prime not dividing Q, as the loop's pre-path needs."""
     enum = ref_enumerate_split_paths(inst.cfg, inst.edges, hub, k, limit)
@@ -547,7 +546,7 @@ def ref_route_pairs(inst, hub: int, k: int, min_common_witness: int = 1,
             continue
         labels = a.p_primes + a.q_primes + b.p_primes + b.q_primes
         common = tuple(sorted(a.common_witness & b.common_witness))
-        if len(set(labels)) < 4 * k or len(common) < min_common_witness:
+        if len(set(labels)) < 4 * k or not common:
             continue
         q_mod = Modulus(prod(common), common)
         try:

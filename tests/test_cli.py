@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 from fractions import Fraction
@@ -43,7 +44,7 @@ PINNED_REPORTS = {
     "census/census_report.json":
         "34369c29ebae7636008e8495f809bbc24ac7d0cad17a35d56bdc429b770c4cdf",
     "rec/recovery.json":
-        "09cfcaaffed514b0654e1d82611256ea2e04a40b7a0b708201951de06aa0fc47",
+        "1d227531b529b6a233f1f976773de370fca8df68ad47300634a4a3b289ece014",
     "rec/targets.csv":
         "cd23c09b45a865dcf949c22e825ae6a403d116cf8e87ee30bc394d4023d80ea6",
 }
@@ -371,14 +372,11 @@ def test_walk_flags_below_one_are_refused(tmp_path, recorded_k3, command, flag, 
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--min-common-witness", "0", "min_common_witness must be at least 1, got 0"),
-    ("--min-common-witness", "-3", "min_common_witness must be at least 1, got -3"),
     ("--tol-T", "0/1", "tol_t must be positive, got 0"),
     ("--tol-T", "-5/1", "tol_t must be positive, got -5"),
 ])
 def test_recovery_dials_out_of_range_are_refused(tmp_path, recorded_k3, flag, value, message):
-    # each used to run: a witness floor below 1 recovered as with 1, and a
-    # tolerance of 0 failed later as a consensus error naming no dial
+    # a tolerance of 0 used to fail later as a consensus error naming no dial
     inst, _recovery = recorded_k3
     out = tmp_path / "out"
     assert main(["recover", "--out", str(out), "--instance", str(inst),
@@ -386,6 +384,52 @@ def test_recovery_dials_out_of_range_are_refused(tmp_path, recorded_k3, flag, va
     err = json.loads((out / "recover_error.json").read_text())["error"]
     assert err == {"type": "RecoverConfigError", "message": message}
     assert [f.name for f in out.iterdir()] == ["recover_error.json"]
+
+
+@pytest.mark.parametrize("flag", ["--d-min", "--min-common-witness"])
+def test_removed_recovery_dials_are_refused(tmp_path, flag):
+    # hub peeling is at degree 1 and a pair shares at least one witness:
+    # neither is a dial, so argparse refuses both flags
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "--out", str(tmp_path / "out"), "--instance", "x.json", flag, "1"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", ""], ids=["word", "zero-den", "empty"])
+@pytest.mark.parametrize("command, flag", [
+    ("synth", "--t-star"), ("synth", "--eps-edge"), ("synth", "--s-edge"),
+    ("recover", "--tol-T"),
+])
+def test_bad_rational_flag_is_refused_with_usage(tmp_path, capsys, command, flag, value):
+    # refused while parsing, so no command runs: none writes an error file
+    # naming a ValueError or ZeroDivisionError, and an empty --tol-T is not
+    # read as the default tolerance
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(out), "--instance", "x.json", f"{flag}={value}"]
+             if command == "recover" else [command, "--out", str(out), f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {flag}: not a rational: {value!r}" in err
+    assert not out.exists()
+
+
+def test_every_option_is_read():
+    # each subcommand option either names a Params field (the generator
+    # flags _params_from_args passes on) or is read in cli.py as args.<dest>:
+    # an option nothing reads would be accepted and then ignored
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    sub, = (a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {(name, a.dest) for name, parser in sub.choices.items()
+             for a in parser._actions
+             if not isinstance(a, (argparse._HelpAction, argparse._VersionAction))}
+    assert {name for name, _ in dests} == set(sub.choices)
+    unread = {(name, dest) for name, dest in dests
+              if dest not in read and dest not in Params.__dataclass_fields__}
+    assert unread == set()
 
 
 def _swap_primes(edge: list) -> None:

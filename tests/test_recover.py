@@ -5,12 +5,19 @@ import functools
 import hashlib
 import json
 from fractions import Fraction as F
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
 from conftest import edge, ref_route_pairs, site
-from freqpath.pathgraph import Configuration, concat_paths, invert_path, path_prepath
+from freqpath.pathgraph import (
+    Configuration,
+    Path,
+    build_path,
+    concat_paths,
+    invert_path,
+    path_prepath,
+)
 from freqpath.recover import (
     EmptyGraphError,
     LocalEstimate,
@@ -177,7 +184,7 @@ class TestFindDisjointPairs:
         assert len(search.pairs) == 1
         pair = search.pairs[0]
         assert pair.target_index == 3
-        assert pair.q_mod.q == 35
+        assert pair.prepath.modulus.q == 35
 
     def test_shared_prime_excluded(self):
         # swap p on route 2's closing edge to collide with route 1's primes
@@ -192,10 +199,6 @@ class TestFindDisjointPairs:
         search = find_disjoint_path_pairs(bad, 0, k=2)
         assert search.pairs == ()
 
-    def test_min_common_witness_exhausts(self):
-        inst = hand_instance()
-        assert find_disjoint_path_pairs(inst, 0, k=2, min_common_witness=3).pairs == ()
-
 
 def relabelled(inst: Instance, index: int, p: int) -> Instance:
     """The instance with edge `index` given the p-label p, which joins the
@@ -209,9 +212,14 @@ def relabelled(inst: Instance, index: int, p: int) -> Instance:
 
 
 def search_rows(search):
-    """A pair search as `ref_route_pairs` gives it."""
-    pairs = [(pair.target_index, pair.first.edges, pair.second.edges, pair.q_mod.factors)
-             for pair in search.pairs]
+    """A pair search as `ref_route_pairs` gives it, each pair's routes read
+    off its loop: the first k steps, and the last k inverted."""
+    pairs = []
+    for pair in search.pairs:
+        loop, k = pair.loop, pair.loop.k // 2
+        second = invert_path(Path(loop.sites[k:], loop.edges[k:]))
+        pairs.append((pair.target_index, loop.edges[:k], second.edges,
+                      pair.prepath.modulus.factors))
     return pairs, search.paths_found, search.truncated
 
 
@@ -252,9 +260,12 @@ class TestPairSearchOracle:
     def test_pair_carries_its_loop_prepath(self):
         inst = hand_instance(t_star=F(10**5))
         (pair,) = find_disjoint_path_pairs(inst, 0, k=2).pairs
-        assert pair.loop == concat_paths(pair.first, invert_path(pair.second))
+        ((_target, first, second, common),), _, _ = ref_route_pairs(inst, 0, 2)
+        routes = build_path(inst.cfg, first), build_path(inst.cfg, second)
+        assert pair.loop == concat_paths(routes[0], invert_path(routes[1]))
         assert pair.loop.site_indices == (0, 1, 3, 2, 0)
-        assert pair.prepath == path_prepath(pair.loop, inst.params.eps_edge, pair.q_mod)
+        q_mod = Modulus(prod(common), common)
+        assert pair.prepath == path_prepath(pair.loop, inst.params.eps_edge, q_mod)
 
     @pytest.mark.parametrize("label", [7, 121], ids=["divides-Q", "composite"])
     def test_label_the_loop_prepath_refuses_is_no_pair(self, label):
@@ -326,8 +337,6 @@ class TestLocalEstimate:
 
 
 def make_estimate(target, x, q_factors, t_y, a=0, b=0, d=1) -> LocalEstimate:
-    from math import prod
-
     return LocalEstimate(
         target_index=target,
         target_x=F(x),

@@ -385,18 +385,34 @@ class TestInstanceJson:
         with pytest.raises(InstanceError):
             instance_from_json(json.dumps(doc))
 
-    @given(mutations())
-    def test_mutated_file_is_refused_or_written_back(self, case):
+    @staticmethod
+    def refused_or_written_back(text: str) -> None:
         # a mutation either fails as InstanceError or leaves a file that
         # loads to an instance writing back the mutated document; sorted
         # JSON text is compared, since True == 1 and 1.0 == 1 in Python
-        _what, text = case
         try:
             inst = instance_from_json(text)
         except InstanceError:
             return
         back = json.dumps(json.loads(instance_to_json(inst)), sort_keys=True)
         assert back == json.dumps(json.loads(text), sort_keys=True)
+
+    @given(mutations())
+    def test_mutated_file_is_refused_or_written_back(self, case):
+        _what, text = case
+        self.refused_or_written_back(text)
+
+    @pytest.mark.parametrize("key, value", [
+        ("truth", False), ("truth", 0), ("truth", []), ("edges", {}), ("edges", ""),
+    ])
+    def test_retyped_top_level_key_is_refused_or_written_back(self, key, value):
+        # the property draws top-level retypes too rarely to be sure of one
+        # at its example count, so these run on every pass: a loader that
+        # took a non-object truth or non-list edges would write back another
+        # document
+        doc = json.loads(valid_instance_text())
+        doc[key] = value
+        self.refused_or_written_back(json.dumps(doc))
 
     def test_valid_file_loads(self):
         text = valid_instance_text()
@@ -847,10 +863,12 @@ class TestWebPlacement:
         search = find_disjoint_path_pairs(inst, hub.index, k=2)
         assert len(search.pairs) >= 1
         for pair in search.pairs:
-            sa = set(pair.first.p_primes + pair.first.q_primes)
-            sb = set(pair.second.p_primes + pair.second.q_primes)
-            assert not sa & sb
-            assert pair.q_mod.q > 1
+            # the loop's first k steps are one route and its last k the other
+            loop = pair.loop
+            sa = set(loop.p_primes[:2] + loop.q_primes[:2])
+            sb = set(loop.p_primes[2:] + loop.q_primes[2:])
+            assert len(sa) == len(sb) == 4 and not sa & sb
+            assert pair.prepath.modulus.q > 1
 
     def test_web_chain_paths_exist(self):
         from freqpath.pathgraph import enumerate_split_paths
