@@ -9,21 +9,14 @@ import argparse
 import csv
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path as FsPath
 
 from . import __version__
-from .pathgraph import (
-    PathError,
-    SplitWalks,
-    build_path,
-    collision_census,
-    ratio_drift_certificate,
-    top_anchor_certificate,
-    path_prepath,
-)
-from .pyramid import PrePathError, build_pyramid, verify_pyramid
+from .pathgraph import PathError, SplitWalks, build_path, certify_path, collision_census
+from .pyramid import PrePathError
 from .recover import RecordError, RecoverConfig, recover_instance, score_record
 from .synth import (
     Params,
@@ -32,7 +25,7 @@ from .synth import (
     instance_from_json,
     instance_to_json,
 )
-from .torus import fields_to_json, pair_to_str, str_to_frac
+from .torus import fields_to_json, pair_to_str
 
 
 def _report_header(params: Params) -> dict:
@@ -50,14 +43,18 @@ def _write_json(path: FsPath, doc: dict) -> None:
 
 
 def _write_csv(path: FsPath, rows: list[dict]) -> None:
+    """The rows under the first row's keys; other keys, or another order, are refused."""
     path.parent.mkdir(parents=True, exist_ok=True)
     if not rows:
         path.write_text("")
         return
+    header = list(rows[0])
+    if any(list(row) != header for row in rows):
+        raise ValueError(f"CSV rows do not all have the columns {header}")
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([row.values() for row in rows])
 
 
 # the required Params fields, for a synth run given no --params file
@@ -67,10 +64,11 @@ SYNTH_DEFAULTS = dict(X=10**8, H=10**4, K=100, P=20, P_prime=5, eps_edge="1/5",
 
 def _params_from_args(args) -> Params:
     """The --params file (or SYNTH_DEFAULTS), then every generator flag given:
-    the generator flags default to absent, and each is named by its field."""
+    the generator flags default to absent, and each is named by its field.
+    `Params.from_json` refuses a file that is not a JSON object."""
     doc = json.loads(FsPath(args.params).read_text()) if args.params else SYNTH_DEFAULTS
     given = {k: v for k, v in vars(args).items() if k in Params.__dataclass_fields__}
-    return Params.from_json({**doc, **given})
+    return Params.from_json({**doc, **given} if type(doc) is dict else doc)
 
 
 def _load_instance(path: str):
@@ -111,24 +109,13 @@ def cmd_audit(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
-    """Pyramid bound rows plus drift and apex certificates over enumerated
-    split paths of every length up to --k."""
+    """Pyramid bound rows plus drift and apex certificates (`certify_path`)
+    over enumerated split paths of every length up to --k."""
     _require_walks(args)
     inst = _load_instance(args.instance)
     eps = inst.params.eps_edge
     rows: list[dict] = []
-
-    def row(path_id, kind, passed, j="", m="", actual=None, bound=None) -> bool:
-        # actual and bound are a certificate's pairs in lowest terms
-        rows.append(
-            {"path": path_id, "kind": kind, "j": j, "m": m,
-             "actual": "" if actual is None else pair_to_str(actual),
-             "bound": "" if bound is None else pair_to_str(bound), "pass": passed}
-        )
-        return passed
-
     pyramids: list[dict] = []
-    ok = True
     n_paths = 0
     walks = SplitWalks(inst.cfg, inst.edges)
     starts = range(len(inst.cfg.sites))
@@ -141,23 +128,17 @@ def cmd_verify_bounds(args) -> int:
             path = build_path(inst.cfg, walk)
             path_id = f"{start}:{k}:{pid}"
             try:
-                pp = path_prepath(path, eps)
+                path_rows, q, layers = certify_path(path, eps)
             except PrePathError:
-                ok &= row(path_id, "prepath", False)
-                continue
-            py = build_pyramid(pp)
-            if len(pyramids) < 10:
-                pyramids.append({"path": path_id, **py.to_json()})
-            for r in verify_pyramid(pp, py).rows:
-                ok &= row(path_id, "layer_gap", r.passed, j=r.j,
-                          actual=r.actual_pair, bound=r.predicted_pair)
-            drift = ratio_drift_certificate(path, path.k)
-            ok &= row(path_id, "ratio_drift", drift.passed, m=drift.m,
-                      actual=drift.drift_pair, bound=drift.bound_pair)
-            for j in (1, path.k + 1):
-                cert = top_anchor_certificate(path, py, j)
-                ok &= row(path_id, "apex_anchor", cert.passed, j=cert.j,
-                          actual=cert.actual_pair, bound=cert.bound_pair)
+                path_rows, layers = [("prepath", "", "", "", "", False)], None
+            if layers and len(pyramids) < 10:
+                pyramids.append({"path": path_id, "modulus": str(q),
+                                 "p_primes": list(path.p_primes), "q_primes": list(path.q_primes),
+                                 "layers": [[pair_to_str(pt) for pt in layer] for layer in layers]})
+            rows += [{"path": path_id, "kind": kind, "j": j, "m": m, "actual": actual,
+                      "bound": bound, "pass": passed}
+                     for kind, j, m, actual, bound, passed in path_rows]
+    ok = all(row["pass"] for row in rows)
     out = FsPath(args.out)
     if args.format == "csv":
         _write_csv(out / "bound_certificates.csv", rows)
@@ -235,12 +216,13 @@ def cmd_score(args) -> int:
 
 
 def _rational(text: str) -> Fraction:
-    """A rational flag's value as str_to_frac reads it; any other text is
-    refused by argparse with its usage (exit 2), before a command runs."""
-    try:
-        return str_to_frac(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+    """A rational flag's value, in ASCII [-]digits or [-]digits/digits with
+    a positive denominator; any other text (a space, `_`, `+` or another
+    digit too) is refused by argparse with its usage (exit 2)."""
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text)
+    if not match or match[2] is not None and int(match[2]) == 0:
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,14 +26,13 @@ hold each value as a pair in lowest terms: a row writes the pairs as text,
 and `cert.actual` and the other values build a Fraction only when read.  A
 certificate is a mutable slotted dataclass, so a row costs one plain
 attribute store per field.
-`path_prepath` reduces each anchor on integers (n mod Q*d, and one gcd for
-the mid anchors) and builds one TorusPoint per anchor; `PrePath` then
-decides every pre-path condition.  `anchor_bound_certificate` reads its
-bound off the pyramid's column sums in O(1), and `top_anchor_certificate`
-reads the pyramid's prefix products.  `ratio_drift_certificate` takes only
-the path: it sums its telescoped bound over one denominator in O(m).  A
-`Path` derives its two prime tuples once, when it is built; every other
-table belongs to one `Pyramid`.
+Each decision is one public function on integer pairs, called by the
+object route (`path_prepath`, `build_pyramid`, `verify_pyramid`, the
+certificates) and by `certify_path`, the `verify-bounds` pass that builds
+no PrePath, Pyramid, TorusPoint or certificate: `path_anchors`, then
+`pyramid.decide_prepath`, `merge_layers`, `prefix_tables` and
+`layer_gaps`, `ratio_drift` (its telescoped bound over one denominator in
+O(m)) and `apex_gap` (its bound off the prefix tables).
 """
 from __future__ import annotations
 
@@ -46,19 +45,19 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .primes import primes_in_range
-from .pyramid import PrePath, Pyramid
+from .pyramid import PrePath, Pyramid, decide_prepath, layer_gaps, merge_layers, prefix_tables
 from .torus import (
     Modulus,
+    Pair,
     Rational,
     TorusPoint,
     as_fraction,
     below,
     lowest_terms,
+    pair_gap,
     pair_property,
     pair_to_str,
-    reduce_ratio,
     residue_gap,
-    scaled_gap,
 )
 
 
@@ -306,6 +305,15 @@ def concat_paths(a: Path, b: Path) -> Path:
     return Path(a.sites + b.sites[1:], a.edges + b.edges)
 
 
+def path_anchors(path: Path, q: int) -> tuple[list[Pair], list[Pair]]:
+    """The top anchors alpha_t and mid anchors p_j * alpha_j of the pre-path
+    a path induces mod q, as residue pairs in lowest terms: alpha = n/d is
+    in lowest terms, and so is (n mod Q*d)/d, so only p*n/d takes a gcd."""
+    alphas = [s.alpha_pair for s in path.sites]
+    return ([(n % (q * d), d) for n, d in alphas],
+            [lowest_terms(p * n % (q * d), d) for p, (n, d) in zip(path.p_primes, alphas)])
+
+
 def path_prepath(
     path: Path, eps: Rational, modulus: Modulus | None = None
 ) -> PrePath:
@@ -315,23 +323,12 @@ def path_prepath(
     p-side hypothesis is exact and the one tolerance serves both
     inequalities.
     """
-    eps = as_fraction(eps)
     if modulus is None:
         modulus = path.modulus
-    q = modulus.q
-    alphas = [s.alpha_pair for s in path.sites]
-    # alpha = n/d is in lowest terms, and so is (n mod Q*d)/d: only the mid
-    # anchors p*n/d need `reduce_ratio`'s gcd
-    return PrePath(
-        modulus=modulus,
-        top_anchors=tuple([TorusPoint(n % (q * d), d, modulus) for n, d in alphas]),
-        mid_anchors=tuple(
-            [reduce_ratio(p * n, d, modulus) for p, (n, d) in zip(path.p_primes, alphas)]
-        ),
-        p_primes=path.p_primes,
-        q_primes=path.q_primes,
-        eps=eps,
-    )
+    top, mid = path_anchors(path, modulus.q)
+    return PrePath(modulus=modulus, top_anchors=tuple([TorusPoint(n, d, modulus) for n, d in top]),
+                   mid_anchors=tuple([TorusPoint(n, d, modulus) for n, d in mid]),
+                   p_primes=path.p_primes, q_primes=path.q_primes, eps=as_fraction(eps))
 
 
 @dataclass(slots=True)
@@ -360,7 +357,15 @@ class RatioDriftCert:
 
 
 def ratio_drift_certificate(path: Path, m: int) -> RatioDriftCert:
-    """Telescoped physical-drift certificate after m steps.
+    """Telescoped physical-drift certificate after m steps (`ratio_drift`)."""
+    if not 1 <= m <= path.k:
+        raise IndexError(f"m = {m} out of range 1..{path.k}")
+    return RatioDriftCert(m, *ratio_drift(path, m))
+
+
+def ratio_drift(path: Path, m: int) -> tuple[Pair, Pair, Pair, bool]:
+    """(ratio, drift, bound, drift <= bound) after m steps, 1 <= m <= k,
+    each value a pair in lowest terms.
 
     drift = |x_1 * prod_{i<=m} q_i/p_i  -  x_{m+1}| and the bound is the
     exact telescoping sum  sum_t s_t * prod_{i=t+1..m} q_i/p_i  with s_t =
@@ -372,10 +377,8 @@ def ratio_drift_certificate(path: Path, m: int) -> RatioDriftCert:
     of the first t p-primes), accumulated in one pass; `passed` is one
     integer cross-multiplication.
     """
-    if not 1 <= m <= path.k:
-        raise IndexError(f"m = {m} out of range 1..{path.k}")
     slack = [e.slack_pair for e in path.edges[:m]]
-    scale = lcm(*(d for _n, d in slack))
+    scale = lcm(*[d for _n, d in slack])
     pprod = qprod = 1
     total = 0
     for p, q, (n, d) in zip(path.p_primes, path.q_primes, slack):
@@ -384,8 +387,7 @@ def ratio_drift_certificate(path: Path, m: int) -> RatioDriftCert:
         total = q * (total + n * (scale // d) * pprod)
     (n0, d0), (nm, dm) = path.sites[0].x_pair, path.sites[m].x_pair
     drift = abs(n0 * qprod * dm - nm * pprod * d0)  # over pprod * d0 * dm
-    return RatioDriftCert(
-        m,
+    return (
         lowest_terms(qprod, pprod),
         lowest_terms(drift, pprod * d0 * dm),
         lowest_terms(total, pprod * scale),
@@ -417,18 +419,18 @@ class AnchorCert:
         }
 
 
-def _anchor_cert(j: int, m: int, gap: tuple[int, int], num: int, den: int) -> AnchorCert:
-    """The row for the distance g/D of `gap` against the bound num/den."""
+def _bound_row(gap: Pair, num: int, den: int) -> tuple[Pair, Pair, bool]:
+    """(actual, bound, actual <= bound) for the gap g/D and num/den, in lowest terms."""
     g, d = gap
-    return AnchorCert(j, m, lowest_terms(g, d), lowest_terms(num, den), g * den <= num * d)
+    return lowest_terms(g, d), lowest_terms(num, den), g * den <= num * d
 
 
-def _pyramid_eps(path: Path, py: Pyramid) -> Fraction:
-    """The pyramid's tolerance, which the closed-form bounds are stated
-    in; they hold for no pyramid over other primes."""
+def _pyramid_eps(path: Path, py: Pyramid) -> Pair:
+    """The pyramid's tolerance as its pair (n, d), which the closed-form
+    bounds are stated in; they hold for no pyramid over other primes."""
     if py.p_primes != path.p_primes or py.q_primes != path.q_primes:
         raise PathError("pyramid primes do not match the path")
-    return py.eps
+    return py.eps_pair
 
 
 def anchor_bound_certificate(path: Path, py: Pyramid, j: int, m: int) -> AnchorCert:
@@ -442,11 +444,13 @@ def anchor_bound_certificate(path: Path, py: Pyramid, j: int, m: int) -> AnchorC
     k = path.k
     if not (1 <= m < j <= k + 1):
         raise IndexError(f"need 1 <= m < j <= {k + 1}, got (j, m) = ({j}, {m})")
-    eps = _pyramid_eps(path, py)
-    pre_q, sums, col = py.q_prefix, py.column_sums, py.anchor_column
-    gap = scaled_gap(pre_q[j - 1] // pre_q[m - 1], col[j - 1], 1, col[m - 1])
-    return _anchor_cert(j, m, gap, eps.numerator * (sums[j - 1] - sums[m - 1]),
-                        eps.denominator * py.column_den * pre_q[m - 1])
+    e, f = _pyramid_eps(path, py)
+    _pre_p, pre_q, sums, den = py.tables
+    col = py.column_pairs
+    gap = pair_gap(pre_q[j - 1] // pre_q[m - 1], col[j - 1], 1, col[m - 1], py.modulus.q)
+    actual, bound, passed = _bound_row(gap, e * (sums[j - 1] - sums[m - 1]),
+                                       f * den * pre_q[m - 1])
+    return AnchorCert(j, m, actual, bound, passed)
 
 
 def top_anchor_certificate(path: Path, py: Pyramid, j: int) -> AnchorCert:
@@ -469,21 +473,59 @@ def top_anchor_certificate(path: Path, py: Pyramid, j: int) -> AnchorCert:
                + P_{j-1} * (column_sums[k] - column_sums[j-1]))
             / (P_H * Q_{j-1}),
 
-    read off the pyramid's tables with one integer sum.
+    read off the pyramid's tables with one integer sum (`apex_gap`).
     """
     k = path.k
     if not 1 <= j <= k + 1:
         raise IndexError(f"j = {j} out of range 1..{k + 1}")
     eps = _pyramid_eps(path, py)
-    pre_p, pre_q, sums = py.p_prefix, py.q_prefix, py.column_sums
-    down = sum(pre_p[j - 1] // pre_p[t + (j - t) // 2] * pre_q[j - 2 - (j - t - 1) // 2]
-               for t in range(1, j))
-    den = py.column_den
-    gap = scaled_gap(pre_p[j - 1] * (pre_q[k] // pre_q[j - 1]), py.top,
-                     1, py.layers[0][j - 1])
-    return _anchor_cert(j, 0, gap,
-                        eps.numerator * (down * den + pre_p[j - 1] * (sums[k] - sums[j - 1])),
-                        eps.denominator * den * pre_q[j - 1])
+    base = py.layers[0][j - 1]
+    actual, bound, passed = apex_gap(j, py.modulus.q, py.column_pairs[-1], (base.num, base.den),
+                                     py.tables, eps)
+    return AnchorCert(j, 0, actual, bound, passed)
+
+
+def apex_gap(
+    j: int, q: int, apex: Pair, base: Pair, tables: tuple, eps: Pair
+) -> tuple[Pair, Pair, bool]:
+    """`top_anchor_certificate`'s (actual, bound, passed) from the apex and
+    the j-th base anchor as residue pairs mod q, the `prefix_tables` and
+    the tolerance eps = (n, d)."""
+    pre_p, pre_q, sums, den = tables
+    down = sum([pre_p[j - 1] // pre_p[t + (j - t) // 2] * pre_q[j - 2 - (j - t - 1) // 2]
+                for t in range(1, j)])
+    gap = pair_gap(pre_p[j - 1] * (pre_q[-1] // pre_q[j - 1]), apex, 1, base, q)
+    e, f = eps
+    return _bound_row(gap, e * (down * den + pre_p[j - 1] * (sums[-1] - sums[j - 1])),
+                      f * den * pre_q[j - 1])
+
+
+def certify_path(path: Path, eps: Rational) -> tuple[list[tuple], int, list[list[Pair]]]:
+    """One path's `verify-bounds` rows, its modulus Q and its pyramid layers
+    as residue pairs mod Q, in one pass over its integer pairs.  A row is
+    (kind, j, m, actual, bound, passed), the values as text and "" for an
+    index its kind lacks: each layer gap, the drift at m = k and the apex
+    at j = 1 and k + 1.  Each decision, from `Path.modulus` to the rows, is
+    the object route's own function, so a refused pre-path raises the
+    PrePathError that `path_prepath` raises.
+    """
+    eps = as_fraction(eps)
+    q = path.modulus.q
+    ps, qs, k = path.p_primes, path.q_primes, path.k
+    e = (eps.numerator, eps.denominator)
+    top, mid = path_anchors(path, q)
+    decide_prepath(q, top, mid, ps, qs, e)
+    layers = merge_layers(q, top, ps, qs, e)[0]
+    tables = prefix_tables(ps, qs)
+    rows = [("layer_gap", j, "", pair_to_str(actual), pair_to_str(bound), ok)
+            for j, actual, bound, ok in layer_gaps(q, [layer[0] for layer in layers],
+                                                   qs, tables, e)]
+    _ratio, drift, bound, ok = ratio_drift(path, k)
+    rows.append(("ratio_drift", "", k, pair_to_str(drift), pair_to_str(bound), ok))
+    for j in (1, k + 1):
+        actual, bound, ok = apex_gap(j, q, layers[-1][0], top[j - 1], tables, e)
+        rows.append(("apex_anchor", j, "", pair_to_str(actual), pair_to_str(bound), ok))
+    return rows, q, layers
 
 
 Walk = tuple[Edge, ...]

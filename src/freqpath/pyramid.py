@@ -11,36 +11,37 @@ hypothesis bounds are carried along explicitly; `predicted_gap` is the
 closed form of the anchor-column bound and `verify_pyramid` checks the
 constructed pyramid against it row by row, in exact arithmetic.
 
-Where each decision lives:
-- `PrePath` decides the primes (distinct, prime, not dividing Q), that the
-  tolerance is positive and the first layer's hypotheses, once, on the
-  integer pairs of its anchors and tolerance.  Each later layer's
-  hypotheses are the previous merges' post-conditions (same gap, same
-  bound).
+Where each decision lives: in one public function on integer pairs, which
+the objects here and `pathgraph.certify_path` (the `verify-bounds` row
+pass, which builds no PrePath, Pyramid or TorusPoint) both call.
+- `decide_prepath` decides the primes (distinct, prime, not dividing Q),
+  that the tolerance is positive and the first layer's hypotheses, once;
+  `PrePath` calls it at construction.  Each later layer's hypotheses are
+  the previous merges' post-conditions (same gap, same bound).
 - `_merge` is the one merge kernel.  On residues and tolerances given as
   integer pairs it decides the premise ||p1*a1 - p2*a2|| < eps1 + eps2,
   takes the lift shift from `torus.nearest_lift`, forms the weighted
   combination over one denominator, reduces it by one gcd and decides
   both post-conditions; it builds no Fraction and no TorusPoint.
-  `build_pyramid` sends all k(k+1)/2 merges of a pyramid to it, layer by
-  layer on residue pairs, and builds one TorusPoint per layer entry from
-  the pair the kernel returns;
-  `merge_two` first checks its primes and tolerances, `layer_step` its
-  slice lengths and tolerances.
-- A `Pyramid` holds its tolerance tables and derives, at construction,
-  its anchor column, apex, prefix products and anchor-column sums from
-  its primes and layers, so a copy made with other layers gets its own.
-  `verify_pyramid` and the certificates in `pathgraph` read them and
-  decide every row by one integer cross-multiplication.
+  `merge_layers` sends all k(k+1)/2 merges of a pyramid to it with the
+  tolerance tables, and `build_pyramid` builds a TorusPoint per entry of
+  the layers it returns; `merge_two` first checks its primes and
+  tolerances, `layer_step` its slice lengths and tolerances.
+- `prefix_tables` derives the prefix products and anchor-column sums from
+  the primes.  A `Pyramid` holds them, its anchor column and its apex,
+  derived at construction, so a copy made with other layers gets its own.
+- `layer_gaps` decides the rows of `verify_pyramid`, each by one integer
+  cross-multiplication; the certificates in `pathgraph` read the tables.
 
-A torus distance comes from `torus.scaled_gap` or `torus.residue_gap` as a
-pair (g, D).  A report row (`GapRow` here, the certificates in
-`pathgraph`) holds its values as pairs in lowest terms, one gcd each, and
-writes them as text directly; a Fraction is built for a value only when
-it is read (`row.actual`) or an error message shows it.
+A torus distance comes from `torus.pair_gap`, `scaled_gap` or
+`residue_gap` as a pair (g, D).  A report row (`GapRow` here, the
+certificates in `pathgraph`) holds its values as pairs in lowest terms, one
+gcd each, and writes them as text directly; a Fraction is built for a
+value only when it is read (`row.actual`) or an error message shows it.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
@@ -48,16 +49,17 @@ from math import prod
 from .primes import is_prime
 from .torus import (
     Modulus,
+    Pair,
     Rational,
     TorusPoint,
     as_fraction,
     check_lift_primes,
     lowest_terms,
     nearest_lift,
+    pair_gap,
     pair_property,
     pair_to_str,
     residue_gap,
-    scaled_gap,
 )
 
 
@@ -213,6 +215,41 @@ def layer_step(
     return tuple([TorusPoint(n, d, modulus) for n, d in merged])
 
 
+def decide_prepath(
+    q: int, top: Sequence[Pair], mid: Sequence[Pair],
+    p_primes: tuple[int, ...], q_primes: tuple[int, ...], eps: Pair,
+) -> None:
+    """Every pre-path decision, on the residue pairs of the k+1 top and k
+    mid anchors mod q and the tolerance eps = (n, d); raises PrePathError.
+    Decides the lengths, that the 2k primes are distinct, prime and do not
+    divide q, that eps > 0, and at each index j both hypotheses
+    ||q_j*top[j+1] - mid[j]|| < eps and ||p_j*top[j] - mid[j]|| < eps, each
+    by one cross-multiplication g*d < n*D of its gap g/D."""
+    k = len(p_primes)
+    if k < 1:
+        raise PrePathError("length must be at least 1")
+    if not (len(top) == k + 1 and len(mid) == k and len(q_primes) == k):
+        raise PrePathError("inconsistent tuple lengths")
+    allp = p_primes + q_primes
+    if len(set(allp)) != 2 * k:
+        raise PrePathError(f"the 2k primes must be distinct, got {allp}")
+    for p in allp:
+        if not is_prime(p):
+            raise PrePathError(f"{p} is not prime")
+        if q % p == 0:
+            raise PrePathError(f"prime {p} divides the modulus {q}")
+    n, d = eps
+    if n <= 0:
+        raise PrePathError("tolerances must be positive")
+    for j, (p, qj, m) in enumerate(zip(p_primes, q_primes, mid)):
+        side, (g, gd) = "q", pair_gap(qj, top[j + 1], 1, m, q)
+        if g * d < n * gd:
+            side, (g, gd) = "p", pair_gap(p, top[j], 1, m, q)
+        if g * d >= n * gd:
+            raise HypothesisViolation(f"{side}-side hypothesis fails at index {j + 1}: "
+                                      f"{Fraction(g, gd)} >= {Fraction(n, d)}")
+
+
 @dataclass(frozen=True)
 class PrePath:
     """Anchors, primes and a tolerance forming a valid length-k pre-path.
@@ -220,8 +257,8 @@ class PrePath:
     top_anchors has k+1 entries; mid_anchors has k entries, the j-th being
     the reference point both hypothesis inequalities at index j+1 refer to,
     each strictly below the one tolerance eps.  All 2k primes are distinct
-    and coprime to the modulus.  Hypotheses are checked exactly at
-    construction.
+    and coprime to the modulus.  Every anchor must carry the modulus, and
+    `decide_prepath` decides the rest at construction.
     """
 
     modulus: Modulus
@@ -232,46 +269,42 @@ class PrePath:
     eps: Fraction
 
     def __post_init__(self) -> None:
-        ps, qs, top, mid = self.p_primes, self.q_primes, self.top_anchors, self.mid_anchors
-        k = len(ps)
-        if k < 1:
-            raise PrePathError("length must be at least 1")
-        if not (len(top) == k + 1 and len(mid) == k and len(qs) == k):
-            raise PrePathError("inconsistent tuple lengths")
         q = self.modulus.q
-        allp = ps + qs
-        if len(set(allp)) != 2 * k:
-            raise PrePathError(f"the 2k primes must be distinct, got {allp}")
-        for p in allp:
-            if not is_prime(p):
-                raise PrePathError(f"{p} is not prime")
-            if q % p == 0:
-                raise PrePathError(f"prime {p} divides the modulus {q}")
-        # the tolerance as its integer pair (n, d), d > 0, so n > 0 decides
-        # eps > 0 and g * d < n * D decides g/D < eps
-        n, d = self.eps.numerator, self.eps.denominator
-        if n <= 0:
-            raise PrePathError("tolerances must be positive")
-        for pt in top + mid:
+        for pt in self.top_anchors + self.mid_anchors:
             if pt.modulus.q != q:
                 raise PrePathError("anchor modulus mismatch")
-        for j, (p, qj, m) in enumerate(zip(ps, qs, mid)):
-            g, gd = scaled_gap(qj, top[j + 1], 1, m)
-            if g * d >= n * gd:
-                raise HypothesisViolation(
-                    f"q-side hypothesis fails at index {j + 1}: "
-                    f"{Fraction(g, gd)} >= {self.eps}"
-                )
-            g, gd = scaled_gap(p, top[j], 1, m)
-            if g * d >= n * gd:
-                raise HypothesisViolation(
-                    f"p-side hypothesis fails at index {j + 1}: "
-                    f"{Fraction(g, gd)} >= {self.eps}"
-                )
+        decide_prepath(q, [(pt.num, pt.den) for pt in self.top_anchors],
+                       [(pt.num, pt.den) for pt in self.mid_anchors],
+                       self.p_primes, self.q_primes,
+                       (self.eps.numerator, self.eps.denominator))
 
     @property
     def k(self) -> int:
         return len(self.p_primes)
+
+
+def prefix_tables(p_primes: tuple[int, ...], q_primes: tuple[int, ...]) -> tuple:
+    """(p_prefix, q_prefix, column_sums, column_den) of a pyramid over these
+    primes: p_prefix[i] and q_prefix[i] are the products of the first i.
+    With h(t) = floor((t-1)/2) + 1 and H = h(k), column_den = p_prefix[H]
+    and column_sums[t] is the whole number
+    sum_{u<=t} q_prefix[h(u)-1] * p_prefix[H] / p_prefix[h(u)], so that
+
+        sum_{t=first..last} predicted_gap(t) * prod_{i=first..t-1} q_i
+            = eps * (column_sums[last] - column_sums[first-1])
+                  / (column_den * q_prefix[first-1]).
+    """
+    k = len(p_primes)
+    p_prefix, q_prefix = [1], [1]
+    for p, q in zip(p_primes, q_primes):
+        p_prefix.append(p_prefix[-1] * p)
+        q_prefix.append(q_prefix[-1] * q)
+    top_p = p_prefix[(k - 1) // 2 + 1]
+    column_sums = [0]
+    for t in range(1, k + 1):
+        h = (t - 1) // 2 + 1
+        column_sums.append(column_sums[-1] + q_prefix[h - 1] * (top_p // p_prefix[h]))
+    return tuple(p_prefix), tuple(q_prefix), tuple(column_sums), top_p
 
 
 @dataclass(frozen=True)
@@ -282,25 +315,14 @@ class Pyramid:
     layers[0] is the pre-path's top anchor tuple; layer s has k+1-s
     entries, and eps is the pre-path's tolerance.  The merge at step s+1
     pairs p_primes[:m] with q_primes[s:s+m], m = k - s, under the
-    tolerances eps_table[s] and eps_prime_table[s]: each entry is eps = n/d
-    written as the pair (n, d * an integer product), the exact recursion
-    of `build_pyramid`, so every bound downstream is auditable without
-    re-deriving it.
+    tolerances eps_table[s] and eps_prime_table[s] (`merge_layers`), so
+    every bound downstream is auditable without re-deriving it.
 
-    The other tables are derived from the primes and layers at
+    The other fields are derived from the primes and layers at
     construction, so a pyramid made by `dataclasses.replace` has tables
-    that match its own layers.  anchor_column holds each layer's first
-    entry, and top the apex.  p_prefix[i] and q_prefix[i] are the products
-    of the first i primes.  With h(t) = floor((t-1)/2) + 1 and H = h(k),
-    column_sums[t] is
-    sum_{u<=t} q_prefix[h(u)-1] * p_prefix[H] / p_prefix[h(u)], a whole
-    number, so that
-
-        sum_{t=first..last} predicted_gap(t) * prod_{i=first..t-1} q_i
-            = eps * (column_sums[last] - column_sums[first-1])
-                  / (column_den * q_prefix[first-1]),
-
-    column_den = p_prefix[H].
+    that match its own layers: anchor_column holds each layer's first entry
+    (column_pairs as residue pairs), top the apex, tables `prefix_tables`,
+    and eps_pair is eps as the integer pair (n, d).
     """
 
     modulus: Modulus
@@ -311,94 +333,74 @@ class Pyramid:
     eps_prime_table: tuple[tuple[tuple[int, int], ...], ...]
     eps: Fraction
     anchor_column: tuple[TorusPoint, ...] = field(init=False, repr=False, compare=False)
+    column_pairs: tuple[Pair, ...] = field(init=False, repr=False, compare=False)
     top: TorusPoint = field(init=False, repr=False, compare=False)
-    p_prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    q_prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    column_sums: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    column_den: int = field(init=False, repr=False, compare=False)
+    tables: tuple = field(init=False, repr=False, compare=False)
+    eps_pair: Pair = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        k = self.k
-        p_prefix, q_prefix = [1], [1]
-        for p, q in zip(self.p_primes, self.q_primes):
-            p_prefix.append(p_prefix[-1] * p)
-            q_prefix.append(q_prefix[-1] * q)
-        top_p = p_prefix[(k - 1) // 2 + 1]
-        column_sums = [0]
-        for t in range(1, k + 1):
-            h = (t - 1) // 2 + 1
-            column_sums.append(column_sums[-1] + q_prefix[h - 1] * (top_p // p_prefix[h]))
-        derived = {
-            "anchor_column": tuple(layer[0] for layer in self.layers),
-            "top": self.layers[-1][0],
-            "p_prefix": tuple(p_prefix),
-            "q_prefix": tuple(q_prefix),
-            "column_sums": tuple(column_sums),
-            "column_den": top_p,
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        col = tuple(layer[0] for layer in self.layers)
+        object.__setattr__(self, "anchor_column", col)
+        object.__setattr__(self, "column_pairs", tuple([(pt.num, pt.den) for pt in col]))
+        object.__setattr__(self, "top", self.layers[-1][0])
+        object.__setattr__(self, "tables", prefix_tables(self.p_primes, self.q_primes))
+        object.__setattr__(self, "eps_pair", (self.eps.numerator, self.eps.denominator))
 
     @property
     def k(self) -> int:
         return len(self.layers) - 1
 
-    def to_json(self) -> dict:
-        return {
-            "modulus": str(self.modulus.q),
-            "p_primes": list(self.p_primes),
-            "q_primes": list(self.q_primes),
-            "layers": [
-                [f"{pt.num}/{pt.den}" for pt in layer] for layer in self.layers
-            ],
-        }
 
-
-def build_pyramid(pp: PrePath) -> Pyramid:
-    """Run all k(k+1)/2 merges to the apex, tracking tolerances exactly.
-
-    Step s consumes primes p_1..p_{k+1-s} and q_s..q_k.  The hypotheses of
-    step s+1 are step s's merge post-conditions, relative to the interior
-    entries of layer s-1, so its tolerances are the step-s output bounds:
+def merge_layers(
+    q: int, top: list[Pair], p_primes: tuple[int, ...], q_primes: tuple[int, ...], eps: Pair,
+) -> tuple[list[list[Pair]], list, list]:
+    """All k(k+1)/2 merges to the apex on residue pairs mod q, tracking the
+    tolerances exactly: (layers, eps_table, eps_prime_table), layers[0] =
+    top.  Step s consumes primes p_1..p_{k+1-s} and q_s..q_k.  The
+    hypotheses of step s+1 are step s's merge post-conditions, relative to
+    the interior entries of layer s-1, so its tolerances are the step-s
+    output bounds:
 
         eps'[s+1][i] = eps[s][i] / q_{s+i-1}
         eps [s+1][i] = eps'[s][i+1] / p_{i+1}
 
-    kept as integer pairs whose denominators pick up one prime per step.
-    The primes and the first layer's hypotheses are `PrePath`'s, decided
-    once, so every merge goes straight to the integer kernel, on the
-    layer before as residue pairs; a layer's points are built from the
-    kernel's pairs.
+    kept as integer pairs whose denominators pick up one prime per step,
+    from eps at step 1.  The primes and the first layer's hypotheses are
+    the caller's, decided once by `decide_prepath`, so every merge goes
+    straight to the kernel.
+    """
+    k = len(p_primes)
+    tols = tols_prime = (eps,) * k
+    layers, eps_table, eps_prime_table = [top], [], []
+    for s in range(k):
+        if s:
+            tols, tols_prime = (
+                tuple([(n, d * p) for (n, d), p in zip(tols_prime[1:], p_primes[1:])]),
+                tuple([(n, d * qi) for (n, d), qi in zip(tols[:-1], q_primes[s - 1:])]),
+            )
+        eps_table.append(tols)
+        eps_prime_table.append(tols_prime)
+        layers.append(_merge_layer(layers[-1], q, p_primes, q_primes[s:], tols, tols_prime))
+    return layers, eps_table, eps_prime_table
+
+
+def build_pyramid(pp: PrePath) -> Pyramid:
+    """The pre-path's pyramid: `merge_layers` on its anchors' residue pairs,
+    with one TorusPoint per layer entry built from the pairs it returns.
+
     Every prime pair (p_i, q_l), i <= l, meets in exactly one merge, so the
     kernel's lift inverse is computed once per pair.  The construction is
     deterministic (lift ties included), so identical pre-paths give
     identical triangles.
     """
-    k = pp.k
-    ps, qs = pp.p_primes, pp.q_primes
     modulus = pp.modulus
-    eps = eps_prime = ((pp.eps.numerator, pp.eps.denominator),) * k
-    top = [(pt.num, pt.den) for pt in pp.top_anchors]
-    layers = [pp.top_anchors]
-    eps_table, eps_prime_table = [], []
-    for s in range(k):
-        eps_table.append(eps)
-        eps_prime_table.append(eps_prime)
-        top = _merge_layer(top, modulus.q, ps, qs[s:], eps, eps_prime)
-        layers.append(tuple([TorusPoint(n, d, modulus) for n, d in top]))
-        eps, eps_prime = (
-            tuple([(n, d * p) for (n, d), p in zip(eps_prime[1:], ps[1:])]),
-            tuple([(n, d * q) for (n, d), q in zip(eps[:-1], qs[s:])]),
-        )
-    return Pyramid(
-        modulus=modulus,
-        p_primes=ps,
-        q_primes=qs,
-        layers=tuple(layers),
-        eps_table=tuple(eps_table),
-        eps_prime_table=tuple(eps_prime_table),
-        eps=pp.eps,
-    )
+    layers, eps_table, eps_prime_table = merge_layers(
+        modulus.q, [(pt.num, pt.den) for pt in pp.top_anchors], pp.p_primes,
+        pp.q_primes, (pp.eps.numerator, pp.eps.denominator))
+    points = [tuple([TorusPoint(n, d, modulus) for n, d in layer]) for layer in layers[1:]]
+    return Pyramid(modulus=modulus, p_primes=pp.p_primes, q_primes=pp.q_primes,
+                   layers=(pp.top_anchors, *points), eps_table=tuple(eps_table),
+                   eps_prime_table=tuple(eps_prime_table), eps=pp.eps)
 
 
 def predicted_gap(
@@ -452,25 +454,37 @@ class BoundReport:
     rows: tuple[GapRow, ...]
 
 
-def verify_pyramid(pp: PrePath, py: Pyramid) -> BoundReport:
-    """Exact per-row comparison of anchor-column gaps with predicted_gap.
+def layer_gaps(
+    q: int, col: Sequence[Pair], q_primes: tuple[int, ...], tables: tuple, eps: Pair,
+) -> list[tuple[int, Pair, Pair, bool]]:
+    """The rows (j, gap, predicted, gap < predicted), j = 1..k, of
+    `verify_pyramid` on the anchor column `col` as residue pairs mod q: the
+    gap ||q_j * col[j] - col[j-1]|| and predicted_gap(j) = eps * q_prefix[h-1]
+    / (p_prefix[h] * q_prefix[j-1]), read off the `prefix_tables`, each in
+    lowest terms, and the strict `<` by one cross-multiplication."""
+    e, f = eps
+    pre_p, pre_q = tables[0], tables[1]
+    rows = []
+    for j in range(1, len(col)):
+        g, d = pair_gap(q_primes[j - 1], col[j], 1, col[j - 1], q)
+        h = (j - 1) // 2 + 1
+        pn, pd = e * pre_q[h - 1], f * pre_p[h] * pre_q[j - 1]
+        rows.append((j, lowest_terms(g, d), lowest_terms(pn, pd), g * pd < pn * d))
+    return rows
 
-    Requires a pyramid built from the pre-path.
-    predicted_gap(j) = eps * q_prefix[h-1] / (p_prefix[h] * q_prefix[j-1])
-    is read off the pyramid's prefix tables, and each row's strict `<` is
-    one integer cross-multiplication.  A failing row signals a
+
+def verify_pyramid(pp: PrePath, py: Pyramid) -> BoundReport:
+    """Exact per-row comparison of anchor-column gaps with predicted_gap,
+    by `layer_gaps`.
+
+    Requires a pyramid built from the pre-path.  A failing row signals a
     construction bug; failures are report rows, not exceptions.
     """
     if (py.layers[0], py.p_primes, py.q_primes) != (
         pp.top_anchors, pp.p_primes, pp.q_primes
     ):
         raise PrePathError("pyramid does not start from this pre-path")
-    e, f = pp.eps.numerator, pp.eps.denominator
-    col, pre_p, pre_q = py.anchor_column, py.p_prefix, py.q_prefix
-    rows = []
-    for j in range(1, pp.k + 1):
-        g, d = scaled_gap(pp.q_primes[j - 1], col[j], 1, col[j - 1])
-        h = (j - 1) // 2 + 1
-        pn, pd = e * pre_q[h - 1], f * pre_p[h] * pre_q[j - 1]
-        rows.append(GapRow(j, lowest_terms(g, d), lowest_terms(pn, pd), g * pd < pn * d))
-    return BoundReport(tuple(rows))
+    return BoundReport(tuple([
+        GapRow(*row) for row in layer_gaps(pp.modulus.q, py.column_pairs, pp.q_primes,
+                                           py.tables, (pp.eps.numerator, pp.eps.denominator))
+    ]))

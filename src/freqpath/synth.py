@@ -31,12 +31,12 @@ import json
 import random
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress, count, islice, repeat
 from math import exp, gcd, lcm, log, prod, sqrt
-from operator import add, getitem, le, sub
+from operator import add, lt, sub
 
 from .pathgraph import (
     Configuration,
@@ -185,6 +185,15 @@ class Params:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Params":
+        """Params from a JSON object holding every field without a default
+        and no other key; anything else is refused with ParamsError."""
+        if type(doc) is not dict:
+            raise ParamsError(f"params must be a JSON object, got {type(doc).__name__}")
+        fields = cls.__dataclass_fields__
+        if unknown := doc.keys() - fields.keys():
+            raise ParamsError(f"unknown params keys {sorted(unknown)}")
+        if missing := [n for n, f in fields.items() if f.default is MISSING and n not in doc]:
+            raise ParamsError(f"missing params keys {missing}")
         return cls(**doc)
 
 
@@ -437,12 +446,12 @@ def _physical_candidates(
     so the search and both comparisons are exact integer arithmetic: the
     nearest site minimises d = |X_j*p - X_i*q| = p*D*|x_j - x_i*q/p|, the
     slack |x_i/p - x_j/q| is d/(p*q*D), and it passes when d <= lim =
-    floor(s_edge*p*q*D).  For each split pair (p, q) all sites are screened
-    at once: site i can have a candidate only when some X_j*p lies in
-    [X_i*q - lim, X_i*q + lim], that is when the first X_j*p >= X_i*q - lim
-    is at most X_i*q + lim; a site whose X_i*q - lim exceeds the last X_j*p
-    reaches none.  Only the sites that pass take the neighbour search: the
-    first j with X_j*p >= X_i*q, and the one before it.
+    floor(s_edge*p*q*D).  With L the product of the split primes, u =
+    X_i*L/p and v = X_j*L/q are on one integer scale, |u - v| = d*L/(p*q),
+    so d <= lim exactly when |u - v| <= W = floor(s_edge*L*D) for every
+    (p, q).  All v are sorted once, and (i, p, q) takes the neighbour
+    search (the first j with X_j*p >= X_i*q, and the one before it) only
+    when a v of that q lies in [u - W, u + W]: only then can its pick pass.
     """
     p1s, p2s = params.split_partition()
     scale, ints = scaled_positions(xs)
@@ -450,25 +459,29 @@ def _physical_candidates(
     n = len(ints)
     if n < 2:
         return []
-    by_q = {q: [x * q for x in ints] for q in p2s}
+    big, nq = prod(p1s) * prod(p2s), len(p2s)
+    # key = v*nq + (index of q), so v lies in [u - W, u + W] exactly when
+    # its key lies in [u*nq - W*nq, u*nq + W*nq + nq - 1]
+    keys = sorted([x * (big // q) * nq + t for t, q in enumerate(p2s) for x in ints])
+    width = s_num * big * scale // s_den * nq
     found = []
     for p in p1s:
+        us = [x * (big // p) * nq for x in ints]
+        los = list(map(bisect_left, repeat(keys), map(sub, us, repeat(width))))
+        his = list(map(bisect_right, repeat(keys), map(add, us, repeat(width + nq - 1))))
         xp = [x * p for x in ints]
-        for q in p2s:
-            xq = by_q[q]
-            lim = s_num * p * q * scale // s_den
-            m = bisect_right(xq, xp[-1] + lim)
-            first = map(bisect_left, repeat(xp), map(sub, islice(xq, m), repeat(lim)))
-            reach = map(le, map(getitem, repeat(xp), first), map(add, xq, repeat(lim)))
-            for i in compress(count(), reach):
-                pos = bisect_left(xp, xq[i])
+        for i in compress(count(), map(lt, los, his)):
+            for t in sorted({key % nq for key in keys[los[i]:his[i]]}):
+                q = p2s[t]
+                target = ints[i] * q
+                pos = bisect_left(xp, target)
                 best = d_best = None
                 for j in (pos - 1, pos):
                     if 0 <= j < n and j != i:
-                        d = abs(xp[j] - xq[i])
+                        d = abs(xp[j] - target)
                         if best is None or d < d_best:
                             best, d_best = j, d
-                if best is not None and d_best <= lim:
+                if best is not None and d_best * s_den <= s_num * p * q * scale:
                     found.append((i, p, q, best, d_best))
     # p1s and p2s are ascending, so sorting on (i, p, q) is the loop order
     # of a search site by site

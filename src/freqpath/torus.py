@@ -10,16 +10,15 @@ the whole package: `residue_gap(N, D, Q)` is ||N/D||_Q as an unreduced
 pair (g, D), and `below((g, D), eps)` decides `g/D < eps` by one
 cross-multiplication (the pyramid kernel, `PrePath` and the certificates
 cross-multiply inline, against bounds they keep as integer pairs).
-`scaled_gap` feeds it ||c1*a - c2*b||_Q over D = d_a*d_b; `nearest_lift`
-returns the closest lift pair as integer lift indices and its aligned gap
-over p1*p2*D, leaving the prime checks (`check_lift_primes`) to callers.
+`pair_gap` (`scaled_gap` on points) feeds it ||c1*a - c2*b||_Q over
+D = d_a*d_b; `nearest_lift` returns the closest lift pair as integer lift
+indices and its gap over p1*p2*D, leaving `check_lift_primes` to callers.
 
 Where a value is built:
 - A TorusPoint is built once per residue, by its one constructor, from a
-  pair already reduced: `reduce_ratio` reduces n/d by the one integer
-  n mod Q*d and one gcd (`lowest_terms`), and callers that hold a reduced
-  pair (the merge kernel, the lift pair, a path's top anchors) pass it
-  directly.
+  pair already reduced: `reduce_mod` reduces n/d in lowest terms by the
+  one integer n mod Q*d, and callers that hold a reduced pair (the merge
+  kernel, the lift pair, `pathgraph.path_prepath`) pass it directly.
 - A Fraction is built only where a value is handed out as one: a point's
   `value`, a norm from `torus_norm`, and a report row's fields read through
   `pair_property`.  A row keeps its values as pairs in lowest terms, and
@@ -38,6 +37,8 @@ from operator import attrgetter
 from .primes import is_prime
 
 Rational = Fraction | int
+# a rational n/d as the integers (n, d), d > 0
+Pair = tuple[int, int]
 
 
 class TorusError(ValueError):
@@ -114,9 +115,8 @@ class TorusPoint:
     """Canonical residue num/den in [0, Q), in lowest terms with den > 0.
 
     The constructor takes a pair the caller has already reduced into
-    [0, Q) and to lowest terms; `reduce_mod` and `reduce_ratio` reduce any
-    rational.  The residue is held as the two integers; `value` builds it
-    as a Fraction each time it is read.
+    [0, Q) and to lowest terms; `reduce_mod` reduces any rational.  The
+    residue is held as two integers; `value` builds its Fraction when read.
     """
 
     num: int
@@ -146,14 +146,8 @@ def reduce_mod(x: Rational, modulus: Modulus | int) -> TorusPoint:
 
     For x = n/d in lowest terms it is (n mod Q*d)/d, again in lowest terms.
     """
-    x = as_fraction(x)
-    return reduce_ratio(x.numerator, x.denominator, _as_modulus(modulus))
-
-
-def reduce_ratio(n: int, d: int, modulus: Modulus) -> TorusPoint:
-    """n/d mod Q for d > 0, by the one integer reduction n mod Q*d and one
-    gcd."""
-    return TorusPoint(*lowest_terms(n % (modulus.q * d), d), modulus)
+    x, modulus = as_fraction(x), _as_modulus(modulus)
+    return TorusPoint(x.numerator % (modulus.q * x.denominator), x.denominator, modulus)
 
 
 def lowest_terms(n: int, d: int) -> tuple[int, int]:
@@ -209,8 +203,13 @@ def scaled_gap(c1: int, a: TorusPoint, c2: int, b: TorusPoint) -> tuple[int, int
     q = a.modulus.q
     if b.modulus.q != q:
         raise TorusError(f"modulus mismatch: {q} vs {b.modulus.q}")
-    d1, d2 = a.den, b.den
-    return residue_gap(c1 * a.num * d2 - c2 * b.num * d1, d1 * d2, q)
+    return pair_gap(c1, (a.num, a.den), c2, (b.num, b.den), q)
+
+
+def pair_gap(c1: int, a: Pair, c2: int, b: Pair, q: int) -> Pair:
+    """`scaled_gap` on residues mod q held as pairs (num, den), den > 0."""
+    (n1, d1), (n2, d2) = a, b
+    return residue_gap(c1 * n1 * d2 - c2 * n2 * d1, d1 * d2, q)
 
 
 def check_lift_primes(q: int, p1: int, p2: int) -> None:

@@ -123,6 +123,23 @@ class TestSynth:
         err = json.loads((out / "synth_error.json").read_text())
         assert err["error"]["type"] == "ParamsError"
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "params must be a JSON object, got list"),
+            ({k: v for k, v in WEB_PARAMS.items() if k != "X"}, "missing params keys ['X']"),
+            ({**WEB_PARAMS, "k_max": 4}, "unknown params keys ['k_max']"),
+        ],
+        ids=["list", "missing-key", "unknown-key"],
+    )
+    def test_bad_params_file_is_refused(self, tmp_path, doc, message):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        out = tmp_path / "bad"
+        assert main(["synth", "--out", str(out), "--params", str(params)]) == 2
+        err = json.loads((out / "synth_error.json").read_text())["error"]
+        assert err == {"type": "ParamsError", "message": message}
+
     def test_archimedean_q_star_is_refused(self, tmp_path, params_file):
         out = tmp_path / "arch"
         rc = main(["synth", "--out", str(out), "--params", str(params_file),
@@ -396,7 +413,11 @@ def test_removed_recovery_dials_are_refused(tmp_path, flag):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "1/0", ""], ids=["word", "zero-den", "empty"])
+@pytest.mark.parametrize(
+    "value",
+    ["abc", "1/0", "", " 1/2", "1_0/3", "+5", "1/+2", "\uff11/\uff12", " 1_0/+2"],
+    ids=["word", "zero-den", "empty", "space", "underscore", "plus", "plus-den",
+         "full-width-digits", "space-underscore-plus"])
 @pytest.mark.parametrize("command, flag", [
     ("synth", "--t-star"), ("synth", "--eps-edge"), ("synth", "--s-edge"),
     ("recover", "--tol-T"),
@@ -413,6 +434,21 @@ def test_bad_rational_flag_is_refused_with_usage(tmp_path, capsys, command, flag
     err = capsys.readouterr().err
     assert err.startswith("usage:") and f"argument {flag}: not a rational: {value!r}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, value", [("7", Fraction(7)), ("-1/3", Fraction(-1, 3)),
+                                         ("05/10", Fraction(1, 2)), ("-0", Fraction(0))])
+def test_rational_flag_reads_ascii_digits(text, value):
+    assert cli._rational(text) == value
+
+
+@pytest.mark.parametrize("second", [{"a": 3}, {"a": 3, "b": 4, "c": 5}, {"b": 4, "a": 3}],
+                         ids=["missing-key", "extra-key", "other-order"])
+def test_csv_rows_share_one_header(tmp_path, second):
+    with pytest.raises(ValueError, match="CSV rows do not all have the columns"):
+        cli._write_csv(tmp_path / "rows.csv", [{"a": 1, "b": 2}, second])
+    cli._write_csv(tmp_path / "rows.csv", [{"a": 1, "b": ""}, {"a": 3, "b": True}])
+    assert (tmp_path / "rows.csv").read_bytes() == b"a,b\r\n1,\r\n3,True\r\n"
 
 
 def test_every_option_is_read():

@@ -39,6 +39,7 @@ from freqpath.pathgraph import (
     SplitWalks,
     anchor_bound_certificate,
     build_path,
+    certify_path,
     collision_census,
     concat_paths,
     count_close_products,
@@ -52,6 +53,7 @@ from freqpath.pathgraph import (
     top_anchor_certificate,
     validate_path_modulus,
 )
+from freqpath import pathgraph, pyramid
 from freqpath.pyramid import (
     HypothesisViolation,
     PrePathError,
@@ -59,7 +61,7 @@ from freqpath.pyramid import (
     verify_pyramid,
 )
 from freqpath.synth import Params, gen_instance
-from freqpath.torus import Modulus
+from freqpath.torus import Modulus, pair_to_str
 from test_e2e import e2e_params
 
 
@@ -331,6 +333,97 @@ class TestPinnedCertificates:
                      for j in range(1, k + 2)]
             text = json.dumps(rows, sort_keys=True)
             assert hashlib.sha256(text.encode()).hexdigest() == digest, k
+
+
+def chain_paths_by_length() -> dict[int, Path]:
+    """The first split path of each length 1..8 of the chain instance at
+    seed 0, the paths `TestPinnedCertificates` pins."""
+    inst = chain_instance(0, chains=6)
+    walks = SplitWalks(inst.cfg, inst.edges)
+    return {k: next(build_path(inst.cfg, w) for start in range(len(inst.cfg.sites))
+                    for w in walks.walks(start, k, limit=1)[0])
+            for k in PINNED_CERTIFICATES}
+
+
+def object_route_rows(path: Path, eps: F) -> tuple[list[tuple], int, list[list[tuple]]]:
+    """`certify_path`'s rows, modulus and layers made by the object route:
+    `verify_pyramid`'s rows, `ratio_drift_certificate(path, k)` and
+    `top_anchor_certificate` at j = 1 and k + 1."""
+    pp = path_prepath(path, eps)
+    py = build_pyramid(pp)
+    rows = [("layer_gap", r.j, "", pair_to_str(r.actual_pair),
+             pair_to_str(r.predicted_pair), r.passed) for r in verify_pyramid(pp, py).rows]
+    drift = ratio_drift_certificate(path, path.k)
+    rows.append(("ratio_drift", "", drift.m, pair_to_str(drift.drift_pair),
+                 pair_to_str(drift.bound_pair), drift.passed))
+    for j in (1, path.k + 1):
+        cert = top_anchor_certificate(path, py, j)
+        rows.append(("apex_anchor", cert.j, "", pair_to_str(cert.actual_pair),
+                     pair_to_str(cert.bound_pair), cert.passed))
+    return rows, pp.modulus.q, [[(pt.num, pt.den) for pt in layer] for layer in py.layers]
+
+
+def verify_bounds_paths(inst, k_max: int = 2, limit: int = 200) -> list[Path]:
+    """The paths `verify-bounds` certifies, in its order: every start, each
+    length 1..k_max, up to `limit` paths."""
+    walks, out = SplitWalks(inst.cfg, inst.edges), []
+    for start, k in itertools.product(range(len(inst.cfg.sites)), range(1, k_max + 1)):
+        out += [build_path(inst.cfg, w) for w in walks.walks(start, k, limit)[0]]
+        if len(out) >= limit:
+            return out[:limit]
+    return out
+
+
+class TestCertifyPath:
+    """The one-pass row route gives the object route's rows and layers, and
+    refuses a pre-path with the same error."""
+
+    def test_chain_paths_of_every_length(self):
+        eps = chain_instance(0, chains=6).params.eps_edge
+        for k, path in chain_paths_by_length().items():
+            assert certify_path(path, eps) == object_route_rows(path, eps), k
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("mode, q_star", [("archimedean", 1), ("rational", 6)])
+    def test_first_200_paths_of_e2e_instances(self, seed, mode, q_star):
+        inst = gen_instance(e2e_params(seed), mode=mode, t_star=F(10**5), q_star=q_star)
+        paths = verify_bounds_paths(inst)
+        assert len(paths) == 200
+        eps = inst.params.eps_edge
+        for path in paths:
+            assert certify_path(path, eps) == object_route_rows(path, eps)
+
+    def test_builds_no_object(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("certify_path built an object")
+
+        paths = chain_paths_by_length()
+        want = {k: object_route_rows(path, F(1, 8)) for k, path in paths.items()}
+        for module, name in [(pathgraph, "PrePath"), (pathgraph, "Pyramid"),
+                             (pathgraph, "TorusPoint"), (pyramid, "TorusPoint"),
+                             (pathgraph, "AnchorCert"), (pathgraph, "RatioDriftCert"),
+                             (pyramid, "GapRow")]:
+            monkeypatch.setattr(module, name, refuse)
+        for k, path in paths.items():
+            assert certify_path(path, F(1, 8)) == want[k]
+
+    @pytest.mark.parametrize(
+        "path, eps",
+        [
+            (walk_path((site(1000, 0), site(1555, 0)), (9,), (15,), ({7},)), F(1, 8)),
+            (walk_path((site(1000, 0), site(1555, 0)), (7,), (11,), ({5, 7},)), F(1, 8)),
+            (walk_path((site(1000, 0), site(1555, F(1, 8 * 157))), (101,), (157,),
+                       ({5, 7},)), F(1, 8)),
+        ],
+        ids=["composite-label", "label-divides-Q", "hypothesis-fails"],
+    )
+    def test_refuses_as_path_prepath_does(self, path, eps):
+        with pytest.raises(PrePathError) as by_object:
+            path_prepath(path, eps)
+        with pytest.raises(PrePathError) as by_rows:
+            certify_path(path, eps)
+        assert type(by_rows.value) is type(by_object.value)
+        assert str(by_rows.value) == str(by_object.value)
 
 
 class TestStepRelations:

@@ -65,6 +65,11 @@ def params(**kw) -> Params:
     return Params(**{**base, **kw})
 
 
+def params_doc() -> dict:
+    """The JSON document of a valid Params."""
+    return params().to_json()
+
+
 def truth(**kw) -> GroundTruth:
     base = dict(mode="rational", t_star=F(0), q_star=6, carrier=35, a_map={})
     return GroundTruth(**{**base, **kw})
@@ -182,6 +187,14 @@ REFUSALS = {
         "edge_count must be None or a nonnegative integer"),
     "Params-placement": (
         lambda: params(placement="grid"), ParamsError, "unknown placement 'grid'"),
+    "Params.from_json-list": (
+        lambda: Params.from_json([1, 2]), ParamsError, "params must be a JSON object, got list"),
+    "Params.from_json-missing-key": (
+        lambda: Params.from_json({k: v for k, v in params_doc().items() if k != "X"}),
+        ParamsError, "missing params keys ['X']"),
+    "Params.from_json-unknown-key": (
+        lambda: Params.from_json({**params_doc(), "k_max": 4}), ParamsError,
+        "unknown params keys ['k_max']"),
     "GroundTruth-mode": (
         lambda: truth(mode="complex"), ParamsError, "unknown truth mode 'complex'"),
     "GroundTruth-q_star": (

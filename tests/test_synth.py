@@ -700,6 +700,25 @@ class TestPhysicalCandidates:
             got, want = physical_candidates(params, xs)
             assert got == want
 
+    @given(
+        base=st.lists(st.fractions(min_value=1, max_value=3000, max_denominator=12),
+                      min_size=1, max_size=8),
+        s_edge=st.fractions(min_value=F(1, 8), max_value=20, max_denominator=8),
+        p=st.sampled_from([23, 29]),
+        q=st.sampled_from([31, 37]),
+        offset=st.fractions(min_value=0, max_value=10, max_denominator=6),
+    )
+    def test_matches_the_oracle_on_drawn_sites(self, base, s_edge, p, q, offset):
+        # around x = base[0] and its target x*q/p: two sites at equal
+        # distance offset from the target (an exact tie; offset 0 puts one
+        # on it) and one whose slack to x is exactly s_edge
+        x = base[0]
+        target = x * F(q, p)
+        planted = [target - offset, target + offset, q * (x / p + s_edge)]
+        xs = sorted({v for v in base + planted if v > 0})
+        got, want = physical_candidates(small_params(s_edge=s_edge), xs)
+        assert got == want
+
     def test_site_itself_is_skipped(self):
         # x_0 * 31/23 = 62: x_0 itself (distance 16) is nearer than x_1
         # (distance 17), but an edge needs two sites, so x_1 is taken
