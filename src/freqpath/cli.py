@@ -1,7 +1,8 @@
 """Batch front-end: generate, audit, verify bounds, run counting censuses,
 recover and score.  Reports are append-only JSON/CSV files with the params,
 seed, gate flags and artifact version embedded; exit status 0 means every
-asserted invariant passed.
+asserted invariant passed, 1 that a check failed, 2 that a typed error or
+an OSError refused the input, 3 that anything else was raised (a bug).
 """
 from __future__ import annotations
 
@@ -14,18 +15,26 @@ import sys
 from fractions import Fraction
 from pathlib import Path as FsPath
 
-from . import __version__
+from . import __version__, pathgraph, recover, synth
 from .pathgraph import PathError, SplitWalks, build_path, certify_path, collision_census
 from .pyramid import PrePathError
 from .recover import RecordError, RecoverConfig, recover_instance, score_record
 from .synth import (
+    InstanceError,
     Params,
+    ParamsError,
     audit_instance,
     gen_instance,
     instance_from_json,
     instance_to_json,
 )
-from .torus import fields_to_json, pair_to_str
+from .torus import MALFORMED, TorusError, fields_to_json, pair_to_str
+
+# the typed errors that refuse input (exit 2); anything else is a program fault (exit 3)
+REFUSED = (OSError, PathError, pathgraph.ResourceBudgetError, PrePathError,
+           recover.EmptyGraphError, recover.NoConsensusError, RecordError,
+           recover.RecoverConfigError, synth.InfeasibleParamsError, InstanceError,
+           ParamsError, TorusError)
 
 
 def _report_header(params: Params) -> dict:
@@ -65,14 +74,23 @@ SYNTH_DEFAULTS = dict(X=10**8, H=10**4, K=100, P=20, P_prime=5, eps_edge="1/5",
 def _params_from_args(args) -> Params:
     """The --params file (or SYNTH_DEFAULTS), then every generator flag given:
     the generator flags default to absent, and each is named by its field.
-    `Params.from_json` refuses a file that is not a JSON object."""
-    doc = json.loads(FsPath(args.params).read_text()) if args.params else SYNTH_DEFAULTS
-    given = {k: v for k, v in vars(args).items() if k in Params.__dataclass_fields__}
-    return Params.from_json({**doc, **given} if type(doc) is dict else doc)
+    A file that is not JSON, or holds a value `Params` cannot read, is
+    refused with ParamsError, as `Params.from_json` refuses a non-object."""
+    try:
+        doc = json.loads(FsPath(args.params).read_text()) if args.params else SYNTH_DEFAULTS
+        given = {k: v for k, v in vars(args).items() if k in Params.__dataclass_fields__}
+        return Params.from_json({**doc, **given} if type(doc) is dict else doc)
+    except (ParamsError, TorusError):
+        raise
+    except MALFORMED as exc:
+        raise ParamsError(f"malformed params file: {type(exc).__name__}: {exc}") from exc
 
 
 def _load_instance(path: str):
-    return instance_from_json(FsPath(path).read_text())
+    try:
+        return instance_from_json(FsPath(path).read_text())
+    except UnicodeDecodeError as exc:  # read_text's: the loader takes a str
+        raise InstanceError(f"malformed instance file: {type(exc).__name__}: {exc}") from exc
 
 
 def _require_walks(args) -> None:
@@ -305,12 +323,14 @@ def main(argv=None) -> int:
     try:
         return command(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary, report and exit
-        _write_json(
-            FsPath(args.out) / f"{args.command}_error.json",
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-        )
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if internal := not isinstance(exc, REFUSED):
+            import traceback  # here, so that a cold start does not import it
+            error["internal"] = True
+            traceback.print_exc()
+        _write_json(FsPath(args.out) / f"{args.command}_error.json", {"error": error})
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if internal else 2
 
 
 if __name__ == "__main__":

@@ -190,21 +190,32 @@ def edge_relation(a: Site, b: Site, p: int, q: int) -> tuple[int, int]:
     return p * na * db - q * nb * da, da * db
 
 
-def edge_witness(
-    a: Site, b: Site, p: int, q: int, witness_pool: tuple[int, ...], eps_edge: Fraction
-) -> frozenset[int]:
-    """Exact witness computation: primes w in the pool for which
-    ||p*alpha_a - q*alpha_b||_w < eps_edge.  The generator and the loader
-    both decide it here, for every edge, so `residue_gap` and `below` run
-    inline: with N/D the relation and r = N mod w*D, w is kept when
-    min(r, w*D - r) * eps_den < eps_num * D."""
-    n, d = edge_relation(a, b, p, q)
-    e_den, bound, out = eps_edge.denominator, eps_edge.numerator * d, []
-    for w in witness_pool:
-        r = n % (wd := w * d)
-        if min(r, wd - r) * e_den < bound:
-            out.append(w)
-    return frozenset(out)
+def witness_rule(witness_pool: tuple[int, ...], eps_edge: Fraction):
+    """The one witness rule: a function of a relation N/D (D > 0) giving the
+    primes w of the pool with ||N/D||_w < eps_edge, decided product-first.
+    ||y||_w <= ||y||_W for every w dividing the pool's product W, so when
+    r = N mod W*D has min(r, W*D - r) * eps_den < eps_num * D the set is the
+    whole pool; only a relation that fails this takes the per-prime test on
+    r mod w*D.  Equal sets come back as one frozenset."""
+    big, full = prod(witness_pool), frozenset(witness_pool)
+    e_num, e_den = eps_edge.numerator, eps_edge.denominator
+    interned: dict[tuple[int, ...], frozenset[int]] = {}
+
+    def witness(n: int, d: int) -> frozenset[int]:
+        r = n % (m := big * d)
+        if r * e_den < (bound := e_num * d) or (m - r) * e_den < bound:
+            return full
+        out = tuple([w for w in witness_pool
+                     if min(rw := r % (wd := w * d), wd - rw) * e_den < bound])
+        return interned.get(out) or interned.setdefault(out, frozenset(out))
+
+    return witness
+
+
+def edge_witness(a: Site, b: Site, p: int, q: int, witness_pool: tuple[int, ...],
+                 eps_edge: Fraction) -> frozenset[int]:
+    """The witness set of one edge: `witness_rule` on p*alpha_a - q*alpha_b."""
+    return witness_rule(witness_pool, eps_edge)(*edge_relation(a, b, p, q))
 
 
 @dataclass(frozen=True)
@@ -681,7 +692,7 @@ def count_close_products(
     bound  (r!)^2 * (2*p0)^r * ((2*p0)^r / N + 1).
     """
     if r < 1 or p0 < 3:
-        raise ValueError("need r >= 1 and p0 >= 3")
+        raise PathError("need r >= 1 and p0 >= 3")
     n_scale = as_fraction(n_scale)
     ps = primes_in_range(p0, 2 * p0)
     if len(ps) ** (2 * r) > budget:

@@ -7,6 +7,7 @@ segmented sieve or probabilistic primality.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 
@@ -26,14 +27,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending."""
+@lru_cache(maxsize=64)
+def primes_in_range(lo: int, hi: int) -> tuple[int, ...]:
+    """All primes p with lo <= p <= hi, ascending; the last 64 ranges are kept."""
     if hi < 2:
-        return []
+        return ()
     lo = max(lo, 2)
     sieve = bytearray([1]) * (hi + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, isqrt(hi) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [n for n in range(lo, hi + 1) if sieve[n]]
+    return tuple([n for n in range(lo, hi + 1) if sieve[n]])

@@ -12,18 +12,19 @@ without being re-checked.
 Placement, the physical candidate search and the witness check are decided
 on integer-scaled values: sites on the common grid 1/S of every position
 they can take, candidate distances over the lcm of the site denominators,
-and each witness norm on the numerator of p*alpha_i - q*alpha_j over
-d_i*d_j.  Sites, alphas and slacks stay integer pairs from placement to
-file and back, so a Fraction is built for params and truth, not per site.
+and each witness set on p*alpha_i - q*alpha_j = N/(d_i*d_j), mod the pool's
+product W first (exact: ||y||_w <= ||y||_W for every w | W).  Sites, alphas
+and slacks stay integer pairs from placement to file and back, so a
+Fraction is built for params and truth, not per site.
 
 An instance file holds only what it cannot derive: params, truth, sites and
 each edge as [i, j, p, q].  The loader reads it in one pass that accepts
 only what `instance_to_json` writes, up to whitespace and key order
 (no key twice, canonical "num/den" rationals, integer fields that are
 ints, sites ascending in x, edges ascending) and derives the rest: the
-split from params, the truth's carrier from the witness pool, and each
-edge's slack and witness set from its sites, as the generator decides
-them.
+split from params, the truth's carrier from the witness pool, and every
+edge's slack and witness set in one integer pass over the rows
+(`_decide_edges`), which the audit runs on its own edges too.
 """
 from __future__ import annotations
 
@@ -43,9 +44,10 @@ from .pathgraph import (
     Edge,
     Site,
     close_pair,
-    edge_witness,
+    edge_relation,
     route_count_gate_max_k,
     scaled_positions,
+    witness_rule,
 )
 from .primes import primes_in_range
 from .torus import (
@@ -155,10 +157,10 @@ class Params:
         return int((self.site_hi - self.site_lo) / self.separation)
 
     def edge_primes(self) -> tuple[int, ...]:
-        return tuple(primes_in_range(self.P, 2 * self.P))
+        return primes_in_range(self.P, 2 * self.P)
 
     def witness_primes(self) -> tuple[int, ...]:
-        return tuple(primes_in_range(self.P_prime, 2 * self.P_prime))
+        return primes_in_range(self.P_prime, 2 * self.P_prime)
 
     def split_partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The lower and upper halves of the edge-prime pool, ascending."""
@@ -570,23 +572,17 @@ def gen_instance(
         if un:
             num, den = num * ud + rng.randint(-(10**6), 10**6) * un * den, den * ud
         sites.append(Site((nx, dx), lowest_terms(num, den)))
-    p1, p2 = params.split_partition()
-    cfg = Configuration(
-        sites=tuple(sites),
-        separation=params.separation,
-        split_p1=p1,
-        split_p2=p2,
-    )
+    cfg = Configuration(tuple(sites), params.separation, *params.split_partition())
     order = list(range(len(candidates)))
     if params.edge_count is not None:
         rng.shuffle(order)
-    eps = params.eps_edge
+    witness_of = witness_rule(pool_w, params.eps_edge)
     edges: list[Edge] = []
     for idx in order:
         if params.edge_count is not None and len(edges) >= params.edge_count:
             break
         i, j, p, q, slack = candidates[idx]
-        witness = edge_witness(cfg.sites[i], cfg.sites[j], p, q, pool_w, eps)
+        witness = witness_of(*edge_relation(cfg.sites[i], cfg.sites[j], p, q))
         if not witness:
             continue
         edges.append(Edge(i, j, p, q, witness, slack))
@@ -623,38 +619,43 @@ class AuditReport:
         }
 
 
-def _edge_decider(params: Params, cfg: Configuration, pool_w: tuple[int, ...]):
-    """The one decision, for the loader and the audit, of whether a row
-    [i, j, p, q] is an edge of `cfg` under `params`, with `pool_w` the
-    params' witness pool.  The returned function gives the row's witness
-    set and slack as `gen_instance` derives them, or raises InstanceError
-    naming the first check the row fails: a site index out of range,
-    primes not split-oriented, a slack beyond s_edge, no witness prime.
-
-    The slack |x_i/p - x_j/q| is d/(p*q*D) with d = |X_i*q - X_j*p| over the
-    configuration's positions X = x*D in site-index order, and passes when
-    d*s_den <= s_num*p*q*D; the row keeps it as that pair in lowest terms.
-    """
-    sites, p1s, p2s = cfg.sites, cfg.split_p1, cfg.split_p2
-    scale, xs = cfg.scale, cfg.positions
-    indices = range(len(xs))
+def _decide_edges(params: Params, cfg: Configuration, rows: list):
+    """Each row [i, j, p, q] as the Edge of `cfg` under `params` that
+    `gen_instance` derives, in one pass over per-site integer arrays, for
+    the loader and the audit.  A row that fails a check raises InstanceError
+    naming the first one, after the rows before it were yielded: not four
+    integers, not ascending, a site index out of range, primes not
+    split-oriented, a slack beyond s_edge, no witness prime.  The slack
+    |x_i/p - x_j/q| is d/(p*q*D) for d = |X_i*q - X_j*p| over the positions
+    X = x*D, kept in lowest terms; the witness set is `witness_rule` on
+    p*alpha_i - q*alpha_j."""
+    xs, scale, p1s, p2s = cfg.positions, cfg.scale, cfg.split_p1, cfg.split_p2
+    nums, dens = [s.alpha_pair[0] for s in cfg.sites], [s.alpha_pair[1] for s in cfg.sites]
+    n_sites = len(xs)
     s_num, s_den = params.s_edge.numerator, params.s_edge.denominator
-    eps = params.eps_edge
-
-    def decide(i: int, j: int, p: int, q: int) -> tuple[frozenset[int], tuple[int, int]]:
-        if i not in indices or j not in indices:
+    witness_of = witness_rule(params.witness_primes(), params.eps_edge)
+    prev = None
+    for n, row in enumerate(rows):
+        if type(row) is not list or len(row) != 4 or not (
+                int is type(row[0]) is type(row[1]) is type(row[2]) is type(row[3])):
+            raise InstanceError(f"edge {n} is not four integers [i, j, p, q]")
+        if n and prev >= row:
+            raise InstanceError(f"edges do not ascend at edge {n}")
+        i, j, p, q = prev = row
+        if not (0 <= i < n_sites and 0 <= j < n_sites):
             fault = "site index out of range"
         elif p not in p1s or q not in p2s:
             fault = "not split-oriented"
         elif (d := abs(xs[i] * q - xs[j] * p)) * s_den > s_num * (pq := p * q * scale):
             fault = f"physical slack {Fraction(d, pq)} exceeds s_edge"
-        elif not (witness := edge_witness(sites[i], sites[j], p, q, pool_w, eps)):
+        elif not (witness := witness_of(p * nums[i] * dens[j] - q * nums[j] * dens[i],
+                                        dens[i] * dens[j])):
             fault = "no witness prime"
         else:
-            return witness, lowest_terms(d, pq)
+            g = gcd(d, pq)
+            yield Edge(i, j, p, q, witness, (d // g, pq // g))
+            continue
         raise InstanceError(f"edge ({i},{j},{p},{q}): {fault}")
-
-    return decide
 
 
 def _planted_within(truth: GroundTruth, sites, bound: Fraction) -> bool:
@@ -676,7 +677,9 @@ def _planted_within(truth: GroundTruth, sites, bound: Fraction) -> bool:
 
 
 def audit_instance(inst: Instance) -> AuditReport:
-    """Re-verify every instance invariant with exact arithmetic."""
+    """Re-verify every instance invariant with exact arithmetic.  The edges
+    go through the loader's pass, `_decide_edges`, as rows [i, j, p, q], and
+    each derived slack and witness set is compared with the stored one."""
     params = inst.params
     cfg = inst.cfg
     checks: list[AuditCheck] = []
@@ -698,25 +701,22 @@ def audit_instance(inst: Instance) -> AuditReport:
         cfg.split_p1.isdisjoint(cfg.split_p2)
         and cfg.split_p1 | cfg.split_p2 <= pool_pq,
     )
-    pool_w = params.witness_primes()
-    decide = _edge_decider(params, cfg, pool_w)
-    bad_edge = ""
-    for e in inst.edges:
-        try:
-            witness, slack = decide(e.i, e.j, e.p, e.q)
-        except InstanceError as exc:
-            bad_edge = str(exc)
-            break
-        if slack != e.slack_pair or witness != e.witness:
-            what = "stored slack is not exact" if slack != e.slack_pair else "witness mismatch"
-            bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}): {what}"
-            break
+    bad_edge, rows = "", [[e.i, e.j, e.p, e.q] for e in inst.edges]
+    try:
+        for e, got in zip(inst.edges, _decide_edges(params, cfg, rows)):
+            if got != e:
+                slack_ok = got.slack_pair == e.slack_pair
+                what = "witness mismatch" if slack_ok else "stored slack is not exact"
+                bad_edge = f"edge ({e.i},{e.j},{e.p},{e.q}): {what}"
+                break
+    except InstanceError as exc:
+        bad_edge = str(exc)
     check("edges", not bad_edge, bad_edge)
     if inst.truth is not None:
         truth = inst.truth
         check(
             "coprimality",
-            all(gcd(p, truth.q_star) == 1 for p in list(pool_pq) + list(pool_w)),
+            all(gcd(p, truth.q_star) == 1 for p in pool_pq | set(params.witness_primes())),
         )
         check(
             "residue_range",
@@ -774,7 +774,7 @@ def instance_from_json(text: str) -> Instance:
     not written as `frac_to_str` writes it (a zero or negative denominator
     too), sites not ascending in x or closer than the separation, an a_map
     key not a site index in decimal, edges not ascending, or an edge that
-    is not four integers [i, j, p, q] or that `_edge_decider` refuses."""
+    is not four integers [i, j, p, q] or that `_decide_edges` refuses."""
     try:
         return _instance_from_doc(json.loads(text, object_pairs_hook=_unique_keys))
     except InstanceError:
@@ -792,8 +792,8 @@ def _instance_from_doc(doc: dict) -> Instance:
     if type(doc["sites"]) is not list or type(doc["edges"]) is not list:
         raise InstanceError("sites and edges must be lists")
     params = Params.from_json(doc["params"])
-    pool_w = params.witness_primes()
-    truth = None if doc["truth"] is None else GroundTruth.from_json(doc["truth"], prod(pool_w))
+    carrier = prod(params.witness_primes())
+    truth = None if doc["truth"] is None else GroundTruth.from_json(doc["truth"], carrier)
     # decided by writing them back: "+5/1", "2/4" or an a_map key "01" differ
     if params.to_json() != doc["params"] or truth and truth.to_json() != doc["truth"]:
         raise InstanceError("params or truth not in the form instance_to_json writes")
@@ -809,21 +809,8 @@ def _instance_from_doc(doc: dict) -> Instance:
         (n1, d1), (n2, d2) = sites[n - 1].x_pair if n else (0, 1), sites[n].x_pair
         if n1 * d2 >= n2 * d1:
             raise InstanceError(f"sites do not ascend in x at site {n}")
-    split = params.split_partition()
-    cfg = Configuration(
-        sites=tuple(sites),
-        separation=params.separation,
-        split_p1=split[0],
-        split_p2=split[1],
-    )
+    cfg = Configuration(tuple(sites), params.separation, *params.split_partition())
     if truth is not None and not all(0 <= i < len(sites) for i in truth.a_map):
         raise InstanceError("an a_map key is not a site index")
-    decide = _edge_decider(params, cfg, pool_w)
-    rows, edges = doc["edges"], []
-    for n, row in enumerate(rows):
-        if type(row) is not list or [*map(type, row)] != [int] * 4:
-            raise InstanceError(f"edge {n} is not four integers [i, j, p, q]")
-        if n and rows[n - 1] >= row:
-            raise InstanceError(f"edges do not ascend at edge {n}")
-        edges.append(Edge(*row, *decide(*row)))
-    return Instance(cfg=cfg, edges=tuple(edges), truth=truth, params=params)
+    edges = tuple(_decide_edges(params, cfg, doc["edges"]))
+    return Instance(cfg=cfg, edges=edges, truth=truth, params=params)

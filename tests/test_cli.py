@@ -13,6 +13,7 @@ import pytest
 from freqpath import cli
 from freqpath.cli import main
 from freqpath.pathgraph import SplitWalks
+from freqpath.recover import InvariantViolation
 from freqpath.synth import Params, instance_from_json, instance_to_json
 
 
@@ -139,6 +140,24 @@ class TestSynth:
         assert main(["synth", "--out", str(out), "--params", str(params)]) == 2
         err = json.loads((out / "synth_error.json").read_text())["error"]
         assert err == {"type": "ParamsError", "message": message}
+
+    @pytest.mark.parametrize("body, message", [
+        (b"{", "JSONDecodeError: Expecting property name enclosed in double quotes"),
+        (b"\xff{}", "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
+        (json.dumps({**WEB_PARAMS, "eps_edge": "1/0"}).encode(),
+         "ZeroDivisionError: Fraction(1, 0)"),
+        (json.dumps({**WEB_PARAMS, "eps_edge": "abc"}).encode(),
+         "ValueError: invalid literal for int() with base 10: 'abc'"),
+    ], ids=["not-json", "not-utf8", "zero-denominator", "not-a-rational"])
+    def test_unreadable_params_file_is_refused(self, tmp_path, body, message):
+        # bad input exits 2 with ParamsError, not as a bare builtin error
+        params = tmp_path / "params.json"
+        params.write_bytes(body)
+        out = tmp_path / "bad"
+        assert main(["synth", "--out", str(out), "--params", str(params)]) == 2
+        err = json.loads((out / "synth_error.json").read_text())["error"]
+        assert err["type"] == "ParamsError"
+        assert err["message"].startswith(f"malformed params file: {message}")
 
     def test_archimedean_q_star_is_refused(self, tmp_path, params_file):
         out = tmp_path / "arch"
@@ -386,6 +405,33 @@ def test_walk_flags_below_one_are_refused(tmp_path, recorded_k3, command, flag, 
     err = json.loads((out / f"{command}_error.json").read_text())["error"]
     assert err == {"type": "PathError", "message": f"{flag} must be at least 1, got {value}"}
     assert [f.name for f in out.iterdir()] == [f"{command}_error.json"]
+
+
+def test_instance_file_not_utf8_is_refused(tmp_path):
+    bad = tmp_path / "instance.json"
+    bad.write_bytes(b"\xff{}")
+    out = tmp_path / "out"
+    assert main(["audit", "--out", str(out), "--instance", str(bad)]) == 2
+    err = json.loads((out / "audit_error.json").read_text())["error"]
+    assert err["type"] == "InstanceError"
+    assert err["message"].startswith("malformed instance file: UnicodeDecodeError: ")
+
+
+def test_program_fault_exits_3(tmp_path, recorded_k3, monkeypatch, capsys):
+    # an InvariantViolation guards against a construction bug, which no
+    # input reaches: main reports it with its traceback and exit 3, and its
+    # error file marks it internal, so it cannot pass for refused input
+    def broken(*_args):
+        raise InvariantViolation("apex certificate failed on a valid loop")
+
+    monkeypatch.setattr(cli, "recover_instance", broken)
+    inst, _recovery = recorded_k3
+    out = tmp_path / "out"
+    assert main(["recover", "--out", str(out), "--instance", str(inst)]) == 3
+    err = json.loads((out / "recover_error.json").read_text())["error"]
+    assert err == {"type": "InvariantViolation", "internal": True,
+                   "message": "apex certificate failed on a valid loop"}
+    assert "Traceback (most recent call last)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, message", [

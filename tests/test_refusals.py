@@ -3,15 +3,18 @@ and its exact message.
 
 Not here: `pyramid._merge`'s two AssertionErrors and `recover.local_estimate`'s
 three InvariantViolations guard against construction bugs, and no input
-reaches them.
+reaches them; raised in a command, such a fault exits 3 (`test_cli.py`),
+while every refusal here exits 2.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import edge, path_over, site
+from freqpath import cli
 from freqpath.pathgraph import (
     Configuration,
     Path,
@@ -111,9 +114,9 @@ REFUSALS = {
         lambda: collision_census([(E01,), (E12,)], 0, 10), PathError,
         "census paths must share the initial site"),
     "count_close_products-r0": (
-        lambda: count_close_products(0, 5, 10), ValueError, "need r >= 1 and p0 >= 3"),
+        lambda: count_close_products(0, 5, 10), PathError, "need r >= 1 and p0 >= 3"),
     "count_close_products-p0-2": (
-        lambda: count_close_products(1, 2, 10), ValueError, "need r >= 1 and p0 >= 3"),
+        lambda: count_close_products(1, 2, 10), PathError, "need r >= 1 and p0 >= 3"),
     "_pyramid_eps-other-primes": (
         lambda: top_anchor_certificate(path_over(OTHER_PRIMES), build_pyramid(prepath()), 1),
         PathError, "pyramid primes do not match the path"),
@@ -219,3 +222,14 @@ def test_refusal(call, error, message):
         call()
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("call,error,message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_exits_2(tmp_path, monkeypatch, call, error, message):
+    # raised inside a command, each refusal is bad input to the CLI: exit 2
+    # and an error file naming it, not a program fault (exit 3)
+    monkeypatch.setattr(cli, "cmd_audit", lambda _args: call())
+    out = tmp_path / "out"
+    assert cli.main(["audit", "--out", str(out), "--instance", "instance.json"]) == 2
+    err = json.loads((out / "audit_error.json").read_text())["error"]
+    assert err == {"type": error.__name__, "message": message}

@@ -13,10 +13,10 @@ import textwrap
 from bisect import bisect_left
 from fractions import Fraction as F
 from functools import cache
-from math import gcd
+from math import gcd, prod
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -25,6 +25,7 @@ from conftest import (
     edge,
     pair,
     planted_alpha,
+    ref_edge_witness,
     ref_place_sites,
     ref_planted_consistency,
     ref_slacks_within,
@@ -39,6 +40,7 @@ from freqpath.synth import (
     InstanceError,
     Params,
     ParamsError,
+    _decide_edges,
     _physical_candidates,
     _place_sites,
     _route_pair_candidates,
@@ -124,6 +126,14 @@ class TestParamsValidation:
     def test_json_round_trip(self):
         p = web_params()
         assert Params.from_json(p.to_json()) == p
+
+    def test_prime_pools_are_sieved_once(self):
+        # the sieve caches per range, so every read of a pool is one tuple,
+        # and nothing cached enters the params block the loader writes back
+        p = web_params()
+        assert p.edge_primes() is web_params(seed=2).edge_primes()
+        assert p.witness_primes() is p.witness_primes() == (5, 7)
+        assert p.to_json().keys() == Params.__dataclass_fields__.keys()
 
     def test_gate_report_shape(self):
         gates = small_params().gates()
@@ -397,6 +407,9 @@ class TestInstanceJson:
         back = json.dumps(json.loads(instance_to_json(inst)), sort_keys=True)
         assert back == json.dumps(json.loads(text), sort_keys=True)
 
+    # above the suite's 60 examples: this property is the net under the
+    # loader's edge pass (a 3,000-example run found the `"edges": {}` load)
+    @settings(max_examples=1000)
     @given(mutations())
     def test_mutated_file_is_refused_or_written_back(self, case):
         _what, text = case
@@ -540,7 +553,8 @@ class TestAudit:
             report = audit_instance(tampered)
             assert not report.passed
             assert any(
-                c.name == "edges" and not c.passed and "not exact" in c.detail
+                c.name == "edges" and not c.passed
+                and c.detail == f"edge ({e.i},{e.j},{e.p},{e.q}): stored slack is not exact"
                 for c in report.checks
             )
 
@@ -578,12 +592,29 @@ class TestAudit:
                                if c.name == "planted_consistency")
                 assert planted.passed == ok == ref_planted_consistency(tampered)
 
+    def test_edges_are_decided_in_order(self):
+        # the audit runs the loader's pass, so edges that do not ascend fail
+        # as in a file, and a mismatch before that row is named first
+        inst = gen_instance(small_params(site_count=200), t_star=F(10**5))
+        e0, e1, *rest = inst.edges
+        swapped = Instance(inst.cfg, (e1, e0, *rest), inst.truth, inst.params)
+        bad = edge(e0.i, e0.j, e0.p, e0.q, {7}, e0.slack)
+        both = Instance(inst.cfg, (bad, *rest, e1), inst.truth, inst.params)
+        details = [next(c.detail for c in audit_instance(i).checks if c.name == "edges")
+                   for i in (swapped, both)]
+        assert details == ["edges do not ascend at edge 1",
+                           f"edge ({e0.i},{e0.j},{e0.p},{e0.q}): witness mismatch"]
+
     def test_corrupted_witness_fails(self):
         inst = gen_instance(small_params(site_count=200), t_star=F(10**5))
         e = inst.edges[0]
         bad = edge(e.i, e.j, e.p, e.q, frozenset({5}), e.slack)
         tampered = Instance(inst.cfg, (bad,) + inst.edges[1:], inst.truth, inst.params)
-        assert not audit_instance(tampered).passed
+        report = audit_instance(tampered)
+        assert not report.passed
+        assert any(c.name == "edges" and not c.passed
+                   and c.detail == f"edge ({e.i},{e.j},{e.p},{e.q}): witness mismatch"
+                   for c in report.checks)
 
     def test_empty_instance_vacuous_pass(self):
         inst = gen_instance(small_params(site_count=50), t_star=F(10**5))
@@ -593,6 +624,95 @@ class TestAudit:
     def test_blind_instance_audits(self):
         inst = gen_instance(small_params(site_count=50), t_star=F(10**5))
         assert audit_instance(inst.strip_truth()).passed
+
+
+# P' with a witness pool of 1, 2, 3 and 4 primes: (2), (2, 3), (7, 11, 13)
+# and (11, 13, 17, 19); the edge pool [50, 100] lies above every one
+P_PRIME_BY_POOL_SIZE = {1: 1, 2: 2, 3: 7, 4: 11}
+TINY = F(1, 10**12)
+
+
+def one_edge_text(params: Params, sites, row: list) -> str:
+    """An instance file of `sites` (x, alpha) and one edge row, no truth,
+    written as `instance_to_json` writes."""
+    doc = {"schema": 3, "params": params.to_json(), "truth": None,
+           "sites": [{"x": f"{x.numerator}/{x.denominator}",
+                      "alpha": f"{a.numerator}/{a.denominator}"} for x, a in sites],
+           "edges": [row]}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestDecideEdges:
+    """The edge pass of the loader and the audit against Fraction oracles, at
+    both thresholds: the slack |x_i/p - x_j/q| <= s_edge and each witness
+    norm ||p*alpha_i - q*alpha_j||_w < eps_edge, per prime and for the
+    pool's product, which the pass decides first."""
+
+    @given(st.data())
+    def test_matches_fraction_oracles(self, data):
+        pool_size = data.draw(st.integers(1, 4))
+        eps = data.draw(st.fractions(F(1, 100), F(49, 100), max_denominator=100))
+        s_edge = data.draw(st.fractions(F(1, 10), F(10), max_denominator=50))
+        p_prime = P_PRIME_BY_POOL_SIZE[pool_size]
+        params = Params(X=10**8, H=1, K=50 * p_prime, P=50, P_prime=p_prime,
+                        eps_edge=eps, s_edge=s_edge, site_count=2)
+        pool = params.witness_primes()
+        assert len(pool) == pool_size
+        p1s, p2s = params.split_partition()
+        p, q = data.draw(st.sampled_from(p1s)), data.draw(st.sampled_from(p2s))
+        # the slack at s_edge, just inside or outside it, or anywhere near it
+        side = data.draw(st.sampled_from([-1, 1]))
+        slack = data.draw(st.one_of(
+            st.sampled_from([s_edge, s_edge - TINY, s_edge + TINY, F(0)]),
+            st.fractions(0, 2 * s_edge, max_denominator=1000)))
+        x_a = data.draw(st.fractions(10**6, 10**7, max_denominator=1000))
+        x_b = x_a * q / p + side * q * slack
+        # the relation at eps, just inside or outside it, or anywhere near
+        # it, plus a multiple of one pool prime or of the pool's product
+        ratio = data.draw(st.one_of(
+            st.sampled_from([1, 1 - TINY, 1 + TINY, 0]),
+            st.fractions(0, 2, max_denominator=64)))
+        unit = data.draw(st.sampled_from(pool + (prod(pool),)))
+        rel = side * ratio * eps + unit * data.draw(st.integers(-5, 5))
+        alpha_a = data.draw(st.fractions(-3, 3, max_denominator=1000))
+        sites = [(x_a, alpha_a), (x_b, (p * alpha_a - rel) / q)]
+
+        a, b = (site(x, alpha) for x, alpha in sites)
+        want_slack = abs(x_a / p - x_b / q)
+        want_witness = ref_edge_witness(a, b, p, q, pool, eps)
+        if want_slack > s_edge:
+            want = f"edge (0,1,{p},{q}): physical slack {want_slack} exceeds s_edge"
+        elif not want_witness:
+            want = f"edge (0,1,{p},{q}): no witness prime"
+        else:
+            want = None
+        cfg = Configuration((a, b), params.separation, p1s, p2s)
+        text = one_edge_text(params, sites, [0, 1, p, q])
+        if want is None:
+            got, = _decide_edges(params, cfg, [[0, 1, p, q]])
+            assert (got.witness, got.slack) == (want_witness, want_slack)
+            # a partial witness set (the product test failed) loads too
+            assert instance_to_json(instance_from_json(text)) == text
+        else:
+            for load in (lambda: tuple(_decide_edges(params, cfg, [[0, 1, p, q]])),
+                         lambda: instance_from_json(text)):
+                with pytest.raises(InstanceError) as refused:
+                    load()
+                assert str(refused.value) == want
+
+    def test_partial_witness_set_loads_and_writes_back(self):
+        # ||rel||_5 = 1/16 < eps = 1/8, but ||rel||_7 = 2 - 1/16 and
+        # ||rel||_35 = 5 + 1/16: the product test fails and only 5 passes
+        params = Params(X=10**8, H=1, K=250, P=50, P_prime=5, eps_edge=F(1, 8),
+                        s_edge=F(1), site_count=2)
+        p1s, p2s = params.split_partition()
+        p, q = p1s[0], p2s[0]
+        rel = F(1, 16) + 5
+        sites = [(F(10**6), F(0)), (F(10**6) * q / p, -rel / q)]
+        text = one_edge_text(params, sites, [0, 1, p, q])
+        inst = instance_from_json(text)
+        assert inst.edges[0].witness == {5}
+        assert instance_to_json(inst) == text
 
 
 class TestRoutePairSearch:
