@@ -74,16 +74,14 @@ SYNTH_DEFAULTS = dict(X=10**8, H=10**4, K=100, P=20, P_prime=5, eps_edge="1/5",
 def _params_from_args(args) -> Params:
     """The --params file (or SYNTH_DEFAULTS), then every generator flag given:
     the generator flags default to absent, and each is named by its field.
-    A file that is not JSON, or holds a value `Params` cannot read, is
-    refused with ParamsError, as `Params.from_json` refuses a non-object."""
+    A file that is not JSON is refused with ParamsError, as
+    `Params.from_json` refuses a non-object or a value it cannot read."""
     try:
         doc = json.loads(FsPath(args.params).read_text()) if args.params else SYNTH_DEFAULTS
-        given = {k: v for k, v in vars(args).items() if k in Params.__dataclass_fields__}
-        return Params.from_json({**doc, **given} if type(doc) is dict else doc)
-    except (ParamsError, TorusError):
-        raise
-    except MALFORMED as exc:
+    except MALFORMED as exc:  # not UTF-8, not JSON, or nested too deep
         raise ParamsError(f"malformed params file: {type(exc).__name__}: {exc}") from exc
+    given = {k: v for k, v in vars(args).items() if k in Params.__dataclass_fields__}
+    return Params.from_json({**doc, **given} if type(doc) is dict else doc)
 
 
 def _load_instance(path: str):
@@ -218,7 +216,7 @@ def cmd_score(args) -> int:
     inst = _load_instance(args.instance)
     try:
         doc = json.loads(FsPath(args.recovery).read_text())
-    except ValueError as exc:
+    except MALFORMED as exc:
         raise RecordError(f"recovery record is not JSON: {exc}") from exc
     score = score_record(doc, inst, args.k)
     _write_json(

@@ -7,7 +7,6 @@ segmented sieve or probabilistic primality.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 
 
@@ -27,9 +26,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=64)
 def primes_in_range(lo: int, hi: int) -> tuple[int, ...]:
-    """All primes p with lo <= p <= hi, ascending; the last 64 ranges are kept."""
+    """All primes p with lo <= p <= hi, ascending."""
     if hi < 2:
         return ()
     lo = max(lo, 2)

@@ -107,9 +107,10 @@ class Params:
     web_diamonds: int = 0
     web_chains: int = 0
     web_chain_len: int = 0
+    _rationals = ("eps_edge", "s_edge", "noise_level")  # not a field: no annotation
 
     def __post_init__(self) -> None:
-        for name in ("eps_edge", "s_edge", "noise_level"):
+        for name in self._rationals:
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
         for name in ("X", "H", "K", "P", "P_prime", "site_count", "seed",
                      "web_pair_targets", "web_diamonds", "web_chains",
@@ -188,7 +189,8 @@ class Params:
     @classmethod
     def from_json(cls, doc: dict) -> "Params":
         """Params from a JSON object holding every field without a default
-        and no other key; anything else is refused with ParamsError."""
+        and no other key, each rational field a rational's text; anything
+        else is refused with ParamsError."""
         if type(doc) is not dict:
             raise ParamsError(f"params must be a JSON object, got {type(doc).__name__}")
         fields = cls.__dataclass_fields__
@@ -196,7 +198,11 @@ class Params:
             raise ParamsError(f"unknown params keys {sorted(unknown)}")
         if missing := [n for n, f in fields.items() if f.default is MISSING and n not in doc]:
             raise ParamsError(f"missing params keys {missing}")
-        return cls(**doc)
+        try:
+            rationals = {n: as_fraction(doc[n]) for n in cls._rationals if n in doc}
+        except (ValueError, ZeroDivisionError) as exc:  # str_to_frac's
+            raise ParamsError(f"unreadable params value: {type(exc).__name__}: {exc}") from exc
+        return cls(**{**doc, **rationals})
 
 
 @dataclass(frozen=True)
@@ -540,8 +546,7 @@ def gen_instance(
         raise ParamsError(f"unknown mode {mode!r}")
     if mode == "archimedean" and q_star != 1:
         raise ParamsError("archimedean mode requires q_star = 1")
-    pool_w = params.witness_primes()
-    pool_pq = params.edge_primes()
+    pool_w, pool_pq = params.witness_primes(), params.edge_primes()
     for p in pool_pq + pool_w:
         if gcd(p, q_star) != 1:
             raise ParamsError(f"q_star = {q_star} shares a factor with pool prime {p}")
@@ -619,22 +624,21 @@ class AuditReport:
         }
 
 
-def _decide_edges(params: Params, cfg: Configuration, rows: list):
-    """Each row [i, j, p, q] as the Edge of `cfg` under `params` that
-    `gen_instance` derives, in one pass over per-site integer arrays, for
-    the loader and the audit.  A row that fails a check raises InstanceError
-    naming the first one, after the rows before it were yielded: not four
-    integers, not ascending, a site index out of range, primes not
-    split-oriented, a slack beyond s_edge, no witness prime.  The slack
+def _decide_edges(params: Params, cfg: Configuration, pool_w: tuple[int, ...], rows):
+    """Each row [i, j, p, q] as the Edge of `cfg` under `params` (witness
+    pool `pool_w`) that `gen_instance` derives, in one pass over per-site
+    integer arrays, for the loader and the audit.  A row that fails a check
+    raises InstanceError naming the first one, after the rows before it were
+    yielded: not four integers, not ascending, a site index out of range,
+    primes not split-oriented, a slack beyond s_edge, no witness prime.  The slack
     |x_i/p - x_j/q| is d/(p*q*D) for d = |X_i*q - X_j*p| over the positions
     X = x*D, kept in lowest terms; the witness set is `witness_rule` on
     p*alpha_i - q*alpha_j."""
     xs, scale, p1s, p2s = cfg.positions, cfg.scale, cfg.split_p1, cfg.split_p2
     nums, dens = [s.alpha_pair[0] for s in cfg.sites], [s.alpha_pair[1] for s in cfg.sites]
-    n_sites = len(xs)
     s_num, s_den = params.s_edge.numerator, params.s_edge.denominator
-    witness_of = witness_rule(params.witness_primes(), params.eps_edge)
-    prev = None
+    witness_of = witness_rule(pool_w, params.eps_edge)
+    n_sites, prev = len(xs), None
     for n, row in enumerate(rows):
         if type(row) is not list or len(row) != 4 or not (
                 int is type(row[0]) is type(row[1]) is type(row[2]) is type(row[3])):
@@ -695,7 +699,7 @@ def audit_instance(inst: Instance) -> AuditReport:
         all(lo.numerator * scale <= x * lo.denominator
             and x * hi.denominator <= hi.numerator * scale for x in xs),
     )
-    pool_pq = set(params.edge_primes())
+    pool_pq, pool_w = set(params.edge_primes()), params.witness_primes()
     check(
         "partition",
         cfg.split_p1.isdisjoint(cfg.split_p2)
@@ -703,7 +707,7 @@ def audit_instance(inst: Instance) -> AuditReport:
     )
     bad_edge, rows = "", [[e.i, e.j, e.p, e.q] for e in inst.edges]
     try:
-        for e, got in zip(inst.edges, _decide_edges(params, cfg, rows)):
+        for e, got in zip(inst.edges, _decide_edges(params, cfg, pool_w, rows)):
             if got != e:
                 slack_ok = got.slack_pair == e.slack_pair
                 what = "witness mismatch" if slack_ok else "stored slack is not exact"
@@ -716,7 +720,7 @@ def audit_instance(inst: Instance) -> AuditReport:
         truth = inst.truth
         check(
             "coprimality",
-            all(gcd(p, truth.q_star) == 1 for p in pool_pq | set(params.witness_primes())),
+            all(gcd(p, truth.q_star) == 1 for p in pool_pq | set(pool_w)),
         )
         check(
             "residue_range",
@@ -792,8 +796,8 @@ def _instance_from_doc(doc: dict) -> Instance:
     if type(doc["sites"]) is not list or type(doc["edges"]) is not list:
         raise InstanceError("sites and edges must be lists")
     params = Params.from_json(doc["params"])
-    carrier = prod(params.witness_primes())
-    truth = None if doc["truth"] is None else GroundTruth.from_json(doc["truth"], carrier)
+    pool_w = params.witness_primes()
+    truth = None if doc["truth"] is None else GroundTruth.from_json(doc["truth"], prod(pool_w))
     # decided by writing them back: "+5/1", "2/4" or an a_map key "01" differ
     if params.to_json() != doc["params"] or truth and truth.to_json() != doc["truth"]:
         raise InstanceError("params or truth not in the form instance_to_json writes")
@@ -812,5 +816,5 @@ def _instance_from_doc(doc: dict) -> Instance:
     cfg = Configuration(tuple(sites), params.separation, *params.split_partition())
     if truth is not None and not all(0 <= i < len(sites) for i in truth.a_map):
         raise InstanceError("an a_map key is not a site index")
-    edges = tuple(_decide_edges(params, cfg, doc["edges"]))
+    edges = tuple(_decide_edges(params, cfg, pool_w, doc["edges"]))
     return Instance(cfg=cfg, edges=edges, truth=truth, params=params)

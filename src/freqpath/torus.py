@@ -66,10 +66,10 @@ def fields_to_json(obj) -> dict:
             for name, v in vars(obj).items()}
 
 
-# what reading a malformed JSON document can raise; the instance and record
-# readers each turn these into their own typed error
-MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError,
-             ZeroDivisionError)
+# what reading a malformed JSON document can raise (RecursionError: nested
+# too deep for json.loads); each reader turns these into its own typed error
+MALFORMED = (AttributeError, IndexError, KeyError, RecursionError, TypeError,
+             ValueError, ZeroDivisionError)
 
 
 def str_to_frac(s: str) -> Fraction:

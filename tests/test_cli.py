@@ -5,6 +5,7 @@ import argparse
 import ast
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,12 +143,14 @@ class TestSynth:
         assert err == {"type": "ParamsError", "message": message}
 
     @pytest.mark.parametrize("body, message", [
-        (b"{", "JSONDecodeError: Expecting property name enclosed in double quotes"),
-        (b"\xff{}", "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
+        (b"{", "malformed params file: JSONDecodeError: Expecting property name"
+               " enclosed in double quotes"),
+        (b"\xff{}", "malformed params file: UnicodeDecodeError: 'utf-8' codec can't"
+                   " decode byte 0xff"),
         (json.dumps({**WEB_PARAMS, "eps_edge": "1/0"}).encode(),
-         "ZeroDivisionError: Fraction(1, 0)"),
+         "unreadable params value: ZeroDivisionError: Fraction(1, 0)"),
         (json.dumps({**WEB_PARAMS, "eps_edge": "abc"}).encode(),
-         "ValueError: invalid literal for int() with base 10: 'abc'"),
+         "unreadable params value: ValueError: invalid literal for int() with base 10: 'abc'"),
     ], ids=["not-json", "not-utf8", "zero-denominator", "not-a-rational"])
     def test_unreadable_params_file_is_refused(self, tmp_path, body, message):
         # bad input exits 2 with ParamsError, not as a bare builtin error
@@ -157,7 +160,7 @@ class TestSynth:
         assert main(["synth", "--out", str(out), "--params", str(params)]) == 2
         err = json.loads((out / "synth_error.json").read_text())["error"]
         assert err["type"] == "ParamsError"
-        assert err["message"].startswith(f"malformed params file: {message}")
+        assert err["message"].startswith(message)
 
     def test_archimedean_q_star_is_refused(self, tmp_path, params_file):
         out = tmp_path / "arch"
@@ -415,6 +418,25 @@ def test_instance_file_not_utf8_is_refused(tmp_path):
     err = json.loads((out / "audit_error.json").read_text())["error"]
     assert err["type"] == "InstanceError"
     assert err["message"].startswith("malformed instance file: UnicodeDecodeError: ")
+
+
+@pytest.mark.parametrize("command, error, message", [
+    ("synth", "ParamsError", "malformed params file: RecursionError: "),
+    ("audit", "InstanceError", "malformed instance file: RecursionError: "),
+    ("score", "RecordError", "recovery record is not JSON: maximum recursion"),
+], ids=["params", "instance", "recovery"])
+def test_file_nested_too_deep_is_refused(tmp_path, recorded_k3, command, error, message):
+    # json.loads raises RecursionError on such a file: refused input, not a fault
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    inst, _recovery = recorded_k3
+    files = {"synth": ["--params", deep], "audit": ["--instance", deep],
+             "score": ["--instance", inst, "--recovery", deep, "--k", "3"]}[command]
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *map(str, files)]) == 2
+    err = json.loads((out / f"{command}_error.json").read_text())["error"]
+    assert err["type"] == error and "internal" not in err
+    assert err["message"].startswith(message)
 
 
 def test_program_fault_exits_3(tmp_path, recorded_k3, monkeypatch, capsys):
@@ -700,3 +722,14 @@ def test_one_parser_serves_every_call(tmp_path, params_file, monkeypatch):
     edges = json.loads(shared["edges/instance.json"])
     assert edges["params"]["edge_count"] == 120 and len(edges["edges"]) == 120
     assert json.loads(shared["all/instance.json"])["params"]["edge_count"] is None
+
+
+def test_no_module_binding_is_a_wrapper():
+    # bench/tracer.py wraps package functions and counts a binding with
+    # __wrapped__ as a wrapper it left behind, so no module of the package
+    # may hold one of its own (functools.lru_cache or functools.wraps); cli
+    # imports every module
+    wrapped = [f"{name}.{attr}" for name, mod in sorted(sys.modules.items())
+               if name.startswith("freqpath") for attr, value in vars(mod).items()
+               if hasattr(value, "__wrapped__")]
+    assert wrapped == []

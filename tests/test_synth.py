@@ -127,13 +127,24 @@ class TestParamsValidation:
         p = web_params()
         assert Params.from_json(p.to_json()) == p
 
-    def test_prime_pools_are_sieved_once(self):
-        # the sieve caches per range, so every read of a pool is one tuple,
-        # and nothing cached enters the params block the loader writes back
-        p = web_params()
-        assert p.edge_primes() is web_params(seed=2).edge_primes()
-        assert p.witness_primes() is p.witness_primes() == (5, 7)
-        assert p.to_json().keys() == Params.__dataclass_fields__.keys()
+    def test_load_and_audit_sieve_each_pool_once(self, monkeypatch):
+        # the witness pool is sieved once and passed on to the edge pass,
+        # and nothing is cached on a Params, whose params block the loader
+        # writes back
+        text = instance_to_json(gen_instance(small_params(site_count=40)))
+        sieved = []
+
+        def counted(lo: int, hi: int) -> tuple[int, ...]:
+            sieved.append((lo, hi))
+            return primes_in_range(lo, hi)
+
+        monkeypatch.setattr("freqpath.synth.primes_in_range", counted)
+        inst = instance_from_json(text)
+        assert sorted(sieved) == [(5, 10), (20, 40)]
+        sieved.clear()
+        assert audit_instance(inst).passed
+        assert sorted(sieved) == [(5, 10), (20, 40)]
+        assert inst.params.to_json().keys() == Params.__dataclass_fields__.keys()
 
     def test_gate_report_shape(self):
         gates = small_params().gates()
@@ -689,12 +700,12 @@ class TestDecideEdges:
         cfg = Configuration((a, b), params.separation, p1s, p2s)
         text = one_edge_text(params, sites, [0, 1, p, q])
         if want is None:
-            got, = _decide_edges(params, cfg, [[0, 1, p, q]])
+            got, = _decide_edges(params, cfg, pool, [[0, 1, p, q]])
             assert (got.witness, got.slack) == (want_witness, want_slack)
             # a partial witness set (the product test failed) loads too
             assert instance_to_json(instance_from_json(text)) == text
         else:
-            for load in (lambda: tuple(_decide_edges(params, cfg, [[0, 1, p, q]])),
+            for load in (lambda: tuple(_decide_edges(params, cfg, pool, [[0, 1, p, q]])),
                          lambda: instance_from_json(text)):
                 with pytest.raises(InstanceError) as refused:
                     load()
